@@ -74,4 +74,4 @@ from .tower import (
     scalar_congruence_rows,
 )
 
-__version__ = "0.1.0"
+from .report import TOOL_VERSION as __version__

@@ -28,7 +28,8 @@ from .cyclo import BiCycloElem, BiCycloRing, CycloElem, CycloRing, ell_divisibil
 from .errors import CheckFailed, GuardExceeded, InputError
 from .fields import FIELD_CAP, FqField, field_build
 from .matfermat import det_from_traces, intify, traces_from_det
-from .padic import check_odd_prime, int_val, is_prime
+from .matrices import orbit_reps, poly_mul
+from .padic import check_odd_prime, int_val
 
 ENUM_CAP = 10**7
 
@@ -117,17 +118,7 @@ def gauss_sum(field: FqField, ell: int, level: int, v: int,
     traces = field.tr_abs_batch(field.exp_table)
     ka = field.dlog(a % field.q if a % field.q else a)
     tr_shift = traces[(ks + ka) % n] if ka else traces
-    es = (v % d) * ks % d
-    counts = np.zeros((field.p, d), dtype=np.int64)
-    np.add.at(counts, (tr_shift, es), 1)
-    ring = BiCycloRing(field.p, ell, level)
-    pairs = {}
-    for t in range(field.p):
-        for e in range(d):
-            c = int(counts[t, e])
-            if c:
-                pairs[(t, e)] = c
-    return ring.from_exponent_counts(pairs)
+    return _gauss_from_table(field.p, ell, level, tr_shift, (v % d) * ks % d)
 
 
 def jacobi_sum(field: FqField, ell: int, level: int, v1: int,
@@ -144,9 +135,24 @@ def jacobi_sum(field: FqField, ell: int, level: int, v1: int,
     mask = om != 0
     k2 = field.dlog_table[om[mask]]
     es = ((v1 % d) * ks[mask] + (v2 % d) * k2) % d
-    counts = np.bincount(es, minlength=d)
-    ring = CycloRing(ell, level, None)
-    return ring.from_exponent_counts(
+    return _jacobi_from_exponents(ell, level, es)
+
+
+def _gauss_from_table(p: int, ell: int, level: int, trs: np.ndarray,
+                      es: np.ndarray) -> BiCycloElem:
+    """Sum of zeta_p^tr * zeta_{l^level}^e over the paired entries."""
+    counts = np.zeros((p, ell**level), dtype=np.int64)
+    np.add.at(counts, (trs, es), 1)
+    ts, ks = np.nonzero(counts)
+    pairs = {(int(t), int(e)): int(c)
+             for t, e, c in zip(ts, ks, counts[ts, ks])}
+    return BiCycloRing(p, ell, level).from_exponent_counts(pairs)
+
+
+def _jacobi_from_exponents(ell: int, level: int, es: np.ndarray) -> CycloElem:
+    """Sum of zeta_{l^level}^e over the entries of es (each < l^level)."""
+    counts = np.bincount(es, minlength=ell**level)
+    return CycloRing(ell, level, None).from_exponent_counts(
         [(int(e), int(c)) for e, c in enumerate(counts) if c]
     )
 
@@ -519,17 +525,9 @@ def motivating_reference_poly(tower_level: int = 3) -> list[int]:
         raise InputError("tower level must be >= 2")
     poly = [1, -2, 5]
     for i in range(1, t - 1):
-        factor = [0] * (2**i + 1)
-        factor[0] = 1
-        factor[2**i] = 5 ** (2 ** (i - 1))
+        factor = [1, 5 ** (2 ** (i - 1))]
         for _ in range(2):
-            out = [0] * (len(poly) + len(factor) - 1)
-            for a, x in enumerate(poly):
-                if x:
-                    for b, y in enumerate(factor):
-                        if y:
-                            out[a + b] += x * y
-            poly = out
+            poly = poly_mul(poly, factor, 0, 2**i)
     return poly
 
 
@@ -623,11 +621,7 @@ def _coleman_jacobi_core(E: FqField, sub_q: int, ell: int, n: int,
     if int((k2 % step).sum()):
         raise CheckFailed("1 - x left the subfield; tables are inconsistent")
     es = ((w1 % d_lo) * ts[mask] + (w2 % d_lo) * (k2 // step)) % d_lo
-    counts = np.bincount(es, minlength=d_lo)
-    ring = CycloRing(ell, n, None)
-    j_sub = ring.from_exponent_counts(
-        [(int(e), int(c)) for e, c in enumerate(counts) if c]
-    )
+    j_sub = _jacobi_from_exponents(ell, n, es)
     rhs = j_sub.embed_up() * (sub_q ** ((ell - 1) // 2))
     return {"w": [int(w1), int(w2)], "passed": bool(j_big == rhs)}
 
@@ -652,16 +646,7 @@ def _coleman_gauss_core(E: FqField, sub_q: int, ell: int, n: int,
     xs = E.exp_table[ts * step]
     ell_inv = pow(ell % E.p, -1, E.p)
     trs = ell_inv * E.tr_abs_batch(xs) % E.p
-    es = (v % d_lo) * ts % d_lo
-    counts = np.zeros((E.p, d_lo), dtype=np.int64)
-    np.add.at(counts, (trs, es), 1)
-    pairs = {}
-    for t in range(E.p):
-        for e in range(d_lo):
-            c = int(counts[t, e])
-            if c:
-                pairs[(t, e)] = c
-    g_sub = BiCycloRing(E.p, ell, n).from_exponent_counts(pairs)
+    g_sub = _gauss_from_table(E.p, ell, n, trs, (v % d_lo) * ts % d_lo)
     k_ell = E.dlog(ell % E.p)
     if k_ell % step:
         raise CheckFailed("l left the subfield; tables are inconsistent")
@@ -770,89 +755,23 @@ def _bic_int(x: BiCycloElem, what: str) -> int:
         raise CheckFailed(f"{what} is not a rational integer") from None
 
 
-def _poly_mul_linear(poly: list, root) -> list:
-    """Multiply a coefficient list (ascending) by (1 + root * y)."""
-    out = list(poly) + [poly[-1] * root]
-    for i in range(len(poly) - 1, 0, -1):
-        out[i] = poly[i] + poly[i - 1] * root
-    return out
+def _fresh_orbits(family: str, ell: int, m: int,
+                  q: int) -> list[tuple[tuple[int, ...], int]]:
+    """Orbits of v -> q v on the fresh characters of level m, with sizes.
 
-
-def _stretch_mul(acc: list[int], h: Sequence[int], k: int) -> list[int]:
-    """acc(y) * h(y^k) for integer coefficient lists."""
-    g = [0] * ((len(h) - 1) * k + 1)
-    for i, c in enumerate(h):
-        g[i * k] = c
-    out = [0] * (len(acc) + len(g) - 1)
-    for i, x in enumerate(acc):
-        if x:
-            for j, y in enumerate(g):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _fresh_fermat_pairs(ell: int, m: int) -> list[tuple[int, int]]:
-    """Valid Jacobi character pairs mod l^m of exact level m.
-
-    Valid: both components and their sum nonzero mod l^m.  Exact level:
-    not both components divisible by l (pairs failing this are the lifts
-    of lower-level pairs and are counted there).
+    Fermat: Jacobi pairs (v1, v2) mod l^m that are valid (both components
+    and their sum nonzero) and of exact level m (not both components
+    divisible by l; the others are lifts of lower-level pairs, counted
+    there).  Artin-Schreier: the units v mod l^m, as 1-tuples.
     """
     d = ell**m
-    out = []
-    for v1 in range(d):
-        for v2 in range(d):
-            if v1 % ell == 0 and v2 % ell == 0:
-                continue
-            if v1 % d == 0 or v2 % d == 0 or (v1 + v2) % d == 0:
-                continue
-            out.append((v1, v2))
-    return out
+    if family == "fermat":
+        def fresh(v):
+            v1, v2 = v
+            return (v1 % ell or v2 % ell) and 0 not in (v1, v2, (v1 + v2) % d)
 
-
-def _pair_orbits(pairs: Sequence[tuple[int, int]], q: int,
-                 d: int) -> tuple[list[tuple[int, int]], set[int]]:
-    """Lex-first orbit representatives under (v1, v2) -> (q v1, q v2)."""
-    seen: set[tuple[int, int]] = set()
-    reps = []
-    sizes = set()
-    for pr in pairs:
-        if pr in seen:
-            continue
-        reps.append(pr)
-        cur = pr
-        size = 0
-        while True:
-            seen.add(cur)
-            size += 1
-            cur = (cur[0] * q % d, cur[1] * q % d)
-            if cur == pr:
-                break
-        sizes.add(size)
-    return reps, sizes
-
-
-def _unit_orbits(ell: int, m: int, q: int) -> tuple[list[int], set[int]]:
-    """Lex-first representatives of units mod l^m under v -> q v."""
-    d = ell**m
-    seen: set[int] = set()
-    reps = []
-    sizes = set()
-    for v in range(1, d):
-        if v % ell == 0 or v in seen:
-            continue
-        reps.append(v)
-        cur = v
-        size = 0
-        while True:
-            seen.add(cur)
-            size += 1
-            cur = cur * q % d
-            if cur == v:
-                break
-        sizes.add(size)
-    return reps, sizes
+        return orbit_reps([[q, 0], [0, q]], d, 2, fresh)
+    return orbit_reps([[q]], d, 1, lambda v: v[0] % ell)
 
 
 def h_poly_tower(family: str, ell: int, q: int, n: int,
@@ -898,28 +817,30 @@ def h_poly_tower(family: str, ell: int, q: int, n: int,
         d = ell**m
         k_m = mult_order(q, d)
         big = get_field(k_m)
+        orbits = _fresh_orbits(family, ell, m, q)
+        sizes = {size for _, size in orbits}
+        fresh = sum(size for _, size in orbits)
         if family == "fermat":
-            pairs = _fresh_fermat_pairs(ell, m)
-            reps, sizes = _pair_orbits(pairs, q, d)
-            fresh = len(pairs)
             want_fresh = (d - 1) * (d - 2)
             if m > 1:
                 want_fresh -= (d // ell - 1) * (d // ell - 2)
-            h = [CycloRing(ell, m, None).from_int(1)]
-            for v1, v2 in reps:
-                h = _poly_mul_linear(h, jacobi_sum(big, ell, m, v1, v2))
+            ring = CycloRing(ell, m, None)
+            h = [ring.from_int(1)]
+            for (v1, v2), _ in orbits:
+                h = poly_mul(h, [1, jacobi_sum(big, ell, m, v1, v2)],
+                             ring.zero())
             h_int = [_elem_int(c, f"level-{m} coefficient") for c in h]
         else:
-            reps, sizes = _unit_orbits(ell, m, q)
-            units = d - d // ell
-            fresh = (q - 1) * units
-            want_fresh = fresh
+            fresh *= q - 1  # each unit orbit once per additive twist a
+            want_fresh = (q - 1) * (d - d // ell)
             step = (big.q - 1) // (q - 1)
-            h = [BiCycloRing(p, ell, m).from_int(1)]
+            ring = BiCycloRing(p, ell, m)
+            h = [ring.from_int(1)]
             for t in range(q - 1):
                 a = int(big.exp_table[t * step])
-                for v in reps:
-                    h = _poly_mul_linear(h, gauss_sum(big, ell, m, v, a=a))
+                for (v,), _ in orbits:
+                    h = poly_mul(h, [1, gauss_sum(big, ell, m, v, a=a)],
+                                 ring.zero())
             h_int = [_bic_int(c, f"level-{m} coefficient") for c in h]
         if fresh != want_fresh:
             raise CheckFailed(
@@ -932,7 +853,7 @@ def h_poly_tower(family: str, ell: int, q: int, n: int,
             )
         if (len(h_int) - 1) * k_m != fresh:
             raise CheckFailed(f"level-{m} degree bookkeeping failed")
-        f_poly = _stretch_mul(f_poly, h_int, k_m)
+        f_poly = poly_mul(f_poly, h_int, 0, k_m)
         levels.append({"m": m, "k": k_m, "field_q": big.q, "h": h_int})
 
     want_deg = (ell**n - 1) * (ell**n - 2) if family == "fermat" \
@@ -956,10 +877,8 @@ def h_poly_tower(family: str, ell: int, q: int, n: int,
         sub_q = q**k_lo
         rows = []
         if family == "fermat":
-            pairs = _fresh_fermat_pairs(ell, m + 1)
-            reps, _ = _pair_orbits(pairs, q, d_hi)
             d_lo = ell**m
-            for w1, w2 in reps:
+            for (w1, w2), _ in _fresh_orbits(family, ell, m + 1, q):
                 if w1 % d_lo == 0 or w2 % d_lo == 0 or (w1 + w2) % d_lo == 0:
                     rows.append({"w": [w1, w2], "passed": None,
                                  "note": "degenerate at the lower level"})
@@ -967,8 +886,7 @@ def h_poly_tower(family: str, ell: int, q: int, n: int,
                 rows.append(_coleman_jacobi_core(big, sub_q, ell, m, w1, w2))
             ok = all(r["passed"] for r in rows if r["passed"] is not None)
         else:
-            reps, _ = _unit_orbits(ell, m + 1, q)
-            for v in reps:
+            for (v,), _ in _fresh_orbits(family, ell, m + 1, q):
                 rows.append(_coleman_gauss_core(big, sub_q, ell, m, v))
             one_sign = all(r["sign_plus"] != r["sign_minus"] for r in rows)
             uniform = len({r["sign_plus"] for r in rows}) <= 1

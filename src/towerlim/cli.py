@@ -37,7 +37,6 @@ from .matfermat import arnold_zarelua_check
 from .report import Timer, decimal_list, make_report, write_report
 from .tower import (
     general_congruence_rows,
-    make_tower_spec,
     orbit_params,
     qsum_rows,
     scalar_congruence_rows,
@@ -105,14 +104,8 @@ def _default_m_max(q: int, cap: int) -> int:
 
 def cmd_converge(args) -> int:
     timer = Timer()
-    exp = load_config(args.config)
+    exp = load_config(args.config, n_max=args.n_max)
     spec = exp.spec
-    if args.n_max is not None:
-        spec = make_tower_spec(
-            spec.ell, spec.b, spec.r, spec.q_matrix,
-            [(t.exponents, t.matrix) for t in spec.f_terms],
-            args.n_max, orbit_cap=spec.orbit_cap, name=spec.name,
-        )
     params = orbit_params(spec)
     timer.mark("orbit_params")
     cachedir = resolve_cache_dir(exp.cache_dir)
@@ -309,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config (JSON)")
     p.add_argument("--mode", required=True, choices=["scalar", "general"])
     p.add_argument("--n-max", type=int, default=None,
-                   help="override the config's n_max")
+                   help="override the config's n_max (a configured "
+                   "precision is kept)")
     _add_out(p)
     p.set_defaults(func=cmd_converge)
 

@@ -14,11 +14,13 @@ A config describes one tower experiment:
       ],
       "n_max": 3,
       "precision": 11,                 # optional, default b*n_max + 6
-      "guards": {"orbit_cap": 10000000, "field_cap": 10000000},  # optional
+      "guards": {"orbit_cap": 10000000},  # optional
       "cache_dir": ".towerlim-cache"   # optional
     }
 
-Every validation failure is an `InputError` naming the offending field.
+`precision` must be at least n_max + 1, and at least b*(n_max - 1) when Q
+is scalar (the depth the last general congruence row requires).  Every
+validation failure is an `InputError` naming the offending field.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
-from .fields import FIELD_CAP
 from .tower import DEFAULT_ORBIT_CAP, TowerSpec, make_tower_spec
 
 _TOP_KEYS = {
@@ -42,7 +43,6 @@ class Experiment:
     """A validated config: the frozen tower spec plus runner settings."""
 
     spec: TowerSpec
-    field_cap: int
     cache_dir: Optional[str]
 
 
@@ -83,7 +83,9 @@ def _as_rows(val, size: int, label: str, source: str) -> list[list[int]]:
     return rows
 
 
-def parse_config(data: dict, source: str = "<config>") -> Experiment:
+def parse_config(data: dict, source: str = "<config>",
+                 n_max: Optional[int] = None) -> Experiment:
+    """Validate a config; `n_max`, when given, overrides the config's."""
     if not isinstance(data, dict):
         raise InputError(f"{source}: top level must be a JSON object")
     unknown = sorted(set(data) - _TOP_KEYS)
@@ -92,7 +94,9 @@ def parse_config(data: dict, source: str = "<config>") -> Experiment:
     ell = _need_int(data, "ell", source)
     b = _need_int(data, "b", source)
     r = _need_int(data, "r", source)
-    n_max = _need_int(data, "n_max", source)
+    config_n_max = _need_int(data, "n_max", source)
+    if n_max is None:
+        n_max = config_n_max
     if "Q" not in data:
         raise InputError(f"{source}: missing required field 'Q'")
     q_rows = _as_rows(data["Q"], b, "Q", source)
@@ -124,20 +128,17 @@ def parse_config(data: dict, source: str = "<config>") -> Experiment:
     if "precision" in data:
         precision = _need_int(data, "precision", source)
     orbit_cap = DEFAULT_ORBIT_CAP
-    field_cap = FIELD_CAP
     if "guards" in data:
         guards = data["guards"]
         if not isinstance(guards, dict):
             raise InputError(f"{source}: field 'guards' must be an object")
-        extra = sorted(set(guards) - {"orbit_cap", "field_cap"})
+        extra = sorted(set(guards) - {"orbit_cap"})
         if extra:
             raise InputError(
                 f"{source}: guards has unknown field '{extra[0]}'"
             )
         if "orbit_cap" in guards:
             orbit_cap = _need_int(guards, "orbit_cap", f"{source}: guards")
-        if "field_cap" in guards:
-            field_cap = _need_int(guards, "field_cap", f"{source}: guards")
     name = ""
     if "name" in data:
         if not isinstance(data["name"], str):
@@ -152,10 +153,10 @@ def parse_config(data: dict, source: str = "<config>") -> Experiment:
         ell, b, r, q_rows, terms, n_max,
         prec=precision, orbit_cap=orbit_cap, name=name,
     )
-    return Experiment(spec=spec, field_cap=field_cap, cache_dir=cache_dir)
+    return Experiment(spec=spec, cache_dir=cache_dir)
 
 
-def load_config(path: str) -> Experiment:
+def load_config(path: str, n_max: Optional[int] = None) -> Experiment:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -166,4 +167,4 @@ def load_config(path: str) -> Experiment:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from None
-    return parse_config(data, source=path)
+    return parse_config(data, source=path, n_max=n_max)

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .padic import check_odd_prime, int_val
+from .padic import check_odd_prime, min_val
 
 # numpy path safety: coefficients < 2^25 in absolute value, so products are
 # < 2^50 and a convolution accumulates at most l^n <= 2^25 of them... that
@@ -312,24 +312,10 @@ def ell_divisibility(x: CycloElem) -> tuple[int, bool]:
     +infinity (the -1 is a sentinel; check the flag first).
     """
     r = x.ring
-    ell = r.ell
-    if x.is_zero():
-        if r.prec is not None:
-            return r.prec, True
-        return -1, True
-    v = None
-    for c in x.coeffs:
-        if c == 0:
-            continue
-        cv = int_val(ell, c)
-        if v is None or cv < v:
-            v = cv
-            if v == 0:
-                break
-    assert v is not None
-    if r.prec is not None:
-        v = min(v, r.prec)
-    return v, False
+    v = min_val(r.ell, x.coeffs)
+    if v is None:
+        return (-1 if r.prec is None else r.prec), True
+    return (v if r.prec is None else min(v, r.prec)), False
 
 
 def serialize_elem(x: CycloElem) -> dict:

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 from typing import Optional, Sequence
 
 from .errors import CheckFailed, InputError
 from .matrices import det_one_minus_y, mat_pow, mat_trace
-from .padic import int_val, is_prime
+from .padic import is_prime, min_val
 
 IntMatrix = Sequence[Sequence[int]]
 
@@ -64,17 +64,7 @@ def closed_walk_count(a: IntMatrix, length: int) -> int:
 def poly_diff_val(p1: Sequence[int], p2: Sequence[int], ell: int,
                   cap: int) -> tuple[int, bool]:
     """Min l-valuation over coefficients of p1 - p2, capped; True = all zero."""
-    n = max(len(p1), len(p2))
-    best: Optional[int] = None
-    for i in range(n):
-        d = (p1[i] if i < len(p1) else 0) - (p2[i] if i < len(p2) else 0)
-        if d == 0:
-            continue
-        v = int_val(ell, d)
-        if best is None or v < best:
-            best = v
-            if best == 0:
-                break
+    best = min_val(ell, (a - b for a, b in zip_longest(p1, p2, fillvalue=0)))
     if best is None:
         return cap, True
     return min(best, cap), False

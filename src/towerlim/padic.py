@@ -16,6 +16,8 @@ needs the 2-adic case.
 
 from __future__ import annotations
 
+from typing import Iterable, Optional
+
 from .errors import InputError, PrecisionExhausted
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -73,6 +75,22 @@ def int_val_capped(ell: int, m: int, cap: int) -> int:
         if m == 0:
             return cap
     return v
+
+
+def min_val(ell: int, xs: Iterable[int]) -> Optional[int]:
+    """Least v_l over the nonzero entries of xs; None when all are zero.
+
+    Stops at the first unit: nothing can go below 0.
+    """
+    best = None
+    for x in xs:
+        if x:
+            v = int_val(ell, x)
+            if best is None or v < best:
+                best = v
+                if v == 0:
+                    break
+    return best
 
 
 class PadicInt:

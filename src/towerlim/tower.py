@@ -26,11 +26,22 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence
 
 from .cyclo import CycloElem, CycloRing, ell_divisibility
 from .errors import CheckFailed, GuardExceeded, InputError
-from .matrices import det_one_minus_y, mat_identity, mat_mul
+from .matfermat import poly_diff_val, traces_from_det
+from .matrices import (
+    det_one_minus_y,
+    inverse_orbit,
+    mat_identity,
+    mat_mul,
+    mat_pow_mod,
+    mat_vec_mod,
+    orbit_reps,
+    poly_mul,
+)
 from .padic import PadicFloat, check_odd_prime, int_val, int_val_capped
 
 DEFAULT_ORBIT_CAP = 10**7
@@ -137,9 +148,14 @@ def make_tower_spec(
         )
     if orbit_cap < 1000:
         raise InputError("orbit_cap must be >= 1000")
-    return TowerSpec(
-        ell, b, r, q, tuple(terms), n_max, prec, orbit_cap, name
-    )
+    spec = TowerSpec(ell, b, r, q, tuple(terms), n_max, prec, orbit_cap, name)
+    if spec.is_scalar_q() and prec < b * (n_max - 1):
+        raise InputError(
+            f"precision {prec} is below b*(n_max - 1) = {b * (n_max - 1)}, "
+            "the depth the last general congruence row must show for a "
+            "scalar Q"
+        )
+    return spec
 
 
 def _check_int_matrix(m, size: int, label: str) -> tuple[tuple[int, ...], ...]:
@@ -160,53 +176,6 @@ def _check_int_matrix(m, size: int, label: str) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-# -- integer matrix helpers mod M ----------------------------------------
-
-
-def _det_int(m: Sequence[Sequence[int]]) -> int:
-    r = len(m)
-    if r == 1:
-        return m[0][0]
-    total = 0
-    for j in range(r):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _det_int(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
-def mat_inv_mod(m: Sequence[Sequence[int]], mod: int) -> list[list[int]]:
-    """Inverse of an integer matrix mod `mod` via the adjugate."""
-    r = len(m)
-    m = [list(row) for row in m]
-    det = _det_int(m)
-    try:
-        dinv = pow(det % mod, -1, mod)
-    except ValueError:
-        raise InputError(f"matrix is not invertible mod {mod} (det = {det})")
-    adj = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            minor = [
-                [m[a][c] for c in range(r) if c != i]
-                for a in range(r)
-                if a != j
-            ]
-            cof = _det_int(minor) if r > 1 else 1
-            row.append((-1) ** (i + j) * cof % mod)
-        adj.append(row)
-    return [[adj[i][j] * dinv % mod for j in range(r)] for i in range(r)]
-
-
-def _mat_vec_mod(m, v, mod):
-    return tuple(
-        sum(m[i][j] * v[j] for j in range(len(v))) % mod for i in range(len(v))
-    )
-
-
 # -- orbit structure ------------------------------------------------------
 
 
@@ -216,21 +185,6 @@ class OrbitParams:
     beta0: int
     n0: int
     verified_level: Optional[int]  # level where sizes were cross-checked
-
-
-def _mat_pow_mod(m, e: int, mod: int):
-    b = len(m)
-    out = [[1 if i == j else 0 for j in range(b)] for i in range(b)]
-    base = [[x % mod for x in row] for row in m]
-    while e:
-        if e & 1:
-            out = [[sum(out[i][t] * base[t][j] for t in range(b)) % mod
-                    for j in range(b)] for i in range(b)]
-        e >>= 1
-        if e:
-            base = [[sum(base[i][t] * base[t][j] for t in range(b)) % mod
-                     for j in range(b)] for i in range(b)]
-    return out
 
 
 def orbit_order(spec: TowerSpec, n: int, v: Sequence[int]) -> int:
@@ -247,9 +201,9 @@ def orbit_order(spec: TowerSpec, n: int, v: Sequence[int]) -> int:
     qp = [[x % mod for x in row] for row in spec.q_matrix]
     k = 1
     for _ in range(n * spec.b + 4):
-        if _mat_vec_mod(qp, v, mod) == v:
+        if mat_vec_mod(qp, v, mod) == v:
             return k
-        qp = _mat_pow_mod(qp, spec.ell, mod)
+        qp = mat_pow_mod(qp, spec.ell, mod)
         k *= spec.ell
     raise CheckFailed("orbit order did not resolve (impossible for Q = I mod l)")
 
@@ -271,36 +225,9 @@ def primitive_orbit_reps(
         raise GuardExceeded(
             f"level {n} needs {total} residue vectors > orbit cap {spec.orbit_cap}"
         )
-    q = [[x % mod for x in row] for row in spec.q_matrix]
-    seen = bytearray(total)
-    reps = []
-    b = spec.b
-    for idx in range(total):
-        if seen[idx]:
-            continue
-        # decode index to the vector (most significant digit first => the
-        # scan order is lex order on tuples)
-        v = []
-        t = idx
-        for _ in range(b):
-            t, d = divmod(t, mod)
-            v.append(d)
-        v = tuple(reversed(v))
-        if all(x % spec.ell == 0 for x in v):
-            continue
-        size = 0
-        w = v
-        while True:
-            widx = 0
-            for x in w:
-                widx = widx * mod + x
-            if seen[widx]:
-                break
-            seen[widx] = 1
-            size += 1
-            w = _mat_vec_mod(q, w, mod)
-        reps.append((v, size))
-    return reps
+    ell = spec.ell
+    return orbit_reps(spec.q_matrix, mod, spec.b,
+                      keep=lambda v: any(x % ell for x in v))
 
 
 def orbit_params(spec: TowerSpec) -> OrbitParams:
@@ -358,15 +285,10 @@ def orbit_params(spec: TowerSpec) -> OrbitParams:
         mc = ell**c
         xm = [[x % mc for x in row] for row in x_mat]
         worst = 0
-        for idx in range(mc**b):
-            v = []
-            t = idx
-            for _ in range(b):
-                t, d = divmod(t, mc)
-                v.append(d)
+        for v in product(range(mc), repeat=b):
             if all(x % ell == 0 for x in v):
                 continue
-            w = _mat_vec_mod(xm, v, mc)
+            w = mat_vec_mod(xm, v, mc)
             wv = min(int_val_capped(ell, x, c) for x in w)
             if wv > worst:
                 worst = wv
@@ -464,12 +386,8 @@ def frobenius_product(
         ring = build_ring(spec, n)
     if k is None:
         k = orbit_order(spec, n, v)
-    mod = spec.ell**n if n >= 1 else 1
-    qinv = mat_inv_mod(spec.q_matrix, mod) if n >= 1 else [[1] * spec.b] * spec.b
-    w = tuple(x % mod for x in v)
     acc = mat_identity(spec.r, ring.one(), ring.zero())
-    for _ in range(k):
-        w = _mat_vec_mod(qinv, w, mod)
+    for w in inverse_orbit(spec.q_matrix, v, spec.ell**n, k):
         acc = mat_mul(acc, f_eval(spec, ring, w))
     return acc
 
@@ -487,20 +405,6 @@ def p_poly(
     a = frobenius_product(spec, n, v, ring, k)
     coeffs = det_one_minus_y(a, ring.one(), ring.zero())
     return CharPoly(spec.ell, n, ring.prec, tuple(coeffs))
-
-
-def _poly_mul_stretched(poly: list, factor: Sequence, s: int, zero) -> list:
-    """poly * factor(y^s), coefficients in any ring."""
-    out = [zero] * (len(poly) + (len(factor) - 1) * s)
-    for i, c in enumerate(factor):
-        if isinstance(c, int) and c == 0:
-            continue
-        if hasattr(c, "is_zero") and c.is_zero():
-            continue
-        base = i * s
-        for j, pc in enumerate(poly):
-            out[base + j] = out[base + j] + pc * c
-    return out
 
 
 def r_poly(
@@ -536,7 +440,7 @@ def r_poly(
             raise CheckFailed(
                 f"orbit size {size} not divisible by k_n = {k_n} at level {n}"
             )
-        poly = _poly_mul_stretched(poly, p.coeffs, s, ring.zero())
+        poly = poly_mul(poly, p.coeffs, ring.zero(), s)
     ints = []
     for i, c in enumerate(poly):
         if any(x % (ring.qmod or 0) != 0 if ring.qmod else x != 0
@@ -597,35 +501,6 @@ def _status(n: int, n0: int, measured: int, saturated: bool, required: int) -> s
     return "fail"
 
 
-def _coeff_diff_val(hi: CharPoly, lo_up: CharPoly, prec: int) -> tuple[int, bool]:
-    """Min coefficient valuation of hi - lo_up (same level), saturating."""
-    ell = hi.ell
-    length = max(len(hi.coeffs), len(lo_up.coeffs))
-    best = None
-    for i in range(length):
-        if hi.level == 0:
-            a = hi.coeffs[i] if i < len(hi.coeffs) else 0
-            b = lo_up.coeffs[i] if i < len(lo_up.coeffs) else 0
-            d = a - b
-            if d % ell**prec == 0:
-                continue
-            v = int_val_capped(ell, d % ell**prec, prec)
-        else:
-            ring = hi.coeffs[0].ring
-            a = hi.coeffs[i] if i < len(hi.coeffs) else ring.zero()
-            b = lo_up.coeffs[i] if i < len(lo_up.coeffs) else ring.zero()
-            v, sat = ell_divisibility(a - b)
-            if sat:
-                continue
-        if best is None or v < best:
-            best = v
-            if best == 0:
-                break
-    if best is None:
-        return prec, True
-    return best, False
-
-
 def scalar_congruence_rows(
     spec: TowerSpec,
     n_lo: int = 1,
@@ -657,7 +532,12 @@ def scalar_congruence_rows(
             p_lo = p_poly(spec, n, v, ring_lo, k=size)
             p_hi = p_poly(spec, n + 1, v, ring_hi, k=size_hi)
             required = int_val(spec.ell, size_hi) if size_hi > 1 else 0
-            measured, sat = _coeff_diff_val(p_hi, p_lo.embed_up(), spec.prec)
+            # both coefficient lists, spread over the ring basis
+            measured, sat = poly_diff_val(
+                [x for c in p_hi.coeffs for x in c.coeffs],
+                [x for c in p_lo.embed_up().coeffs for x in c.coeffs],
+                spec.ell, spec.prec,
+            )
             rows.append(
                 CongruenceRow(
                     "scalar", n, v, size, size_hi, required, measured, sat,
@@ -665,28 +545,6 @@ def scalar_congruence_rows(
                 )
             )
     return rows
-
-
-def _poly_pow_ints(coeffs: Sequence[int], e: int, mod: int) -> list[int]:
-    out = [1]
-    base = list(coeffs)
-    while e:
-        if e & 1:
-            out = _poly_mul_ints(out, base, mod)
-        e >>= 1
-        if e:
-            base = _poly_mul_ints(base, base, mod)
-    return out
-
-
-def _poly_mul_ints(a: Sequence[int], b: Sequence[int], mod: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % mod
-    return out
 
 
 def general_congruence_rows(
@@ -719,11 +577,13 @@ def general_congruence_rows(
             if level not in polys:
                 polys[level] = r_poly(spec, level)
         (r_lo, meta_lo), (r_hi, meta_hi) = polys[n], polys[n + 1]
-        power = _poly_pow_ints(
-            r_lo.coeffs, spec.ell ** (spec.b - 1), mod
-        )
-        powered = CharPoly(spec.ell, 0, spec.prec, tuple(power))
-        measured, sat = _coeff_diff_val(r_hi, powered, spec.prec)
+        power = list(r_lo.coeffs)
+        for _ in range(spec.b - 1):  # power = r_lo^(l^(b-1)) mod l^prec
+            base = power
+            for _ in range(spec.ell - 1):
+                power = [x % mod for x in poly_mul(power, base, 0)]
+        measured, sat = poly_diff_val(r_hi.coeffs, power, spec.ell,
+                                      spec.prec)
         required = n * spec.b if scalar else n
         rows.append(
             CongruenceRow(
@@ -747,25 +607,6 @@ def _serialize_lfloat(x: PadicFloat) -> dict:
 
 
 DEFAULT_LIMIT_DEGREE = 16
-
-
-def _power_sums_mod(coeffs: Sequence[int], d_max: int, mod: int) -> list[int]:
-    """Power sums of the inverse roots of det(1 - y*B) = sum c_i y^i, mod mod.
-
-    The division-free recurrence t_d = -d*c_d - sum_{i<d} c_i t_{d-i} stays
-    inside Z, so reducing every step keeps the residues exact while keeping
-    integer sizes bounded.
-    """
-    traces: list[int] = []
-    for d in range(1, d_max + 1):
-        cd = coeffs[d] if d < len(coeffs) else 0
-        acc = (-d * cd) % mod
-        for i in range(1, d):
-            ci = coeffs[i] if i < len(coeffs) else 0
-            if ci:
-                acc = (acc - ci * traces[d - i - 1]) % mod
-        traces.append(acc)
-    return traces
 
 
 def caseB_limit_estimate(
@@ -795,7 +636,8 @@ def caseB_limit_estimate(
         degrees.append(rp.degree)
         cap = DEFAULT_LIMIT_DEGREE if degree is None else degree
         d_max = min(cap, rp.degree)
-        traces = _power_sums_mod(rp.coeffs, d_max, ell**spec.prec)
+        traces = [t % ell**spec.prec
+                  for t in traces_from_det(rp.coeffs, d_max)]
         norm = max(0, n - params.n0) * (spec.b - 1)
         coeffs = []
         for d in range(1, d_max + 1):
@@ -878,15 +720,11 @@ def qsum_rows(
     prev_prod = None
     for n in range(n_lo, n_hi + 1):
         ring = CycloRing(spec.ell, n, None)
-        mod = spec.ell**n
         k = orbit_order(spec, n, v)
-        qinv = mat_inv_mod(spec.q_matrix, mod)
-        w = tuple(x % mod for x in v)
-        pairs = []
-        for _ in range(k):
-            w = _mat_vec_mod(qinv, w, mod)
-            pairs.append((sum(a * x for a, x in zip(lam, w)), 1))
-        s = ring.from_exponent_counts(pairs)
+        s = ring.from_exponent_counts(
+            (sum(a * x for a, x in zip(lam, w)), 1)
+            for w in inverse_orbit(spec.q_matrix, v, spec.ell**n, k)
+        )
         sval, sat = ell_divisibility(s)
         rows.append({
             "n": n,

@@ -171,6 +171,21 @@ def test_converge_n_max_override(tmp_path, capsys):
                  "--n-max", "2"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert [lvl["n"] for lvl in rep["levels"]] == [1, 2]
+    # without a configured precision the default follows the new n_max
+    assert rep["precision"] == 1 * 2 + 6
+
+
+def test_converge_n_max_keeps_configured_precision(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {**SCALAR_CONFIG, "precision": 20})
+    argv = ["converge", "--config", cfg, "--mode", "scalar"]
+    assert main(argv) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--n-max", "3"]) == 0
+    same = json.loads(capsys.readouterr().out)
+    assert same["precision"] == plain["precision"] == 20
+    assert same["config_digest"] == plain["config_digest"]
+    assert main(argv + ["--n-max", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["precision"] == 20
 
 
 def test_converge_warm_cache_is_byte_identical(tmp_path, capsys, monkeypatch):
@@ -209,6 +224,12 @@ def test_converge_input_errors(tmp_path, capsys):
     cfg = _write_config(tmp_path, GENERAL_CONFIG)
     # scalar mode on a non-scalar twist matrix is an input error
     assert main(["converge", "--config", cfg, "--mode", "scalar"]) == 3
+    # a scalar twist whose precision cannot show depth b*(n_max - 1)
+    cfg = _write_config(tmp_path, {
+        **GENERAL_CONFIG, "Q": [[10, 0], [0, 10]], "n_max": 4,
+        "precision": 5,
+    }, "low.json")
+    assert main(["converge", "--config", cfg, "--mode", "general"]) == 3
     capsys.readouterr()
 
 

@@ -62,11 +62,13 @@ def test_parse_nested_and_flat_matrices_agree():
 
 def test_parse_optional_fields():
     exp = parse_config(_variant(precision=12, cache_dir="/tmp/x",
-                                guards={"orbit_cap": 50000, "field_cap": 600}))
+                                guards={"orbit_cap": 50000}))
     assert exp.spec.prec == 12
     assert exp.cache_dir == "/tmp/x"
     assert exp.spec.orbit_cap == 50000
-    assert exp.field_cap == 600
+    with pytest.raises(InputError) as err:
+        parse_config(_variant(guards={"field_cap": 600}))
+    assert "field_cap" in str(err.value)
     with pytest.raises(InputError):
         parse_config(_variant(guards={"orbit_cap": 10}))
 
@@ -188,3 +190,11 @@ def test_timer_marks_accumulate():
     rec = timer.as_record()
     assert set(rec) == {"first", "second"}
     assert all(isinstance(v, float) and v >= 0 for v in rec.values())
+
+
+def test_version_has_one_source():
+    import towerlim
+    from towerlim.report import TOOL_VERSION
+
+    assert towerlim.__version__ is TOOL_VERSION
+    assert make_report("x", {})["version"] == "0.1.0"

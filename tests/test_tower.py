@@ -57,6 +57,18 @@ def test_spec_validation():
         make_tower_spec(3, 1, 2, [[4]], F_LINEAR, 2)  # coefficient shape vs r
 
 
+def test_spec_rejects_precision_below_scalar_bound():
+    # scalar Q, b = 2, n_max = 4: the n = 3 general row requires depth 6
+    with pytest.raises(InputError) as err:
+        make_tower_spec(3, 2, 1, [[10, 0], [0, 10]], F_TWO_VAR, 4, prec=5)
+    assert "precision 5" in str(err.value)
+    assert make_tower_spec(3, 2, 1, [[10, 0], [0, 10]], F_TWO_VAR, 4,
+                           prec=6).prec == 6
+    # a non-scalar twist only requires depth n
+    assert make_tower_spec(3, 2, 1, [[4, 0], [3, 4]], F_TWO_VAR, 4,
+                           prec=5).prec == 5
+
+
 def test_spec_digest_tracks_content():
     a, b = _spec34(), _spec34()
     assert a.digest() == b.digest()
