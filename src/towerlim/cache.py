@@ -1,9 +1,13 @@
 """Result cache for per-level aggregate polynomials.
 
-Entries are JSON files keyed by (config digest, level), written atomically
-(write to a temp file, then rename).  Anything unreadable, corrupt,
-version-mismatched, or keyed differently than its filename claims is
-ignored and recomputed — cache contents are never trusted blindly.
+Entries are JSON files keyed by (level digest, level), written atomically
+(write to a temp file, then rename).  The level digest covers what r_n
+depends on (l, b, r, Q, F and precision, not n_max), so one cache serves
+every n_max at a configured precision.  Each entry stores the SHA-256 of
+its canonical payload.  Anything unreadable, corrupt, version-mismatched,
+keyed differently than its filename claims, or whose payload does not
+match its hash is ignored and recomputed — cache contents are never
+trusted blindly.
 
 The directory comes from the config (`cache_dir`), overridden by the
 TOWERLIM_CACHE environment variable; with neither set, caching is off.
@@ -16,9 +20,9 @@ import os
 import tempfile
 from typing import Optional
 
-from .tower import CharPoly, TowerSpec, r_poly
+from .tower import CharPoly, TowerSpec, json_digest, r_poly
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def resolve_cache_dir(configured: Optional[str]) -> Optional[str]:
@@ -46,7 +50,8 @@ def cache_get(dirpath: Optional[str], digest: str,
             or data.get("version") != CACHE_VERSION
             or data.get("digest") != digest
             or data.get("level") != level
-            or not isinstance(data.get("payload"), dict)):
+            or not isinstance(data.get("payload"), dict)
+            or data.get("sha256") != json_digest(data["payload"])):
         return None
     return data["payload"]
 
@@ -61,6 +66,7 @@ def cache_put(dirpath: Optional[str], digest: str, level: int,
         "digest": digest,
         "level": level,
         "payload": payload,
+        "sha256": json_digest(payload),
     }
     fd, tmp = tempfile.mkstemp(dir=dirpath, suffix=".tmp")
     try:
@@ -97,15 +103,18 @@ def _poly_from_payload(payload: dict,
     return CharPoly(spec.ell, 0, spec.prec, coeffs), meta
 
 
-def cached_r_poly(spec: TowerSpec, level: int,
-                  dirpath: Optional[str]) -> tuple[CharPoly, dict]:
-    """r_poly with read-through caching keyed by (spec digest, level)."""
-    digest = spec.digest()
+def cached_r_poly(spec: TowerSpec, level: int, dirpath: Optional[str],
+                  pieces: Optional[dict] = None) -> tuple[CharPoly, dict]:
+    """r_poly with read-through caching keyed by (level digest, level).
+
+    `pieces` is passed on to r_poly on a miss (the per-run p_{n,v} memo).
+    """
+    digest = spec.level_digest()
     payload = cache_get(dirpath, digest, level)
     if payload is not None:
         hit = _poly_from_payload(payload, spec)
         if hit is not None:
             return hit
-    rp, meta = r_poly(spec, level)
+    rp, meta = r_poly(spec, level, pieces=pieces)
     cache_put(dirpath, digest, level, _poly_payload(rp, meta))
     return rp, meta

@@ -109,13 +109,16 @@ def cmd_converge(args) -> int:
     params = orbit_params(spec)
     timer.mark("orbit_params")
     cachedir = resolve_cache_dir(exp.cache_dir)
+    # scalar rows reread every p_{n,v} the aggregates computed; general
+    # rows need none, so general mode holds no memo
+    pieces = {} if args.mode == "scalar" else None
     polys = {
-        level: cached_r_poly(spec, level, cachedir)
+        level: cached_r_poly(spec, level, cachedir, pieces)
         for level in range(1, spec.n_max + 1)
     }
     timer.mark("aggregate_polys")
     if args.mode == "scalar":
-        rows = scalar_congruence_rows(spec, params=params)
+        rows = scalar_congruence_rows(spec, params=params, pieces=pieces)
     else:
         rows = general_congruence_rows(spec, params=params, r_cache=polys)
     timer.mark("congruences")

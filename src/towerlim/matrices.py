@@ -87,6 +87,8 @@ def berkowitz_char_coeffs(m: Matrix, one, zero) -> list:
 
     where A is the previous leading block, R the new row to its left, and
     S the new column above the diagonal entry.  No divisions anywhere.
+    The leading entries of the column and of the coefficient vector are
+    the caller's `one`, so terms with either are added, not multiplied.
     """
     r = len(m)
     coeffs = [one]
@@ -105,9 +107,9 @@ def berkowitz_char_coeffs(m: Matrix, one, zero) -> list:
                     s = mat_vec(lead, s)
         out = [zero] * (i + 2)
         for ai, av in enumerate(col):
-            for bi, bv in enumerate(coeffs):
-                if ai + bi <= i + 1:
-                    out[ai + bi] = out[ai + bi] + av * bv
+            for bi, bv in enumerate(coeffs[: i + 2 - ai]):
+                term = bv if ai == 0 else av if bi == 0 else av * bv
+                out[ai + bi] = out[ai + bi] + term
         coeffs = out
     return coeffs
 

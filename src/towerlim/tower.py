@@ -25,9 +25,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .cyclo import CycloElem, CycloRing, ell_divisibility
 from .errors import CheckFailed, GuardExceeded, InputError
@@ -68,7 +71,19 @@ class TowerSpec:
     name: str = ""
 
     def digest(self) -> str:
-        payload = {
+        """Digest of the whole spec; reports carry it."""
+        return json_digest({**self._content(), "n_max": self.n_max})
+
+    def level_digest(self) -> str:
+        """Digest of what r_n depends on: the spec without n_max.
+
+        Cache entries are keyed on it, so a configured precision reuses
+        levels across n_max values.
+        """
+        return json_digest(self._content())
+
+    def _content(self) -> dict:
+        return {
             "format": 1,
             "ell": self.ell,
             "b": self.b,
@@ -79,11 +94,8 @@ class TowerSpec:
                  "matrix": [list(row) for row in t.matrix]}
                 for t in self.f_terms
             ],
-            "n_max": self.n_max,
             "precision": self.prec,
         }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
 
     def is_scalar_q(self) -> bool:
         q = self.q_matrix
@@ -93,6 +105,12 @@ class TowerSpec:
             for i in range(self.b)
             for j in range(self.b)
         )
+
+
+def json_digest(payload: dict) -> str:
+    """SHA-256 of the canonical JSON of a payload."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def make_tower_spec(
@@ -357,21 +375,36 @@ def build_ring(spec: TowerSpec, n: int, exact: bool = False) -> CycloRing:
     return CycloRing(spec.ell, n, None if exact else spec.prec)
 
 
-def f_eval(spec: TowerSpec, ring: CycloRing, w: Sequence[int]) -> list[list[CycloElem]]:
-    """F(z^w): each coefficient matrix weighted by zeta^(<e, w>)."""
-    dots = [sum(e * x for e, x in zip(t.exponents, w)) for t in spec.f_terms]
-    out = []
-    for i in range(spec.r):
-        row = []
-        for j in range(spec.r):
-            pairs = [
-                (dots[t], term.matrix[i][j])
-                for t, term in enumerate(spec.f_terms)
-                if term.matrix[i][j]
-            ]
-            row.append(ring.from_exponent_counts(pairs))
-        out.append(row)
-    return out
+# Working-set ceiling for one twisted product: the acc, new and rolled
+# r x r x l^n arrays together.  Past it the product would thrash the host.
+MAX_PRODUCT_BYTES = 1 << 30
+
+
+def _product_dtype(spec: TowerSpec, ring: CycloRing):
+    """int64 when one multiply step provably fits, else Python ints.
+
+    A step sums, per output entry, acc coefficients in [0, l^prec) times
+    one column of the coefficient matrices, so its magnitude stays below
+    (l^prec - 1) * (largest column sum of |F_t| over all terms t).
+    Exact rings have no such bound.
+    """
+    if ring.qmod is None:
+        return object
+    col = max(
+        sum(abs(t.matrix[a][j]) for t in spec.f_terms for a in range(spec.r))
+        for j in range(spec.r)
+    )
+    return np.int64 if (ring.qmod - 1) * col < 1 << 63 else object
+
+
+def _product_bytes(spec: TowerSpec, ring: CycloRing, dtype) -> int:
+    """Estimated bytes of the acc, new and rolled arrays.
+
+    An object entry is a pointer plus one int the size of the modulus
+    (exact rings: a one-digit int, a lower bound).
+    """
+    item = 8 if dtype is np.int64 else 8 + sys.getsizeof(ring.qmod or 1)
+    return 3 * spec.r**2 * ring.order * item
 
 
 def frobenius_product(
@@ -381,15 +414,54 @@ def frobenius_product(
     ring: Optional[CycloRing] = None,
     k: Optional[int] = None,
 ) -> list[list[CycloElem]]:
-    """A_n(v) = F(z^(Q^-1 v)) ... F(z^(Q^-k v)) over the level-n ring."""
+    """A_n(v) = F(z^(Q^-1 v)) ... F(z^(Q^-k v)) over the level-n ring.
+
+    The product is formed in the group ring (Z/l^prec)[C_{l^n}]: acc[i, :, j]
+    holds the l^n exponent coefficients of entry (i, j).  A factor
+    F(z^w) = sum_t M_t z^<e_t, w> multiplies in as one roll of acc by
+    <e_t, w> per term, times M_t, summed and reduced mod l^prec.  The
+    entries are folded to the power basis once, at the end.
+    """
     if ring is None:
         ring = build_ring(spec, n)
     if k is None:
         k = orbit_order(spec, n, v)
-    acc = mat_identity(spec.r, ring.one(), ring.zero())
-    for w in inverse_orbit(spec.q_matrix, v, spec.ell**n, k):
-        acc = mat_mul(acc, f_eval(spec, ring, w))
-    return acc
+    dtype = _product_dtype(spec, ring)
+    need = _product_bytes(spec, ring, dtype)
+    if need > MAX_PRODUCT_BYTES:
+        raise GuardExceeded(
+            f"twisted product at level {n}, rep {tuple(v)} needs about "
+            f"{need} bytes > {MAX_PRODUCT_BYTES}"
+        )
+    r, size, q = spec.r, ring.order, ring.qmod
+    mats = [np.array(t.matrix, dtype=dtype) for t in spec.f_terms]
+    acc = np.zeros((r, size, r), dtype=dtype)
+    for i in range(r):
+        acc[i, 0, i] = 1
+    for w in inverse_orbit(spec.q_matrix, v, size, k):
+        new = np.zeros_like(acc)
+        for term, m in zip(spec.f_terms, mats):
+            d = sum(e * x for e, x in zip(term.exponents, w))
+            new += np.roll(acc, d % size, axis=1) @ m
+        if q is not None:
+            new %= q
+        acc = new
+    return [
+        [CycloElem(ring, tuple(ring._fold_top(acc[i, :, j].tolist())))
+         for j in range(r)]
+        for i in range(r)
+    ]
+
+
+def _memo_p_poly(pieces: Optional[dict], spec: TowerSpec, n: int,
+                 v: tuple, ring: CycloRing, k: int) -> "CharPoly":
+    """p_poly through a per-run memo keyed by (level, rep), when given."""
+    if pieces is None:
+        return p_poly(spec, n, v, ring, k)
+    p = pieces.get((n, v))
+    if p is None:
+        p = pieces[(n, v)] = p_poly(spec, n, v, ring, k)
+    return p
 
 
 def p_poly(
@@ -421,8 +493,9 @@ def r_poly(
     stability that makes r_n well-defined has failed: hard error.
 
     Returns (polynomial, meta) where meta records k_n, the rep count, and
-    per-rep orbit sizes.  `pieces`, when given, is filled with the level-n
-    p_{n,v} keyed by rep (for reuse by congruence reports).
+    per-rep orbit sizes.  `pieces`, when given, is a per-run memo of p_{n,v}
+    keyed by (level, rep), read and filled here (scalar congruence rows
+    reuse it).
     """
     if reps is None:
         reps = primitive_orbit_reps(spec, n)
@@ -432,9 +505,7 @@ def r_poly(
     k_n = min(s for _, s in reps)
     poly: list = [ring.one()]
     for v, size in reps:
-        p = p_poly(spec, n, v, ring, k=size)
-        if pieces is not None:
-            pieces[v] = p
+        p = _memo_p_poly(pieces, spec, n, v, ring, size)
         s, rem = divmod(size, k_n)
         if rem:
             raise CheckFailed(
@@ -506,6 +577,7 @@ def scalar_congruence_rows(
     n_lo: int = 1,
     n_hi: Optional[int] = None,
     params: Optional[OrbitParams] = None,
+    pieces: Optional[dict] = None,
 ) -> list[CongruenceRow]:
     """Per-orbit charpoly congruences p_{n+1,v} = p_{n,v} mod k_{n+1}.
 
@@ -514,6 +586,10 @@ def scalar_congruence_rows(
     compares p_{n+1,v} against the embedded p_{n,v}; the guaranteed depth is
     v_l(k_{n+1}(v)) once n >= n0, and rows below the threshold are marked
     rather than judged.
+
+    Each p_{n,v} is computed once: `pieces` is the (level, rep) memo that
+    `r_poly` fills, and without one a fresh memo still carries row n's
+    level-(n+1) polynomials into row n+1.
     """
     if not spec.is_scalar_q():
         raise InputError("scalar congruence mode requires a scalar twist Q")
@@ -523,14 +599,16 @@ def scalar_congruence_rows(
         raise InputError("level range must fit within 1..n_max")
     if params is None:
         params = orbit_params(spec)
+    if pieces is None:
+        pieces = {}
     rows = []
     for n in range(n_lo, n_hi + 1):
         ring_lo = build_ring(spec, n)
         ring_hi = build_ring(spec, n + 1)
         for v, size in primitive_orbit_reps(spec, n):
             size_hi = orbit_order(spec, n + 1, v)
-            p_lo = p_poly(spec, n, v, ring_lo, k=size)
-            p_hi = p_poly(spec, n + 1, v, ring_hi, k=size_hi)
+            p_lo = _memo_p_poly(pieces, spec, n, v, ring_lo, size)
+            p_hi = _memo_p_poly(pieces, spec, n + 1, v, ring_hi, size_hi)
             required = int_val(spec.ell, size_hi) if size_hi > 1 else 0
             # both coefficient lists, spread over the ring basis
             measured, sat = poly_diff_val(

@@ -112,16 +112,61 @@ def test_cached_r_poly_matches_direct_computation(tmp_path):
     assert cold_poly.coeffs == direct_poly.coeffs
     assert warm_poly.coeffs == direct_poly.coeffs
     assert cold_meta == direct_meta == warm_meta
-    assert (tmp_path / f"{spec.digest()}-n2.json").exists()
+    assert (tmp_path / f"{spec.level_digest()}-n2.json").exists()
 
 
 def test_cached_r_poly_recomputes_after_corruption(tmp_path):
     spec = _spec()
     poly, _ = cached_r_poly(spec, 1, str(tmp_path))
-    entry = tmp_path / f"{spec.digest()}-n1.json"
+    entry = tmp_path / f"{spec.level_digest()}-n1.json"
+    assert entry.exists()
     entry.write_text("garbage")
     again, _ = cached_r_poly(spec, 1, str(tmp_path))
     assert again.coeffs == poly.coeffs
+
+
+def test_converge_recomputes_tampered_cache_entry(tmp_path, capsys,
+                                                  monkeypatch):
+    # A payload edited after writing no longer matches its stored hash.
+    monkeypatch.setenv("TOWERLIM_CACHE", str(tmp_path / "cache"))
+    cfg = _write_config(tmp_path, SCALAR_CONFIG)
+    argv = ["converge", "--config", cfg, "--mode", "scalar"]
+    assert main(argv) == 0
+    cold = json.loads(capsys.readouterr().out)
+    [entry] = (tmp_path / "cache").glob("*-n2.json")
+    data = json.loads(entry.read_text())
+    good = data["payload"]["coeffs"][1]
+    data["payload"]["coeffs"][1] = str(int(good) + 1)
+    entry.write_text(json.dumps(data))
+    assert main(argv) == 0
+    warm = json.loads(capsys.readouterr().out)
+    cold.pop("timings")
+    warm.pop("timings")
+    assert warm == cold
+    assert json.loads(entry.read_text())["payload"]["coeffs"][1] == good
+
+
+def test_converge_reuses_cached_levels_across_n_max(tmp_path, capsys,
+                                                    monkeypatch):
+    import towerlim.cache as cache
+
+    monkeypatch.setenv("TOWERLIM_CACHE", str(tmp_path / "cache"))
+    cfg = _write_config(tmp_path, {**SCALAR_CONFIG, "precision": 20})
+    argv = ["converge", "--config", cfg, "--mode", "scalar"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    computed = []
+    real = cache.r_poly
+
+    def counting(spec, n, reps=None, pieces=None):
+        computed.append(n)
+        return real(spec, n, reps, pieces)
+
+    monkeypatch.setattr(cache, "r_poly", counting)
+    assert main(argv + ["--n-max", "4"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert [lvl["n"] for lvl in rep["levels"]] == [1, 2, 3, 4]
+    assert computed == [4]
 
 
 # ------------------------------------------------------------------ converge
@@ -208,7 +253,7 @@ def test_converge_fail_rows_exit_nonzero(tmp_path, capsys, monkeypatch):
     import towerlim.cli as cli
     from towerlim.tower import CongruenceRow
 
-    def fake_rows(spec, n_lo=1, n_hi=None, params=None):
+    def fake_rows(spec, n_lo=1, n_hi=None, params=None, pieces=None):
         return [CongruenceRow("scalar", 1, (1,), 1, 1, 2, 0, False, "fail")]
 
     monkeypatch.setattr(cli, "scalar_congruence_rows", fake_rows)

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 from towerlim.cyclo import CycloRing
+from towerlim.padic import PadicInt
 from towerlim.matrices import (
     berkowitz_char_coeffs,
     det_one_minus_y,
@@ -71,6 +72,42 @@ def test_det_one_minus_y_alias():
         n = rng.randint(1, 4)
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         assert det_one_minus_y(m, 1, 0) == berkowitz_char_coeffs(m, 1, 0)
+
+
+class _Counted:
+    """An int that counts the multiplies of two ring elements."""
+
+    muls = 0
+
+    def __init__(self, x):
+        self.x = x
+
+    def __add__(self, o):
+        return _Counted(self.x + o.x)
+
+    def __sub__(self, o):
+        return _Counted(self.x - o.x)
+
+    def __mul__(self, o):
+        _Counted.muls += 1
+        return _Counted(self.x * o.x)
+
+
+def test_berkowitz_adds_unit_terms_instead_of_multiplying():
+    # Multiplies left once the leading ones are added: r = 2 needs one for
+    # R.S and one convolution product; r = 3 needs 8 + 2 + 3.
+    rng = random.Random(61)
+    for r, want in [(1, 0), (2, 2), (3, 13)]:
+        m = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(r)]
+        _Counted.muls = 0
+        got = berkowitz_char_coeffs([[_Counted(x) for x in row] for row in m],
+                                    _Counted(1), _Counted(0))
+        assert _Counted.muls == want
+        assert [c.x for c in got] == berkowitz_char_coeffs(m, 1, 0)
+        padic = berkowitz_char_coeffs(
+            [[PadicInt(3, 5, x) for x in row] for row in m],
+            PadicInt(3, 5, 1), PadicInt(3, 5, 0))
+        assert padic == [PadicInt(3, 5, c.x) for c in got]
 
 
 def test_char_coeffs_of_triangular_ring_matrix():
