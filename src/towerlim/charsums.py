@@ -487,6 +487,8 @@ def motivating_curve_counts(tower_level: int = 3,
     rational points at infinity of the smooth model (d is even and the
     leading coefficient is a square).  This family is the package's one
     l = 2 pipeline and deliberately bypasses the cyclotomic machinery.
+    The largest field, F_(5^m_max), is checked against `field_cap` before
+    any table is built.
     """
     t = tower_level
     if t < 2:
@@ -495,6 +497,11 @@ def motivating_curve_counts(tower_level: int = 3,
     genus = 2 ** (t - 1) - 1
     if m_max is None:
         m_max = 2 * genus
+    if 5**m_max > field_cap:
+        raise GuardExceeded(
+            f"counts up to m = {m_max} need the field F_5^{m_max} of size "
+            f"{5**m_max}, above the table guard {field_cap}"
+        )
     counts = []
     for m in range(1, m_max + 1):
         field = field_build(5, m, field_cap)
@@ -748,21 +755,16 @@ def coleman_gauss_check(ell: int, q: int, v: Optional[int] = None,
 # -- zeta numerators level by level up a tower of curves ------------------
 
 
-def _bic_int(x: BiCycloElem, what: str) -> int:
-    try:
-        return x.as_int()
-    except InputError:
-        raise CheckFailed(f"{what} is not a rational integer") from None
-
-
 def _fresh_orbits(family: str, ell: int, m: int,
-                  q: int) -> list[tuple[tuple[int, ...], int]]:
-    """Orbits of v -> q v on the fresh characters of level m, with sizes.
+                  mult: int) -> list[tuple[tuple[int, ...], int]]:
+    """Orbits of v -> mult * v on the fresh characters of level m, with sizes.
 
     Fermat: Jacobi pairs (v1, v2) mod l^m that are valid (both components
     and their sum nonzero) and of exact level m (not both components
     divisible by l; the others are lifts of lower-level pairs, counted
-    there).  Artin-Schreier: the units v mod l^m, as 1-tuples.
+    there).  Artin-Schreier: the units v mod l^m, as 1-tuples.  With
+    mult = q these are the Frobenius orbits; with a primitive root mod l^m
+    they are the orbits of the Galois group of Q(zeta_{l^m}).
     """
     d = ell**m
     if family == "fermat":
@@ -770,8 +772,46 @@ def _fresh_orbits(family: str, ell: int, m: int,
             v1, v2 = v
             return (v1 % ell or v2 % ell) and 0 not in (v1, v2, (v1 + v2) % d)
 
-        return orbit_reps([[q, 0], [0, q]], d, 2, fresh)
-    return orbit_reps([[q]], d, 1, lambda v: v[0] % ell)
+        return orbit_reps([[mult, 0], [0, mult]], d, 2, fresh)
+    return orbit_reps([[mult]], d, 1, lambda v: v[0] % ell)
+
+
+def _primitive_root(ell: int, m: int) -> int:
+    """The least generator of the cyclic group (Z/l^m)^*."""
+    d = ell**m
+    phi = d - d // ell
+    return next(g for g in range(2, d + 1) if mult_order(g, d) == phi)
+
+
+def _h_from_traces(family: str, m: int, k_m: int, gens: Sequence,
+                   degree: int) -> list[int]:
+    """h_m(y) = prod (1 + S y) over the Frobenius-orbit sums S of level m.
+
+    The S form the Galois orbits of `gens`, each member counted k_m times,
+    so the power sums are P_k = (1/k_m) sum_gen Tr(gen^k), k = 1..degree:
+    one ring multiply per power.  Newton's identities for the roots -S give
+    the coefficients.  A trace sum that k_m does not divide, or a
+    coefficient that is not an integer, is a hard error naming the family,
+    the level and the power or coefficient.
+    """
+    sums = [0] * degree
+    for g in gens:
+        x = g
+        for k in range(degree):
+            if k:
+                x = x * g
+            sums[k] += x.trace()
+    traces = []
+    for k, s in enumerate(sums, start=1):
+        if s % k_m:
+            raise CheckFailed(
+                f"{family} level {m}: the trace sum of power {k} is not "
+                f"divisible by the orbit size {k_m}",
+                family=family, level=m, power=k,
+            )
+        traces.append(-(s // k_m) if k % 2 else s // k_m)
+    return intify(det_from_traces(traces), f"{family} level-{m} h",
+                  family=family, level=m)
 
 
 def h_poly_tower(family: str, ell: int, q: int, n: int,
@@ -783,11 +823,21 @@ def h_poly_tower(family: str, ell: int, q: int, n: int,
     * "fermat": x^(l^n) + y^(l^n) + z^(l^n) = 0 (projective).
     * "artin-schreier": y^q - y = x^(l^n).
 
-    Level m contributes h_m(y) = product over fresh character orbits of
-    (1 + S * y), with S the Jacobi (resp. Gauss) sum over F_{q^(k_m)},
+    Level m contributes h_m(y) = product over the Frobenius orbits
+    (v -> q v) of fresh characters of (1 + S * y), with S the Jacobi
+    (resp. Gauss, one per additive twist a in F_q^*) sum over F_{q^(k_m)},
     k_m the orbit size; the numerator is f_n(y) = prod_m h_m(y^(k_m)).
-    Every h_m must demote to integers and every degree must match the
-    genus bookkeeping, else a hard error.
+
+    The product is never formed.  The Galois group of Q(zeta_{l^m})
+    (resp. Q(zeta_p, zeta_{l^m})) permutes the sums freely: sigma_u maps
+    J(chi^v1, chi^v2) to J(chi^(u v1), chi^(u v2)), and sigma_(c,u) maps
+    g(psi_a, chi^v) to g(psi_(c a), chi^(u v)).  So one generator per orbit
+    of the units on the fresh characters suffices -- the Jacobi sum at each
+    unit-orbit representative, or the Gauss sum at v = 1 for each coset rep
+    a of F_q^* / F_p^* -- and h_m is rebuilt from exact traces of their
+    powers (`_h_from_traces`).  The fresh-character count, the orbit sizes
+    (k_m for Frobenius, phi(l^m) for the units) and every degree are
+    checked against the genus bookkeeping, else a hard error.
 
     For levels m >= n1 = v_l(q - 1) the step from m to m + 1 is a
     degree-l field extension, and the per-orbit descent identities are
@@ -815,42 +865,41 @@ def h_poly_tower(family: str, ell: int, q: int, n: int,
     f_poly = [1]
     for m in range(1, n + 1):
         d = ell**m
+        phi = d - d // ell
         k_m = mult_order(q, d)
         big = get_field(k_m)
         orbits = _fresh_orbits(family, ell, m, q)
-        sizes = {size for _, size in orbits}
-        fresh = sum(size for _, size in orbits)
+        units = _fresh_orbits(family, ell, m, _primitive_root(ell, m))
         if family == "fermat":
+            twists = 1
             want_fresh = (d - 1) * (d - 2)
             if m > 1:
                 want_fresh -= (d // ell - 1) * (d // ell - 2)
-            ring = CycloRing(ell, m, None)
-            h = [ring.from_int(1)]
-            for (v1, v2), _ in orbits:
-                h = poly_mul(h, [1, jacobi_sum(big, ell, m, v1, v2)],
-                             ring.zero())
-            h_int = [_elem_int(c, f"level-{m} coefficient") for c in h]
+            gens = [jacobi_sum(big, ell, m, v1, v2) for (v1, v2), _ in units]
         else:
-            fresh *= q - 1  # each unit orbit once per additive twist a
-            want_fresh = (q - 1) * (d - d // ell)
+            twists = q - 1  # each unit orbit once per additive twist a
+            want_fresh = (q - 1) * phi
             step = (big.q - 1) // (q - 1)
-            ring = BiCycloRing(p, ell, m)
-            h = [ring.from_int(1)]
-            for t in range(q - 1):
-                a = int(big.exp_table[t * step])
-                for (v,), _ in orbits:
-                    h = poly_mul(h, [1, gauss_sum(big, ell, m, v, a=a)],
-                                 ring.zero())
-            h_int = [_bic_int(c, f"level-{m} coefficient") for c in h]
+            gens = [gauss_sum(big, ell, m, v, a=int(big.exp_table[t * step]))
+                    for t in range((q - 1) // (p - 1)) for (v,), _ in units]
+        fresh = twists * sum(size for _, size in orbits)
         if fresh != want_fresh:
             raise CheckFailed(
                 f"level-{m} character count {fresh} != expected {want_fresh}"
             )
+        sizes = {size for _, size in orbits}
         if sizes and sizes != {k_m}:
             raise CheckFailed(
                 f"level-{m} orbit sizes {sorted(sizes)} differ from the "
                 f"multiplicative order {k_m}"
             )
+        unit_sizes = {size for _, size in units}
+        if unit_sizes and unit_sizes != {phi}:
+            raise CheckFailed(
+                f"level-{m} unit orbit sizes {sorted(unit_sizes)} differ "
+                f"from phi({d}) = {phi}"
+            )
+        h_int = _h_from_traces(family, m, k_m, gens, twists * len(orbits))
         if (len(h_int) - 1) * k_m != fresh:
             raise CheckFailed(f"level-{m} degree bookkeeping failed")
         f_poly = poly_mul(f_poly, h_int, 0, k_m)

@@ -291,6 +291,16 @@ class CycloElem:
     def conjugate(self) -> "CycloElem":
         return self.galois_act(-1 % max(self.ring.order, 2))
 
+    def trace(self) -> int:
+        """Tr to Q (mod l^prec in a fixed-precision ring), a linear functional
+        on the power basis: Tr(1) = phi, Tr(zeta^j) = -l^(n-1) when zeta^j
+        is a primitive l-th root (j a nonzero multiple of l^(n-1)), else 0.
+        """
+        r = self.ring
+        c = self.coeffs
+        t = c[0] if r.level == 0 else r.phi * c[0] - r.m * sum(c[r.m :: r.m])
+        return t if r.qmod is None else t % r.qmod
+
     def complex_value(self, k: int = 1) -> complex:
         """Float sanity embedding zeta -> exp(2 pi i k / l^n); not exact."""
         r = self.ring
@@ -514,6 +524,15 @@ class BiCycloElem:
                     key = ((-a) % p, (-j) % max(cy.order, 1))
                     counts[key] = counts.get(key, 0) + c
         return br.from_exponent_counts(counts)
+
+    def trace(self) -> int:
+        """Tr to Q, through Q(zeta_{l^n}): summing the zeta_p rows with
+        Tr(zeta_p^a) = p - 1 for a = 0 and -1 otherwise gives the relative
+        trace, whose cyclotomic trace is the answer."""
+        p = self.ring.p
+        rel = tuple(p * c0 - sum(col)
+                    for c0, col in zip(self.mat[0], zip(*self.mat)))
+        return CycloElem(self.ring.cyclo, rel).trace()
 
     def embed_up(self) -> "BiCycloElem":
         """Raise the l-power level by one (zeta_p row structure unchanged)."""

@@ -18,7 +18,15 @@ class GuardExceeded(TowerlimError):
 
 
 class CheckFailed(TowerlimError):
-    """An identity that must hold failed; indicates a bug or a broken theorem."""
+    """An identity that must hold failed; indicates a bug or a broken theorem.
+
+    Keyword arguments name where it broke (family, level, power,
+    coefficient, ...) and are kept in `context`.
+    """
+
+    def __init__(self, message: str, **context):
+        super().__init__(message)
+        self.context = context
 
 
 class PrecisionExhausted(TowerlimError):

@@ -165,11 +165,16 @@ def traces_from_det(coeffs: Sequence, degree: int) -> list:
     return traces
 
 
-def intify(coeffs: Sequence[Fraction], what: str = "polynomial") -> list[int]:
-    """Demote exact rationals to ints; CheckFailed if any is non-integral."""
+def intify(coeffs: Sequence[Fraction], what: str = "polynomial",
+           **context) -> list[int]:
+    """Demote exact rationals to ints; CheckFailed if any is non-integral.
+
+    The failure carries `context` plus the coefficient index.
+    """
     out = []
     for i, c in enumerate(coeffs):
         if c.denominator != 1:
-            raise CheckFailed(f"{what}: coefficient {i} is non-integral ({c})")
+            raise CheckFailed(f"{what}: coefficient {i} is non-integral ({c})",
+                              coefficient=i, **context)
         out.append(int(c))
     return out

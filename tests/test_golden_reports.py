@@ -1,4 +1,4 @@
-"""Golden reports for CLI paths the benchmark never runs.
+"""Golden reports for CLI paths, mostly ones the benchmark never runs.
 
 Each case pins the SHA-256 of a command's rendered report with the
 `timings` key dropped.  The digests were recorded before the polynomial,
@@ -6,7 +6,9 @@ valuation, orbit and count-table helpers were merged, so a refactor of
 those helpers that changes any reported byte fails here.  Together the
 cases cover `poly_diff_val` (arnold), `ell_divisibility` (qsum), the
 Fermat pair orbits (zeta fermat), both descent cores (coleman) and the
-scalar and general congruence rows (converge).
+scalar and general congruence rows (converge).  The three `zeta-*` tower
+cases (k_m = 1 and 3, both families) were recorded while h_m was still the
+serial product of linear factors, before it moved to exact traces.
 """
 
 from __future__ import annotations
@@ -63,6 +65,21 @@ CASES = {
          "--m-max", "3"],
         None,
         "096c2ddfaaa0311940feb535caf6c1c70dadabf6514cdc28a9c9444e68a30272",
+    ),
+    "zeta-as-19": (
+        ["zeta", "as", "--ell", "3", "--q", "19", "--n", "2"],
+        None,
+        "6ae92f65b7661c5c614a0438e5fdbdc8690afc45725d3c4e085798e627bb97d1",
+    ),
+    "zeta-as-7": (
+        ["zeta", "as", "--ell", "3", "--q", "7", "--n", "2"],
+        None,
+        "77f5e5a1f13dc6bb49867fedb7fd099962ba3b58ce3c1a24881c7d4ebe918b18",
+    ),
+    "zeta-fermat-19": (
+        ["zeta", "fermat", "--ell", "3", "--q", "19", "--n", "2"],
+        None,
+        "24ed72e365d9927537a1b07157f1212cded19c8aba76657ac2203d7d053a9f59",
     ),
     "coleman-jacobi": (
         ["coleman", "jacobi", "--ell", "3", "--q", "7", "--v1", "1",
