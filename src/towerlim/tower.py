@@ -375,36 +375,63 @@ def build_ring(spec: TowerSpec, n: int, exact: bool = False) -> CycloRing:
     return CycloRing(spec.ell, n, None if exact else spec.prec)
 
 
-# Working-set ceiling for one twisted product: the acc, new and rolled
-# r x r x l^n arrays together.  Past it the product would thrash the host.
+# Working-set ceiling for one group-ring array computation: the twisted
+# product's or the aggregate's two arrays plus one temporary.  Past it the
+# computation would thrash the host.
 MAX_PRODUCT_BYTES = 1 << 30
 
 
-def _product_dtype(spec: TowerSpec, ring: CycloRing):
-    """int64 when one multiply step provably fits, else Python ints.
+def _group_ring_dtype(ring: CycloRing, weight: int):
+    """int64 when every step sum provably fits, else Python ints.
 
-    A step sums, per output entry, acc coefficients in [0, l^prec) times
-    one column of the coefficient matrices, so its magnitude stays below
-    (l^prec - 1) * (largest column sum of |F_t| over all terms t).
-    Exact rings have no such bound.
+    A step sums, per output entry, coefficients in [0, l^prec) times
+    integers whose absolute values add up to at most `weight`, so its
+    magnitude stays below (l^prec - 1) * weight.  The reduction `%= l^prec`
+    needs l^prec itself in int64, hence a weight of at least 1.  Exact rings
+    have no such bound.
     """
     if ring.qmod is None:
         return object
+    return np.int64 if (ring.qmod - 1) * max(weight, 1) < 1 << 63 else object
+
+
+def _product_dtype(spec: TowerSpec, ring: CycloRing):
+    """The twisted product's dtype: one step weighs one column of the
+    coefficient matrices, so the weight is the largest column sum of |F_t|
+    over all terms t."""
     col = max(
         sum(abs(t.matrix[a][j]) for t in spec.f_terms for a in range(spec.r))
         for j in range(spec.r)
     )
-    return np.int64 if (ring.qmod - 1) * col < 1 << 63 else object
+    return _group_ring_dtype(ring, col)
 
 
-def _product_bytes(spec: TowerSpec, ring: CycloRing, dtype) -> int:
-    """Estimated bytes of the acc, new and rolled arrays.
+def _aggregate_dtype(spec: TowerSpec, ring: CycloRing):
+    """The aggregate's dtype: an entry of r_n sums at most (r+1) * phi
+    products of two coefficients below l^prec."""
+    return _group_ring_dtype(
+        ring, (spec.r + 1) * ring.phi * ((ring.qmod or 1) - 1))
+
+
+def _group_ring_bytes(ring: CycloRing, dtype, entries: int) -> int:
+    """Estimated bytes of three arrays of `entries` entries each.
 
     An object entry is a pointer plus one int the size of the modulus
     (exact rings: a one-digit int, a lower bound).
     """
     item = 8 if dtype is np.int64 else 8 + sys.getsizeof(ring.qmod or 1)
-    return 3 * spec.r**2 * ring.order * item
+    return 3 * entries * item
+
+
+def _roll_add(out: np.ndarray, src: np.ndarray, t: int) -> None:
+    """out += src rolled by t along axis 1, for 0 <= t < src.shape[1].
+
+    In the group ring that is adding src times the group element z^t.
+    """
+    size = src.shape[1]
+    out[:, t:] += src[:, :size - t]
+    if t:
+        out[:, :t] += src[:, size - t:]
 
 
 def frobenius_product(
@@ -418,16 +445,16 @@ def frobenius_product(
 
     The product is formed in the group ring (Z/l^prec)[C_{l^n}]: acc[i, :, j]
     holds the l^n exponent coefficients of entry (i, j).  A factor
-    F(z^w) = sum_t M_t z^<e_t, w> multiplies in as one roll of acc by
-    <e_t, w> per term, times M_t, summed and reduced mod l^prec.  The
-    entries are folded to the power basis once, at the end.
+    F(z^w) = sum_t M_t z^<e_t, w> multiplies in as acc times M_t, rolled
+    by <e_t, w>, per term, summed and reduced mod l^prec.  The entries are
+    folded to the power basis once, at the end.
     """
     if ring is None:
         ring = build_ring(spec, n)
     if k is None:
         k = orbit_order(spec, n, v)
     dtype = _product_dtype(spec, ring)
-    need = _product_bytes(spec, ring, dtype)
+    need = _group_ring_bytes(ring, dtype, spec.r**2 * ring.order)
     if need > MAX_PRODUCT_BYTES:
         raise GuardExceeded(
             f"twisted product at level {n}, rep {tuple(v)} needs about "
@@ -442,7 +469,7 @@ def frobenius_product(
         new = np.zeros_like(acc)
         for term, m in zip(spec.f_terms, mats):
             d = sum(e * x for e, x in zip(term.exponents, w))
-            new += np.roll(acc, d % size, axis=1) @ m
+            _roll_add(new, acc @ m, d % size)
         if q is not None:
             new %= q
         acc = new
@@ -492,6 +519,15 @@ def r_poly(
     integers mod l^prec.  A non-rational coefficient means the Galois
     stability that makes r_n well-defined has failed: hard error.
 
+    The running product lives in the group ring (Z/l^prec)[C_{l^n}]:
+    acc[i] holds the l^n exponent coefficients of y^i.  Multiplying by
+    p(y^s) adds, for each power-basis term x z^t of each coefficient c_j
+    of p, x times acc rolled by t into the rows from j*s on, then reduces
+    mod l^prec once.  The cost depends on the shapes and on the sparsity of
+    the p_{n,v} only.  Each row is folded to the power basis once, at the
+    end; Z[x]/(x^(l^n) - 1) -> Z[z] is a ring map, so that commutes with
+    the products.
+
     Returns (polynomial, meta) where meta records k_n, the rep count, and
     per-rep orbit sizes.  `pieces`, when given, is a per-run memo of p_{n,v}
     keyed by (level, rep), read and filled here (scalar congruence rows
@@ -503,24 +539,48 @@ def r_poly(
         raise InputError(f"no primitive orbits at level {n}")
     ring = build_ring(spec, n)
     k_n = min(s for _, s in reps)
-    poly: list = [ring.one()]
+    factors = []
     for v, size in reps:
         p = _memo_p_poly(pieces, spec, n, v, ring, size)
         s, rem = divmod(size, k_n)
         if rem:
             raise CheckFailed(
-                f"orbit size {size} not divisible by k_n = {k_n} at level {n}"
+                f"orbit size {size} not divisible by k_n = {k_n} at level {n}",
+                level=n, rep=tuple(v), size=size,
             )
-        poly = poly_mul(poly, p.coeffs, ring.zero(), s)
+        factors.append((p.coeffs, s))
+    degree = sum((len(c) - 1) * s for c, s in factors)
+    dtype = _aggregate_dtype(spec, ring)
+    need = _group_ring_bytes(ring, dtype, (degree + 1) * ring.order)
+    if need > MAX_PRODUCT_BYTES:
+        raise GuardExceeded(
+            f"aggregate r_{n} at level {n} has degree {degree} and needs "
+            f"about {need} bytes > {MAX_PRODUCT_BYTES}"
+        )
+    q = ring.qmod
+    acc = np.zeros((1, ring.order), dtype=dtype)
+    acc[0, 0] = 1
+    for coeffs, s in factors:
+        rows = acc.shape[0]
+        new = np.zeros((rows + (len(coeffs) - 1) * s, ring.order), dtype=dtype)
+        for j, c in enumerate(coeffs):
+            out = new[j * s: j * s + rows]
+            for t, x in enumerate(c.coeffs):
+                if x:
+                    _roll_add(out, x * acc, t)
+        if q is not None:
+            new %= q
+        acc = new
     ints = []
-    for i, c in enumerate(poly):
-        if any(x % (ring.qmod or 0) != 0 if ring.qmod else x != 0
-               for x in c.coeffs[1:]):
+    for i, row in enumerate(acc):
+        c = ring._fold_top(row.tolist())
+        if any(x % (q or 0) != 0 if q else x != 0 for x in c[1:]):
             raise CheckFailed(
                 f"r_{n} coefficient {i} is not in the base ring; "
-                "Galois stability violated"
+                "Galois stability violated",
+                level=n, coefficient=i,
             )
-        ints.append(c.coeffs[0] % ring.qmod if ring.qmod else c.coeffs[0])
+        ints.append(c[0] % q if q else c[0])
     meta = {
         "level": n,
         "k_n": k_n,

@@ -8,7 +8,11 @@ cases cover `poly_diff_val` (arnold), `ell_divisibility` (qsum), the
 Fermat pair orbits (zeta fermat), both descent cores (coleman) and the
 scalar and general congruence rows (converge).  The three `zeta-*` tower
 cases (k_m = 1 and 3, both families) were recorded while h_m was still the
-serial product of linear factors, before it moved to exact traces.
+serial product of linear factors, before it moved to exact traces.  The
+two `converge-general-6xx` cases, the benchmark's general configs at seeds
+603 and 607 (F = a + c t1^3 t2 with a + c = 0 and a = c = -3, many vanishing
+coefficients), were recorded while r_n was still multiplied out one ring
+element at a time, before it moved to the group ring.
 """
 
 from __future__ import annotations
@@ -47,6 +51,14 @@ GENERAL_CONFIG = {
     ],
     "n_max": 4,
 }
+
+def seeded_general_config(a: int, c: int) -> dict:
+    """The benchmark's general config for F = a + c t1^3 t2 at n_max 4."""
+    return {**GENERAL_CONFIG, "name": "general-l3-window", "F": [
+        {"exponents": [0, 0], "matrix": [[a]]},
+        {"exponents": [3, 1], "matrix": [[c]]},
+    ]}
+
 
 CASES = {
     "arnold": (
@@ -102,6 +114,16 @@ CASES = {
          "--n-max", "2"],
         GENERAL_CONFIG,
         "4d9baa1b4e4f5d8b949261c28e7db9d4a4b62fe26755e29f73a605a255614c00",
+    ),
+    "converge-general-603": (
+        ["converge", "--config", "{cfg}", "--mode", "general"],
+        seeded_general_config(-2, 2),
+        "2479457a37e05a46b4604d2b7ded80ee8504c75f721e6cfbde262025095a5059",
+    ),
+    "converge-general-607": (
+        ["converge", "--config", "{cfg}", "--mode", "general"],
+        seeded_general_config(-3, -3),
+        "f3830b66fc5262bccbe629ea3d5800980437be97d970141517f897bfc47329b3",
     ),
 }
 
