@@ -13,11 +13,12 @@ Conventions, fixed once for the whole package:
 
 Every point count is produced twice, by plain enumeration and through
 character sums, and a mismatch is a hard error: the two routes share no
-code beyond the field tables.
+code beyond the field tables and their digit codec.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
 from typing import Optional, Sequence
@@ -26,12 +27,15 @@ import numpy as np
 
 from .cyclo import BiCycloElem, BiCycloRing, CycloElem, CycloRing, ell_divisibility
 from .errors import CheckFailed, GuardExceeded, InputError
-from .fields import FIELD_CAP, FqField, field_build
+from .fields import FIELD_CAP, FqField, _poly_pow_mod, field_build
 from .matfermat import det_from_traces, intify, traces_from_det
 from .matrices import orbit_reps, poly_mul
 from .padic import check_odd_prime, int_val
 
 ENUM_CAP = 10**7
+# d-th powers tested per trace-map product: bounds the enumeration's extra
+# memory at O(AS_CHUNK * f * m) integers whatever the field size.
+AS_CHUNK = 1 << 16
 
 
 def prime_power_split(q: int) -> tuple[int, int]:
@@ -336,7 +340,7 @@ def fermat_point_count(ell: int, n: int, q: int,
     p, f = prime_power_split(q)
     field = field_build(p, f, field_cap)
     d = _char_level_check(field, ell, n)
-    enum = fermat_enum_count(q, d, field_cap)
+    enum = fermat_enum_count(q, d, field_cap, field=field)
     n_enum = enum["count"]
     ring = CycloRing(ell, n, None)
     total = ring.from_int(q + d)
@@ -350,7 +354,9 @@ def fermat_point_count(ell: int, n: int, q: int,
     if n_enum != n_char:
         raise CheckFailed(
             f"Fermat counts disagree: enumeration {n_enum} vs "
-            f"character sums {n_char} (q = {q}, d = {d})"
+            f"character sums {n_char} (q = {q}, d = {d})",
+            family="fermat", q=q, m=1, d=d,
+            enumeration=n_enum, character_sums=n_char,
         )
     return {
         "curve": f"x^{d} + y^{d} + z^{d} = 0",
@@ -361,15 +367,6 @@ def fermat_point_count(ell: int, n: int, q: int,
         "at_infinity": enum["at_infinity"],
         "routes_agree": True,
     }
-
-
-def _frob_batch(field: FqField, encs: np.ndarray, e: int) -> np.ndarray:
-    """x -> x^(p^e)-style powering by an integer exponent, batched."""
-    out = np.zeros_like(encs)
-    nz = encs != 0
-    nq = field.q - 1
-    out[nz] = field.exp_table[field.dlog_table[encs[nz]] * e % nq]
-    return out
 
 
 def artin_schreier_point_count(ell: int, n: int, q: int, m: int,
@@ -390,7 +387,7 @@ def artin_schreier_point_count(ell: int, n: int, q: int, m: int,
         raise InputError("extension degree m must be >= 1")
     big = field_build(p, f * m, field_cap)
     d = _char_level_check(big, ell, n)
-    enum = artin_schreier_enum_count(q, m, d, field_cap)
+    enum = artin_schreier_enum_count(q, m, d, field_cap, field=big)
     n_enum = enum["count"]
     nq = big.q - 1
     ks = np.arange(nq, dtype=np.int64)
@@ -414,7 +411,9 @@ def artin_schreier_point_count(ell: int, n: int, q: int, m: int,
     if n_enum != n_char:
         raise CheckFailed(
             f"Artin-Schreier counts disagree: trace criterion {n_enum} vs "
-            f"Gauss sums {n_char} (q = {q}, m = {m}, d = {d})"
+            f"Gauss sums {n_char} (q = {q}, m = {m}, d = {d})",
+            family="artin-schreier", q=q, m=m, d=d,
+            enumeration=n_enum, character_sums=n_char,
         )
     return {
         "curve": f"y^{q} - y = x^{d}",
@@ -554,16 +553,27 @@ def motivating_zeta_check(tower_level: int = 3,
     }
 
 
-def fermat_enum_count(q: int, d: int, field_cap: int = FIELD_CAP) -> dict:
+def _enum_field(p: int, f: int, field_cap: int,
+                field: Optional[FqField]) -> FqField:
+    """F_{p^f}, or `field` when the caller has already built it."""
+    if field is None:
+        return field_build(p, f, field_cap)
+    if field.q != p**f:
+        raise InputError(f"expected the field of size {p**f}, got {field.q}")
+    return field
+
+
+def fermat_enum_count(q: int, d: int, field_cap: int = FIELD_CAP, *,
+                      field: Optional[FqField] = None) -> dict:
     """Projective count of x^d + y^d + z^d = 0 over F_q by enumeration only.
 
     Works for any exponent d >= 1 (no character-level requirement), so it
-    also serves extensions where d does not divide q - 1.
+    also serves extensions where d does not divide q - 1.  A caller that
+    already holds F_q passes it as `field`.
     """
     if d < 1:
         raise InputError("exponent d must be >= 1")
-    p, f = prime_power_split(q)
-    field = field_build(p, f, field_cap)
+    field = _enum_field(*prime_power_split(q), field_cap, field)
     nq = field.q - 1
     ks = np.arange(nq, dtype=np.int64)
     pows = np.zeros(field.q, dtype=np.int64)
@@ -577,26 +587,59 @@ def fermat_enum_count(q: int, d: int, field_cap: int = FIELD_CAP) -> dict:
             "affine": n_aff, "at_infinity": n_inf}
 
 
+def relative_trace_matrix(big: FqField, q: int, m: int) -> np.ndarray:
+    """Tr_{K/F_q} on K = F_{q^m} as an F_p-matrix in K's power basis.
+
+    The Frobenius x -> x^q is F_p-linear; column j of its matrix is the
+    basis vector x^j raised to the q-th power modulo K's modulus, and the
+    trace is the sum of its first m powers.  The trace lands in F_q, so
+    T T = m T (mod p); a matrix that fails this is a hard error.
+    """
+    p, fm = big.p, big.f
+    modulus = list(big.modulus)
+    basis = np.eye(fm, dtype=np.int64).tolist()
+    frob = np.array([_poly_pow_mod(e, q, modulus, p) for e in basis],
+                    dtype=np.int64).T
+    trace = np.eye(fm, dtype=np.int64)
+    power = trace
+    for _ in range(m - 1):
+        power = frob @ power % p
+        trace = trace + power
+    trace %= p
+    if np.any((trace @ trace - m * trace) % p):
+        raise CheckFailed(
+            f"relative trace matrix of F_{big.q} over F_{q} fails T T = m T",
+            q=q, m=m, field_q=big.q,
+        )
+    return trace
+
+
 def artin_schreier_enum_count(q: int, m: int, d: int,
-                              field_cap: int = FIELD_CAP) -> dict:
+                              field_cap: int = FIELD_CAP, *,
+                              field: Optional[FqField] = None) -> dict:
     """Count of y^q - y = x^d over F_{q^m} (plus the point at infinity)
     by the trace criterion alone: x contributes q points iff
     Tr_{K/F_q}(x^d) = 0.
+
+    x -> x^d maps K^* onto the g-th powers exp_table[::g], g = gcd(d,
+    q^m - 1), hitting each g times, so the affine count is
+    q * (1 + g * #{g-th powers y : T y = 0}) with T the relative trace
+    matrix.  The powers are tested AS_CHUNK at a time.  A caller that
+    already holds F_{q^m} passes it as `field`.
     """
     if d < 1 or m < 1:
         raise InputError("need d >= 1 and m >= 1")
     p, f = prime_power_split(q)
-    big = field_build(p, f * m, field_cap)
-    nq = big.q - 1
-    ks = np.arange(nq, dtype=np.int64)
-    pows = np.zeros(big.q, dtype=np.int64)
-    pows[big.exp_table] = big.exp_table[ks * d % nq]
-    acc = pows.copy()
-    cur = pows
-    for _ in range(m - 1):
-        cur = _frob_batch(big, cur, q)
-        acc = big.add_batch(acc, cur)
-    n_aff = q * int((acc == 0).sum())
+    big = _enum_field(p, f * m, field_cap, field)
+    trace = relative_trace_matrix(big, q, m)
+    trace = trace[trace.any(axis=1)].T  # zero rows test nothing
+    g = math.gcd(d, big.q - 1)
+    powers = big.exp_table[::g]
+    zeros = 0
+    for start in range(0, len(powers), AS_CHUNK):
+        images = big.digits(powers[start : start + AS_CHUNK]) @ trace % p
+        zeros += len(images) - int(np.count_nonzero(images.any(axis=1)))
+    n_aff = q * (1 + g * zeros)
     return {"q": q, "m": m, "d": d, "count": n_aff + 1, "affine": n_aff}
 
 

@@ -6,8 +6,13 @@ first monic irreducible of degree f (comparing coefficient tuples from the
 x^(f-1) coefficient down).  The multiplicative group is tabulated against
 the smallest generator (by packed encoding), so multiplication, inversion,
 powers and discrete logs are O(1) lookups.  Construction is vectorized:
-multiplication by g^B is F_p-linear, so the exp table advances in blocks
-through one small matrix product per block.
+multiplication by g^k is F_p-linear, so the first block of the exp table
+fills by doubling (columns [k, 2k) are M_{g^k} times columns [0, k)) and the
+table then advances in blocks through one small matrix product per block.
+
+Batched arithmetic goes through one digit codec: `digits` splits packed
+encodings into their base-p coefficient rows, and every batch operation is
+a line of F_p arithmetic on those rows.
 
 Everything is capped at q <= 10^7 (a full-table design is a desk-scale
 tool); the cap is an explicit guard, not a soft limit.
@@ -169,7 +174,7 @@ class FqField:
     def _find_generator(self) -> int:
         order = self.q - 1
         prime_divs = _factorize(order)
-        for enc in range(2, self.q):
+        for enc in range(1, self.q):  # 1 generates F_2^* and no other
             ok = True
             for d in prime_divs:
                 if self._pow_poly(enc, order // d) == 1:
@@ -194,39 +199,26 @@ class FqField:
     def _build_tables(self) -> None:
         q, p, f = self.q, self.p, self.f
         n = q - 1
+        block = min(_BLOCK, n)
+        digits = np.zeros((f, block), dtype=np.int64)
+        digits[0, 0] = 1
+        mk = self._mult_matrix(self.gen)  # M_{g^k}, k = 1, 2, 4, ...
+        k = 1
+        while k < block:
+            take = min(k, block - k)
+            digits[:, k : k + take] = mk @ digits[:, :take] % p
+            k += take
+            if k < block:
+                mk = mk @ mk % p
+        mb = self._mult_matrix(self._pow_poly(self.gen, block))
         exp = np.empty(n, dtype=np.int64)
-        if f == 1:
-            block = min(_BLOCK, n)
-            cur = np.empty(block, dtype=np.int64)
-            val = 1
-            for i in range(block):
-                cur[i] = val
-                val = val * self.gen % p
-            exp[:block] = cur[:block]
-            gb = pow(self.gen, block, p)
-            pos = block
-            while pos < n:
-                m = min(block, n - pos)
-                cur = cur * gb % p
-                exp[pos : pos + m] = cur[:m]
-                pos += m
-        else:
-            block = min(_BLOCK, n)
-            digits = np.empty((f, block), dtype=np.int64)
-            cur = [1] + [0] * (f - 1)
-            for i in range(block):
-                digits[:, i] = cur
-                cur = _poly_mul_mod(
-                    cur, self.decode(self.gen), list(self.modulus), p
-                )
-            mb = self._mult_matrix(self._pow_poly(self.gen, block))
-            pos = 0
-            while pos < n:
-                m = min(block, n - pos)
-                exp[pos : pos + m] = self._weights @ digits[:, :m]
-                pos += m
-                if pos < n:
-                    digits = mb @ digits % p
+        pos = 0
+        while pos < n:
+            m = min(block, n - pos)
+            exp[pos : pos + m] = self._weights @ digits[:, :m]
+            pos += m
+            if pos < n:
+                digits = mb @ digits % p
         self.exp_table = exp
         dlog = np.full(q, -1, dtype=np.int64)
         dlog[exp] = np.arange(n, dtype=np.int64)
@@ -311,24 +303,24 @@ class FqField:
         """Absolute trace to F_p, returned as an int in [0, p)."""
         return int(np.dot(self.decode(a), self._trace_basis) % self.p)
 
+    def digits(self, encs: np.ndarray) -> np.ndarray:
+        """Base-p coefficient rows of packed encodings: shape (len, f)."""
+        return np.asarray(encs)[:, None] // self._weights % self.p
+
+    def _pack(self, digits: np.ndarray) -> np.ndarray:
+        return digits % self.p @ self._weights
+
     def tr_abs_batch(self, encs: np.ndarray) -> np.ndarray:
-        digits = (encs[:, None] // self._weights[None, :]) % self.p
-        return (digits @ self._trace_basis) % self.p
+        return self.digits(encs) @ self._trace_basis % self.p
 
     def add_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        da = (a[:, None] // self._weights[None, :]) % self.p
-        db = (b[:, None] // self._weights[None, :]) % self.p
-        return ((da + db) % self.p) @ self._weights
+        return self._pack(self.digits(a) + self.digits(b))
 
     def one_minus_batch(self, encs: np.ndarray) -> np.ndarray:
-        digits = (encs[:, None] // self._weights[None, :]) % self.p
-        digits = (-digits) % self.p
-        digits[:, 0] = (digits[:, 0] + 1) % self.p
-        return digits @ self._weights
+        return self._pack(np.eye(1, self.f, dtype=np.int64) - self.digits(encs))
 
     def neg_batch(self, encs: np.ndarray) -> np.ndarray:
-        digits = (encs[:, None] // self._weights[None, :]) % self.p
-        return ((-digits) % self.p) @ self._weights
+        return self._pack(-self.digits(encs))
 
     def embeds_into(self, other: "FqField") -> bool:
         return other.p == self.p and other.f % self.f == 0

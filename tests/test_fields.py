@@ -106,6 +106,36 @@ def test_batch_ops_match_scalar_ops():
         assert traces[i] == field.tr_abs(int(xs[i]))
 
 
+def test_digits_split_packed_encodings():
+    field = field_build(5, 3)
+    xs = np.arange(field.q, dtype=np.int64)
+    digits = field.digits(xs)
+    assert digits.shape == (field.q, 3)
+    assert all(digits[x].tolist() == field.decode(x) for x in range(field.q))
+
+
+# The first block of 4096 exp columns fills by doubling: fields whose
+# q - 1 is below one block (a power of two or not; F_2, generated by 1),
+# and fields spanning one to several blocks, prime and extension.
+TABLE_FIELDS = [(2, 1), (3, 2), (17, 1), (257, 1), (7, 1), (7, 2), (7, 3), (7, 4),
+                (7, 5), (2, 10), (2, 13), (3, 9), (5, 6), (19, 3), (13, 3),
+                (11, 4), (9973, 1)]
+
+
+@pytest.mark.parametrize("p, f", TABLE_FIELDS)
+def test_exp_table_matches_a_per_element_chain(p, f):
+    field = field_build(p, f)
+    want = np.empty(field.q - 1, dtype=np.int64)
+    x = 1
+    for i in range(field.q - 1):
+        want[i] = x
+        x = field._mul_poly(x, field.gen)
+    assert x == 1
+    assert np.array_equal(field.exp_table, want)
+    assert np.array_equal(field.dlog_table[want], np.arange(field.q - 1))
+    assert field.dlog_table[0] == -1
+
+
 def test_subfield_embedding_and_dlog():
     big = field_build(7, 3)
     assert field_build(7, 1).embeds_into(big)
