@@ -33,8 +33,10 @@ from .matrices import orbit_reps, poly_mul
 from .padic import check_odd_prime, int_val
 
 ENUM_CAP = 10**7
-# d-th powers tested per trace-map product: bounds the enumeration's extra
-# memory at O(AS_CHUNK * f * m) integers whatever the field size.
+# Elements per digit-codec batch in the two enumerations (d-th powers per
+# trace-map product, x^d + 1 lookups in the Fermat count): bounds the digit
+# rows alive at once to O(AS_CHUNK * f) integers, f the degree over F_p of
+# the field enumerated, whatever its size.
 AS_CHUNK = 1 << 16
 
 
@@ -85,9 +87,6 @@ class MultChar:
     @property
     def order_divisor(self) -> int:
         return self.ell**self.level
-
-    def is_trivial(self) -> bool:
-        return self.v % self.order_divisor == 0
 
     def exponent(self, x: int) -> Optional[int]:
         """Exponent of zeta_{l^n}, or None encoding chi(0) = 0."""
@@ -177,7 +176,8 @@ def gauss_norm_check(field: FqField, ell: int, level: int, v: int) -> dict:
     ring = BiCycloRing(field.p, ell, level)
     want = ring.from_exponent_counts({(0, chi_m1): field.q})
     if prod != want:
-        raise CheckFailed("Gauss sum norm identity failed")
+        raise CheckFailed("Gauss sum norm identity failed",
+                          q=field.q, level=level, v=v)
     return {"q": field.q, "level": level, "v": v, "passed": True}
 
 
@@ -194,7 +194,8 @@ def jacobi_gauss_bridge_check(field: FqField, ell: int, level: int,
     lhs = gauss_sum(field, ell, level, v1 + v2) * j
     rhs = gauss_sum(field, ell, level, v1) * gauss_sum(field, ell, level, v2)
     if lhs != rhs:
-        raise CheckFailed("Jacobi/Gauss bridge identity failed")
+        raise CheckFailed("Jacobi/Gauss bridge identity failed",
+                          q=field.q, level=level, v1=v1, v2=v2)
     return {"q": field.q, "level": level, "v": [v1, v2], "passed": True}
 
 
@@ -568,8 +569,9 @@ def fermat_enum_count(q: int, d: int, field_cap: int = FIELD_CAP, *,
     """Projective count of x^d + y^d + z^d = 0 over F_q by enumeration only.
 
     Works for any exponent d >= 1 (no character-level requirement), so it
-    also serves extensions where d does not divide q - 1.  A caller that
-    already holds F_q passes it as `field`.
+    also serves extensions where d does not divide q - 1.  The targets
+    -(x^d + 1) go through the digit codec AS_CHUNK at a time.  A caller
+    that already holds F_q passes it as `field`.
     """
     if d < 1:
         raise InputError("exponent d must be >= 1")
@@ -579,9 +581,11 @@ def fermat_enum_count(q: int, d: int, field_cap: int = FIELD_CAP, *,
     pows = np.zeros(field.q, dtype=np.int64)
     pows[field.exp_table] = field.exp_table[ks * d % nq]
     roots_count = np.bincount(pows, minlength=field.q)
-    plus_one = field.add_batch(pows, np.ones(field.q, dtype=np.int64))
-    targets = field.neg_batch(plus_one)
-    n_aff = int(roots_count[targets].sum())
+    n_aff = 0
+    for start in range(0, field.q, AS_CHUNK):
+        chunk = pows[start : start + AS_CHUNK]
+        targets = field.neg_batch(field.add_batch(chunk, np.ones_like(chunk)))
+        n_aff += int(roots_count[targets].sum())
     n_inf = int(roots_count[field.neg(1)])
     return {"q": q, "d": d, "count": n_aff + n_inf,
             "affine": n_aff, "at_infinity": n_inf}

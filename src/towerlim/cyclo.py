@@ -9,10 +9,11 @@ exponent phi + t in [phi, l^n) is eliminated by
     zeta^(phi+t) = -(zeta^t + zeta^(t+m) + ... + zeta^(t+(l-2)m)),  m = l^(n-1).
 
 A ring is *exact* (``prec=None``, arbitrary integers) or *fixed-precision*
-(coefficients reduced mod l^prec).  Fixed-precision rings whose modulus and
-degree fit a proven-safe window multiply through numpy int64 convolution;
-everything else uses the pure-Python integer path.  The two paths compute
-identical results and the tests drive them in lockstep.
+(coefficients reduced mod l^prec).  Every ring product, in every ring and
+in Z[zeta_p, zeta_{l^n}] alike, is one call of :func:`convolve`: Kronecker
+substitution packs each operand into a single Python integer, so the
+coefficient product is one big-integer multiply whatever the modulus or
+degree, and the result is then wrapped mod l^n and folded as above.
 
 Level n = 0 is the degenerate ring Z (zeta = 1) and is fully supported so
 tower code can treat the base level uniformly.
@@ -25,15 +26,39 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .padic import check_odd_prime, min_val
+from .padic import check_odd_prime, is_prime, min_val
 
-# numpy path safety: coefficients < 2^25 in absolute value, so products are
-# < 2^50 and a convolution accumulates at most l^n <= 2^25 of them... that
-# naive bound overflows, so the degree is capped as well: with conv length
-# <= 2^13 terms the sums stay below 2^63.  Both caps checked at ring build.
-_NP_COEFF_BITS = 25
-_NP_MAX_CONV_TERMS = 1 << 13
-_NP_MIN_PHI = 16  # below this, python-loop overhead beats numpy round trips
+
+def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Full linear convolution c_k = sum_{i+j=k} a_i b_j of two non-empty
+    signed integer sequences, by Kronecker substitution (Harvey,
+    arXiv:0712.4046).
+
+    Each sequence becomes one integer sum x_i 2^(s i).  A slot of s bits
+    holds any |c_k| <= max|a| max|b| min(len a, len b) with a sign bit to
+    spare, rounded up to whole bytes, so one integer product carries the
+    whole convolution without slots spilling into each other.  Packing and
+    unpacking go through two's-complement bytes: flipping the top bit of
+    every slot (``signs``) turns a slot's two's-complement pattern into its
+    value offset by 2^(s-1), which is never negative, so no borrow crosses
+    a slot.
+    """
+    n = len(a) + len(b) - 1
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    if not bound:
+        return [0] * n
+    width = (bound.bit_length() + 8) // 8
+    signs = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    prod = _pack(a, width, signs) * _pack(b, width, signs)
+    out = ((prod + signs) ^ signs).to_bytes(n * width, "little")
+    return [int.from_bytes(out[i : i + width], "little", signed=True)
+            for i in range(0, n * width, width)]
+
+
+def _pack(xs: Sequence[int], width: int, signs: int) -> int:
+    """sum x_i 2^(8 width i), from width-byte two's-complement slots."""
+    raw = b"".join([x.to_bytes(width, "little", signed=True) for x in xs])
+    return (int.from_bytes(raw, "little") ^ signs) - signs
 
 
 class CycloRing:
@@ -52,12 +77,6 @@ class CycloRing:
         self.m = ell ** (level - 1) if level >= 1 else 0
         self.phi = (ell - 1) * self.m if level >= 1 else 1
         self.qmod = ell**prec if prec is not None else None
-        self._np_ok = (
-            self.qmod is not None
-            and self.qmod <= 1 << _NP_COEFF_BITS
-            and self.phi >= _NP_MIN_PHI
-            and 2 * self.phi - 1 <= _NP_MAX_CONV_TERMS
-        )
 
     # -- construction -----------------------------------------------------
 
@@ -93,46 +112,22 @@ class CycloRing:
 
     def _fold_top(self, buf: list[int]) -> list[int]:
         """Reduce a length-l^n exponent buffer to the power basis."""
-        if self.level == 0:
-            out = buf[:1]
-        else:
-            out = buf[: self.phi]
-            for t in range(self.order - self.phi):
-                c = buf[self.phi + t]
-                if c:
-                    for i in range(self.ell - 1):
-                        out[t + i * self.m] -= c
+        out = buf[: self.phi]
+        for t in range(self.order - self.phi):
+            c = buf[self.phi + t]
+            if c:
+                for i in range(self.ell - 1):
+                    out[t + i * self.m] -= c
         if self.qmod is not None:
             out = [x % self.qmod for x in out]
         return out
 
     def _mul_coeffs(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        if self.level == 0:
-            v = a[0] * b[0]
-            return [v % self.qmod if self.qmod is not None else v]
-        if self._np_ok:
-            conv = np.convolve(
-                np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-            )
-            buf = np.zeros(self.order, dtype=np.int64)
-            head = min(conv.shape[0], self.order)
-            buf[:head] += conv[:head]
-            if conv.shape[0] > self.order:
-                tail = conv[self.order :]
-                buf[: tail.shape[0]] += tail
-            top = buf[self.phi :]
-            folded = buf[: self.phi].reshape(self.ell - 1, self.m) - top[None, :]
-            return [int(x) % self.qmod for x in folded.ravel()]
-        buf = [0] * (2 * self.phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        buf[i + j] += ai * bj
-        full = [0] * self.order
-        for e, c in enumerate(buf):
-            if c:
-                full[e % self.order] += c
+        # 2 phi - 1 < 2 l^n, so the exponents wrap mod l^n at most once.
+        conv = convolve(a, b)
+        full = conv[: self.order]
+        for e, c in enumerate(conv[self.order :]):
+            full[e] += c
         return self._fold_top(full)
 
     # -- ring relations ---------------------------------------------------
@@ -230,17 +225,6 @@ class CycloElem:
             base = base * base if e > 1 else base
             e >>= 1
         return out
-
-    def mul_zeta(self, e: int) -> "CycloElem":
-        """Multiply by zeta^e without a full convolution."""
-        r = self.ring
-        if r.level == 0:
-            return self
-        buf = [0] * r.order
-        for j, c in enumerate(self.coeffs):
-            if c:
-                buf[(j + e) % r.order] += c
-        return CycloElem(r, tuple(r._fold_top(buf)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CycloElem):
@@ -360,7 +344,7 @@ class BiCycloRing:
     """
 
     def __init__(self, p: int, ell: int, level: int):
-        if p < 2 or not _is_prime_small(p):
+        if p < 2 or not is_prime(p):
             raise InputError(f"p must be prime, got {p}")
         if p == ell:
             raise InputError("p must differ from l")
@@ -396,22 +380,20 @@ class BiCycloRing:
 
     def from_exponent_counts(self, counts: dict) -> "BiCycloElem":
         """Sum of c * zeta_p^a zeta^e over {(a, e): c}, fully reduced."""
-        p, cy = self.p, self.cyclo
-        buf = [[0] * max(cy.order, 1) for _ in range(p)]
+        order = self.cyclo.order
+        buf = [[0] * order for _ in range(self.p)]
         for (a, e), c in counts.items():
-            buf[a % p][e % max(cy.order, 1)] += c
-        out = []
-        last = buf[p - 1]
-        for a in range(p - 1):
-            merged = [buf[a][t] - last[t] for t in range(len(last))]
-            out.append(tuple(cy._fold_top(merged)))
-        return BiCycloElem(self, tuple(out))
+            buf[a % self.p][e % order] += c
+        return self._reduce(buf)
 
-
-def _is_prime_small(p: int) -> bool:
-    from .padic import is_prime
-
-    return is_prime(p)
+    def _reduce(self, buf: list[list[int]]) -> "BiCycloElem":
+        """Reduce a p x l^n buffer of zeta_p^a zeta^e coefficients to the
+        tensor basis: row p - 1 is subtracted from every other row, then
+        each row folds by the l-power rule."""
+        last = buf[-1]
+        fold = self.cyclo._fold_top
+        return BiCycloElem(self, tuple(
+            tuple(fold([x - y for x, y in zip(row, last)])) for row in buf[:-1]))
 
 
 class BiCycloElem:
@@ -471,27 +453,19 @@ class BiCycloElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        # Row a of each operand sits at offset a * stride in one sequence;
+        # j1 + j2 < stride, so the rows of the product do not overlap.
         br = self.ring
-        p, cy = br.p, br.cyclo
-        buf = [[0] * max(cy.order, 1) for _ in range(p)]
-        for a1, row1 in enumerate(self.mat):
-            for j1, c1 in enumerate(row1):
-                if not c1:
-                    continue
-                for a2, row2 in enumerate(o.mat):
-                    a = a1 + a2
-                    if a >= p:
-                        a -= p
-                    tgt = buf[a]
-                    for j2, c2 in enumerate(row2):
-                        if c2:
-                            tgt[j1 + j2 if j1 + j2 < cy.order else j1 + j2 - cy.order] += c1 * c2
-        out = []
-        last = buf[p - 1]
-        for a in range(p - 1):
-            merged = [buf[a][t] - last[t] for t in range(len(last))]
-            out.append(tuple(cy._fold_top(merged)))
-        return BiCycloElem(br, tuple(out))
+        p, order, stride = br.p, br.cyclo.order, 2 * br.cols - 1
+        pad = (0,) * (stride - br.cols)
+        conv = convolve([c for row in self.mat for c in row + pad],
+                        [c for row in o.mat for c in row + pad])
+        buf = [[0] * order for _ in range(p)]
+        for k, c in enumerate(conv):
+            if c:
+                a, j = divmod(k, stride)
+                buf[a % p][j % order] += c
+        return br._reduce(buf)
 
     __rmul__ = __mul__
 

@@ -322,9 +322,6 @@ class FqField:
     def neg_batch(self, encs: np.ndarray) -> np.ndarray:
         return self._pack(-self.digits(encs))
 
-    def embeds_into(self, other: "FqField") -> bool:
-        return other.p == self.p and other.f % self.f == 0
-
     def __repr__(self) -> str:
         return f"FqField({self.p}^{self.f}, modulus={list(self.modulus)}, g={self.gen})"
 

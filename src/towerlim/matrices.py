@@ -24,14 +24,6 @@ def mat_identity(r: int, one, zero) -> list[list]:
     return [[one if i == j else zero for j in range(r)] for i in range(r)]
 
 
-def mat_add(a: Matrix, b: Matrix) -> list[list]:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> list[list]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> list[list]:
     r, mid, c = len(a), len(b), len(b[0])
     out = []

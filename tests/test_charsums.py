@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from towerlim import charsums
 from towerlim.charsums import (
     artin_schreier_enum_count,
     artin_schreier_point_count,
@@ -76,6 +77,22 @@ def test_jacobi_gauss_bridge():
         if d > 3:
             rec = jacobi_gauss_bridge_check(field, ell, level, 1, 2)
             assert rec["passed"] is True
+
+
+def test_broken_gauss_sums_name_field_level_and_characters(monkeypatch):
+    real = charsums.gauss_sum
+
+    def off_by_one(*args, **kwargs):
+        return real(*args, **kwargs) + 1
+
+    monkeypatch.setattr(charsums, "gauss_sum", off_by_one)
+    field = field_build(19, 1)
+    with pytest.raises(CheckFailed) as exc:
+        gauss_norm_check(field, 3, 2, 4)
+    assert exc.value.context == {"q": 19, "level": 2, "v": 4}
+    with pytest.raises(CheckFailed) as exc:
+        jacobi_gauss_bridge_check(field, 3, 2, 1, 2)
+    assert exc.value.context == {"q": 19, "level": 2, "v1": 1, "v2": 2}
 
 
 def test_jacobi_cubic_values_over_f7():

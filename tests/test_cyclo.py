@@ -79,28 +79,17 @@ def test_truncated_ring_matches_exact_ring():
 
 
 def test_wide_and_narrow_backends_agree():
-    # A small modulus ring may vectorise its products while a wide modulus
-    # ring must fall back to exact integer convolution; both reductions of
-    # the exact answer must coincide on the overlap.
+    # A narrow and a wide modulus each reduce the same exact product; both
+    # reductions must coincide on the overlap.
     rng = random.Random(14)
     narrow = CycloRing(3, 3, prec=5)
     wide = CycloRing(3, 3, prec=40)
-    assert narrow._np_ok != wide._np_ok
     for _ in range(12):
         coeffs_a = [rng.randrange(3**40) for _ in range(narrow.phi)]
         coeffs_b = [rng.randrange(3**40) for _ in range(narrow.phi)]
         got_n = narrow.elem(coeffs_a) * narrow.elem(coeffs_b)
         got_w = wide.elem(coeffs_a) * wide.elem(coeffs_b)
         assert [c % 3**5 for c in got_w.coeffs] == list(got_n.coeffs)
-
-
-def test_mul_zeta_matches_full_product():
-    rng = random.Random(15)
-    ring = CycloRing(5, 2, prec=5)
-    for _ in range(25):
-        x = _rand_elem(rng, ring)
-        e = rng.randrange(25)
-        assert x.mul_zeta(e) == x * ring.zeta(e)
 
 
 def test_embed_up_is_a_ring_map():

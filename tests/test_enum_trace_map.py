@@ -121,6 +121,41 @@ def test_memory_stays_bounded_at_7_to_the_7():
     assert peak < 48 * 2**20
 
 
+def fermat_oracle(q, d):
+    """The Fermat count with -(x^d + 1) computed over all of F_q at once."""
+    field = field_build(*prime_power_split(q))
+    nq = field.q - 1
+    pows = np.zeros(field.q, dtype=np.int64)
+    pows[field.exp_table] = field.exp_table[np.arange(nq) * d % nq]
+    roots_count = np.bincount(pows, minlength=field.q)
+    targets = field.neg_batch(
+        field.add_batch(pows, np.ones(field.q, dtype=np.int64)))
+    return int(roots_count[targets].sum()) + int(roots_count[field.neg(1)])
+
+
+FERMAT_CASES = [(7, 3), (49, 3), (4, 3), (8, 7), (9, 4), (25, 3), (343, 9),
+                (2, 1), (19, 5)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_fermat_chunks_match_the_whole_field_count(monkeypatch, chunk):
+    monkeypatch.setattr(charsums, "AS_CHUNK", chunk)
+    assert ([fermat_enum_count(q, d)["count"] for q, d in FERMAT_CASES]
+            == [fermat_oracle(q, d) for q, d in FERMAT_CASES])
+
+
+def test_fermat_memory_stays_bounded_at_7_to_the_7():
+    field = field_build(7, 7)
+    tracemalloc.start()
+    try:
+        rec = fermat_enum_count(7**7, 3, field=field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec["count"] == 821781
+    assert peak < 48 * 2**20
+
+
 def test_each_point_count_builds_its_field_once(monkeypatch):
     builds = []
 

@@ -10,11 +10,9 @@ from towerlim.padic import PadicInt
 from towerlim.matrices import (
     berkowitz_char_coeffs,
     det_one_minus_y,
-    mat_add,
     mat_identity,
     mat_mul,
     mat_pow,
-    mat_sub,
     mat_trace,
     mat_vec,
 )
@@ -149,8 +147,6 @@ def test_mat_helpers_integer_semantics():
     a = [[1, 2], [3, 4]]
     b = [[0, 1], [1, 0]]
     assert mat_mul(a, b) == [[2, 1], [4, 3]]
-    assert mat_add(a, b) == [[1, 3], [4, 4]]
-    assert mat_sub(a, b) == [[1, 1], [2, 4]]
     assert mat_trace(a) == 5
     assert mat_vec(a, [1, 1]) == [3, 7]
     assert mat_identity(3, 1, 0) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
