@@ -35,9 +35,7 @@ from .cyclo import (
     BiCycloRing,
     CycloElem,
     CycloRing,
-    deserialize_elem,
     ell_divisibility,
-    serialize_elem,
 )
 from .errors import (
     CheckFailed,
@@ -46,7 +44,7 @@ from .errors import (
     PrecisionExhausted,
     TowerlimError,
 )
-from .fields import FIELD_CAP, FqField, field_build, subfield_dlog, subfield_generator
+from .fields import FIELD_CAP, FqField, field_build
 from .matfermat import (
     arnold_zarelua_check,
     closed_walk_count,
@@ -56,7 +54,7 @@ from .matfermat import (
     traces_from_det,
 )
 from .matrices import berkowitz_char_coeffs, det_one_minus_y
-from .padic import PadicFloat, PadicInt, binom_series_coeff, padic_exp, padic_log
+from .padic import PadicFloat
 from .tower import (
     CharPoly,
     CongruenceRow,

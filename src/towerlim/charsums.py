@@ -19,7 +19,6 @@ code beyond the field tables and their digit codec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product as _iproduct
 from typing import Optional, Sequence
 
@@ -72,54 +71,17 @@ def _char_level_check(field: FqField, ell: int, level: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class MultChar:
-    """chi_v at level n over `field`; value at x is zeta^(v * dlog x)."""
-
-    field: FqField
-    ell: int
-    level: int
-    v: int
-
-    def __post_init__(self):
-        _char_level_check(self.field, self.ell, self.level)
-
-    @property
-    def order_divisor(self) -> int:
-        return self.ell**self.level
-
-    def exponent(self, x: int) -> Optional[int]:
-        """Exponent of zeta_{l^n}, or None encoding chi(0) = 0."""
-        if x == 0:
-            return None
-        return self.v * self.field.dlog(x) % self.order_divisor
-
-    def value(self, x: int, ring: CycloRing) -> CycloElem:
-        e = self.exponent(x)
-        return ring.zero() if e is None else ring.zeta(e)
-
-
-@dataclass(frozen=True)
-class AddChar:
-    """psi_a(x) = zeta_p^Tr(ax); exponent() returns the trace value."""
-
-    field: FqField
-    a: int = 1
-
-    def exponent(self, x: int) -> int:
-        return self.field.tr_abs(self.field.mul(self.a, x))
-
-
 def gauss_sum(field: FqField, ell: int, level: int, v: int,
               a: int = 1) -> BiCycloElem:
     """g(psi_a, chi_v) = sum_{x != 0} psi(ax) chi_v(x), exact."""
     d = _char_level_check(field, ell, level)
+    a %= field.q
     if a == 0:
-        raise InputError("additive twist a must be nonzero")
+        raise InputError(f"additive twist a must be nonzero mod q = {field.q}")
     n = field.q - 1
     ks = np.arange(n, dtype=np.int64)
     traces = field.tr_abs_batch(field.exp_table)
-    ka = field.dlog(a % field.q if a % field.q else a)
+    ka = field.dlog(a)
     tr_shift = traces[(ks + ka) % n] if ka else traces
     return _gauss_from_table(field.p, ell, level, tr_shift, (v % d) * ks % d)
 
@@ -932,23 +894,31 @@ def h_poly_tower(family: str, ell: int, q: int, n: int,
         fresh = twists * sum(size for _, size in orbits)
         if fresh != want_fresh:
             raise CheckFailed(
-                f"level-{m} character count {fresh} != expected {want_fresh}"
+                f"level-{m} character count {fresh} != expected {want_fresh}",
+                family=family, level=m, expected=want_fresh, measured=fresh,
             )
         sizes = {size for _, size in orbits}
         if sizes and sizes != {k_m}:
             raise CheckFailed(
                 f"level-{m} orbit sizes {sorted(sizes)} differ from the "
-                f"multiplicative order {k_m}"
+                f"multiplicative order {k_m}",
+                family=family, level=m, expected=k_m, measured=sorted(sizes),
             )
         unit_sizes = {size for _, size in units}
         if unit_sizes and unit_sizes != {phi}:
             raise CheckFailed(
                 f"level-{m} unit orbit sizes {sorted(unit_sizes)} differ "
-                f"from phi({d}) = {phi}"
+                f"from phi({d}) = {phi}",
+                family=family, level=m, expected=phi,
+                measured=sorted(unit_sizes),
             )
         h_int = _h_from_traces(family, m, k_m, gens, twists * len(orbits))
         if (len(h_int) - 1) * k_m != fresh:
-            raise CheckFailed(f"level-{m} degree bookkeeping failed")
+            raise CheckFailed(
+                f"level-{m} degree bookkeeping failed",
+                family=family, level=m, expected=fresh,
+                measured=(len(h_int) - 1) * k_m,
+            )
         f_poly = poly_mul(f_poly, h_int, 0, k_m)
         levels.append({"m": m, "k": k_m, "field_q": big.q, "h": h_int})
 
@@ -956,7 +926,9 @@ def h_poly_tower(family: str, ell: int, q: int, n: int,
         else (q - 1) * (ell**n - 1)
     if len(f_poly) - 1 != want_deg:
         raise CheckFailed(
-            f"total degree {len(f_poly) - 1} != expected {want_deg}"
+            f"total degree {len(f_poly) - 1} != expected {want_deg}",
+            family=family, level=n, expected=want_deg,
+            measured=len(f_poly) - 1,
         )
 
     stab = []
@@ -967,7 +939,9 @@ def h_poly_tower(family: str, ell: int, q: int, n: int,
         if k_hi != ell * k_lo:
             raise CheckFailed(
                 f"orbit size did not grow by a factor of {ell} at level "
-                f"{m + 1} (got {k_hi} from {k_lo})"
+                f"{m + 1} (got {k_hi} from {k_lo})",
+                family=family, level=m + 1, expected=ell * k_lo,
+                measured=k_hi,
             )
         big = get_field(k_hi)
         sub_q = q**k_lo

@@ -312,28 +312,6 @@ def ell_divisibility(x: CycloElem) -> tuple[int, bool]:
     return (v if r.prec is None else min(v, r.prec)), False
 
 
-def serialize_elem(x: CycloElem) -> dict:
-    """JSON-safe form; coefficients as decimal strings (they can be huge)."""
-    r = x.ring
-    return {
-        "ell": r.ell,
-        "level": r.level,
-        "prec": r.prec,
-        "coeffs": [str(c) for c in x.coeffs],
-    }
-
-
-def deserialize_elem(data: dict) -> CycloElem:
-    ring = CycloRing(int(data["ell"]), int(data["level"]),
-                     None if data["prec"] is None else int(data["prec"]))
-    coeffs = [int(s) for s in data["coeffs"]]
-    if len(coeffs) != ring.phi:
-        raise InputError(
-            f"coefficient count {len(coeffs)} does not match degree {ring.phi}"
-        )
-    return ring.elem(coeffs)
-
-
 class BiCycloRing:
     """Z[zeta_p, zeta_{l^n}] for a prime p != l, exact integers only.
 

@@ -329,20 +329,3 @@ class FqField:
 def field_build(p: int, f: int, cap: int = FIELD_CAP) -> FqField:
     """Construct F_{p^f} with its tables (deterministic modulus/generator)."""
     return FqField(p, f, cap)
-
-
-def subfield_generator(big: FqField, sub_q: int) -> int:
-    """The canonical generator of the order-(sub_q - 1) subgroup: the norm
-    power G^((Q-1)/(q-1)) of the big field's generator."""
-    if (big.q - 1) % (sub_q - 1) != 0:
-        raise InputError(f"{sub_q} - 1 does not divide {big.q} - 1")
-    return big.pow_elt(big.gen, (big.q - 1) // (sub_q - 1))
-
-
-def subfield_dlog(big: FqField, sub_q: int, x: int) -> int:
-    """dlog of a subfield element w.r.t. the canonical subfield generator."""
-    step = (big.q - 1) // (sub_q - 1)
-    k = big.dlog(x)
-    if k % step != 0:
-        raise InputError("element is not in the requested subfield")
-    return k // step

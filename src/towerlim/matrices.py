@@ -1,7 +1,7 @@
 """Matrix and polynomial helpers: one implementation of each.
 
 * Square matrices over any commutative ring.  Entries only need +, -, *
-  (ints, CycloElem, PadicInt, ... all qualify).  Every routine takes
+  (ints, CycloElem, ... all qualify).  Every routine takes
   explicit `one`/`zero` ring constants where it cannot infer them, and the
   characteristic polynomial uses the Berkowitz algorithm, which is
   division-free and therefore valid verbatim over these rings.

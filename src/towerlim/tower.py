@@ -223,7 +223,10 @@ def orbit_order(spec: TowerSpec, n: int, v: Sequence[int]) -> int:
             return k
         qp = mat_pow_mod(qp, spec.ell, mod)
         k *= spec.ell
-    raise CheckFailed("orbit order did not resolve (impossible for Q = I mod l)")
+    raise CheckFailed(
+        "orbit order did not resolve (impossible for Q = I mod l)",
+        level=n, rep=v,
+    )
 
 
 def primitive_orbit_reps(
@@ -248,23 +251,22 @@ def primitive_orbit_reps(
                       keep=lambda v: any(x % ell for x in v))
 
 
-def orbit_params(spec: TowerSpec) -> OrbitParams:
-    """(alpha, beta0, n0): the threshold data from the l-adic log of Q.
+def matrix_log(m: Sequence[Sequence[int]], ell: int,
+               work: int) -> list[list[int]]:
+    """Residues mod l^work of log m = sum (-1)^(k+1) (m - I)^k / k.
 
-    alpha is the min entry valuation of log Q (computed by the exact series
-    with tracked divisions); beta0 is the largest min-entry valuation of
-    (log Q / l^alpha) v over primitive residue vectors, found by enumerating
-    at increasing moduli until the value certifies itself (worst < modulus
-    exponent).  n0 = alpha + beta0: congruence theorems apply from n >= n0.
+    m is a b x b integer matrix with m = I mod l.  Each term is an exact
+    integer division by the l-part of k and a modular inverse of its unit
+    part; the series stops once k - log_l(k) >= work, past which every
+    term vanishes mod l^work.
     """
-    ell, b = spec.ell, spec.b
-    work = spec.prec + 6
+    b = len(m)
     mod = ell**work
     bmat = [
-        [(spec.q_matrix[i][j] - (1 if i == j else 0)) for j in range(b)]
+        [(m[i][j] - (1 if i == j else 0)) for j in range(b)]
         for i in range(b)
     ]
-    log_q = [[0] * b for _ in range(b)]
+    log_m = [[0] * b for _ in range(b)]
     power = mat_identity(b, 1, 0)
     k = 0
     while True:
@@ -281,9 +283,24 @@ def orbit_params(spec: TowerSpec) -> OrbitParams:
             for j in range(b):
                 entry = power[i][j]
                 assert entry % ell**vk == 0
-                log_q[i][j] = (
-                    log_q[i][j] + sign * (entry // ell**vk) * uinv
+                log_m[i][j] = (
+                    log_m[i][j] + sign * (entry // ell**vk) * uinv
                 ) % mod
+    return log_m
+
+
+def orbit_params(spec: TowerSpec) -> OrbitParams:
+    """(alpha, beta0, n0): the threshold data from the l-adic log of Q.
+
+    alpha is the min entry valuation of log Q (from `matrix_log`); beta0 is
+    the largest min-entry valuation of (log Q / l^alpha) v over primitive
+    residue vectors, found by enumerating at increasing moduli until the
+    value certifies itself (worst < modulus exponent).  n0 = alpha + beta0:
+    congruence theorems apply from n >= n0.
+    """
+    ell, b = spec.ell, spec.b
+    work = spec.prec + 6
+    log_q = matrix_log(spec.q_matrix, ell, work)
     alpha = min(
         int_val_capped(ell, log_q[i][j], work) for i in range(b) for j in range(b)
     )
@@ -327,7 +344,8 @@ def orbit_params(spec: TowerSpec) -> OrbitParams:
         if min(sizes) != ell ** max(0, n - n0):
             raise CheckFailed(
                 f"orbit sizes at level {n} contradict n0 = {n0} "
-                f"(min size {min(sizes)})"
+                f"(min size {min(sizes)})",
+                level=n, n0=n0, min_size=min(sizes),
             )
         verified = n
         break

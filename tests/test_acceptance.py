@@ -27,10 +27,12 @@ from towerlim.charsums import (
 )
 from towerlim.errors import InputError
 from towerlim.matfermat import arnold_zarelua_check
-from towerlim.padic import PadicInt, int_val, padic_exp, padic_log
+from towerlim.matrices import mat_pow_mod
+from towerlim.padic import int_val
 from towerlim.tower import (
     general_congruence_rows,
     make_tower_spec,
+    matrix_log,
     orbit_order,
     orbit_params,
     p_poly,
@@ -290,14 +292,20 @@ def test_criterion_8_property_suites():
                     if n + 1 > n0:
                         assert ratio == 3
 
-        # exp/log are mutually inverse on their domains.
+        # The l-adic log of the twist turns powers into multiples:
+        # log(Q^k) = k log Q for Q = I mod l.
         for _ in range(40):
             ell = rng.choice([3, 5, 7])
-            prec = rng.randint(3, 9)
-            x = PadicInt(ell, prec, ell * rng.randrange(ell ** (prec - 1)))
-            assert padic_log(padic_exp(x)).residue == x.residue % ell**prec
-            u = PadicInt(ell, prec, 1 + ell * rng.randrange(ell ** (prec - 1)))
-            assert padic_exp(padic_log(u)).residue == u.residue % ell**prec
+            b = rng.choice([1, 2, 3])
+            work = rng.randint(3, 9)
+            mod = ell**work
+            q = [[(i == j) + ell * rng.randrange(ell ** (work - 1))
+                  for j in range(b)] for i in range(b)]
+            k = rng.randint(2, 60)
+            log_q = matrix_log(q, ell, work)
+            assert matrix_log(mat_pow_mod(q, k, mod), ell, work) == [
+                [k * x % mod for x in row] for row in log_q
+            ]
 
         # Character-sum point counts agree with brute-force enumeration.
         for ell, level, q in [(3, 1, 7), (3, 1, 13), (5, 1, 11), (3, 1, 4)]:

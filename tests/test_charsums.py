@@ -135,6 +135,15 @@ def test_gauss_sum_complex_modulus():
     assert abs(abs(g.complex_value()) ** 2 - 13) < 1e-6
 
 
+def test_gauss_sum_twist_is_reduced_mod_q():
+    field = field_build(7, 1)
+    for a in (0, 7, -14):
+        with pytest.raises(InputError, match="nonzero"):
+            gauss_sum(field, 3, 1, 1, a=a)
+    assert gauss_sum(field, 3, 1, 1, a=8) == gauss_sum(field, 3, 1, 1, a=1)
+    assert gauss_sum(field, 3, 1, 1, a=-1) == gauss_sum(field, 3, 1, 1, a=6)
+
+
 def test_char_level_requires_divisibility():
     field = field_build(13, 1)
     with pytest.raises(InputError):

@@ -157,3 +157,53 @@ def test_motivating_field_guard_builds_nothing(monkeypatch, capsys):
     assert "5^14" in capsys.readouterr().err
     assert motivating_curve_counts(3, m_max=2)["counts"]
     assert len(builds) == 2
+
+
+def _lie_about(monkeypatch, name, lie):
+    """Replace charsums.<name> by lie(real, *args)."""
+    real = getattr(charsums, name)
+    monkeypatch.setattr(charsums, name, lambda *args: lie(real, *args))
+
+
+def _bookkeeping_failure(family, q, n):
+    with pytest.raises(CheckFailed) as exc:
+        h_poly_tower(family, 3, q, n)
+    return exc.value.context
+
+
+def test_bookkeeping_failures_name_family_level_and_values(monkeypatch):
+    with monkeypatch.context() as mp:  # one Frobenius orbit lost
+        _lie_about(mp, "_fresh_orbits", lambda real, *a: real(*a)[:-1])
+        assert _bookkeeping_failure("fermat", 7, 1) == {
+            "family": "fermat", "level": 1, "expected": 2, "measured": 1}
+    with monkeypatch.context() as mp:  # Frobenius order over F_7 doubled
+        _lie_about(mp, "mult_order",
+                   lambda real, g, d: real(g, d) * (2 if g == 7 else 1))
+        assert _bookkeeping_failure("fermat", 7, 1) == {
+            "family": "fermat", "level": 1, "expected": 2, "measured": [1]}
+    with monkeypatch.context() as mp:  # 1 taken for a primitive root
+        _lie_about(mp, "_primitive_root", lambda real, *a: 1)
+        assert _bookkeeping_failure("artin-schreier", 7, 1) == {
+            "family": "artin-schreier", "level": 1, "expected": 2,
+            "measured": [1]}
+    with monkeypatch.context() as mp:  # h_m one degree too high
+        _lie_about(mp, "_h_from_traces", lambda real, *a: real(*a) + [0])
+        assert _bookkeeping_failure("fermat", 7, 1) == {
+            "family": "fermat", "level": 1, "expected": 2, "measured": 3}
+    with monkeypatch.context() as mp:  # f_n one degree too high per level
+        _lie_about(mp, "poly_mul", lambda real, *a: real(*a) + [0])
+        assert _bookkeeping_failure("fermat", 7, 2) == {
+            "family": "fermat", "level": 2, "expected": 56, "measured": 58}
+    asked = set()
+
+    def order_wrong_when_asked_again(real, g, d):
+        k = real(g, d)
+        if (g, d) in asked:
+            return k + 1
+        asked.add((g, d))
+        return k
+
+    with monkeypatch.context() as mp:  # orders change between the loops
+        _lie_about(mp, "mult_order", order_wrong_when_asked_again)
+        assert _bookkeeping_failure("fermat", 7, 2) == {
+            "family": "fermat", "level": 2, "expected": 6, "measured": 4}

@@ -6,13 +6,7 @@ import random
 
 import pytest
 
-from towerlim.cyclo import (
-    BiCycloRing,
-    CycloRing,
-    deserialize_elem,
-    ell_divisibility,
-    serialize_elem,
-)
+from towerlim.cyclo import BiCycloRing, CycloRing, ell_divisibility
 from towerlim.errors import InputError
 
 RINGS = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)]
@@ -147,17 +141,6 @@ def test_ell_divisibility_counts_full_powers():
     assert ell_divisibility(ring.from_int(27)) == (3, False)
     assert ell_divisibility(ring.zeta(1) - ring.one()) == (0, False)
     assert ell_divisibility(ring.zero()) == (4, True)
-
-
-def test_serialize_roundtrip():
-    rng = random.Random(19)
-    for prec in (None, 5):
-        ring = CycloRing(3, 2, prec=prec)
-        for _ in range(10):
-            x = _rand_elem(rng, ring)
-            back = deserialize_elem(serialize_elem(x))
-            assert back == x
-            assert back.ring.prec == ring.prec
 
 
 def test_cross_ring_comparison_is_false():

@@ -1,4 +1,4 @@
-"""Tests for finite-field tables, traces, and subfield bookkeeping."""
+"""Tests for finite-field tables, traces, and the batch codec."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from towerlim.errors import GuardExceeded, InputError
-from towerlim.fields import FqField, field_build, subfield_dlog, subfield_generator
+from towerlim.fields import FqField, field_build
 
 SMALL_FIELDS = [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3), (13, 1), (2, 4)]
 
@@ -134,23 +134,6 @@ def test_exp_table_matches_a_per_element_chain(p, f):
     assert np.array_equal(field.exp_table, want)
     assert np.array_equal(field.dlog_table[want], np.arange(field.q - 1))
     assert field.dlog_table[0] == -1
-
-
-def test_subfield_embedding_and_dlog():
-    big = field_build(7, 3)
-    g_sub = subfield_generator(big, 7)
-    # The subfield generator has exact order q_sub - 1.
-    x, order = g_sub, 1
-    while x != 1:
-        x = big.mul(x, g_sub)
-        order += 1
-    assert order == 6
-    step = (7**3 - 1) // 6
-    for k in range(6):
-        elt = big.exp_table[(k * step) % (7**3 - 1)]
-        assert subfield_dlog(big, 7, elt) == k % 6
-    with pytest.raises(InputError):
-        subfield_dlog(big, 7, 0)
 
 
 def test_subfield_elements_are_frobenius_fixed():

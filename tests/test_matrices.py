@@ -6,7 +6,6 @@ import random
 from fractions import Fraction
 
 from towerlim.cyclo import CycloRing
-from towerlim.padic import PadicInt
 from towerlim.matrices import (
     berkowitz_char_coeffs,
     det_one_minus_y,
@@ -102,10 +101,10 @@ def test_berkowitz_adds_unit_terms_instead_of_multiplying():
                                     _Counted(1), _Counted(0))
         assert _Counted.muls == want
         assert [c.x for c in got] == berkowitz_char_coeffs(m, 1, 0)
-        padic = berkowitz_char_coeffs(
-            [[PadicInt(3, 5, x) for x in row] for row in m],
-            PadicInt(3, 5, 1), PadicInt(3, 5, 0))
-        assert padic == [PadicInt(3, 5, c.x) for c in got]
+        z3 = CycloRing(3, 0, prec=5)
+        mod3 = berkowitz_char_coeffs(
+            [[z3.from_int(x) for x in row] for row in m], z3.one(), z3.zero())
+        assert mod3 == [z3.from_int(c.x) for c in got]
 
 
 def test_char_coeffs_of_triangular_ring_matrix():

@@ -1,8 +1,7 @@
-"""Tests for truncated l-adic integers, exp/log, and binomial coefficients."""
+"""Tests for primality, valuations, the matrix log and l-adic floats."""
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
@@ -10,15 +9,12 @@ import pytest
 from towerlim.errors import InputError
 from towerlim.padic import (
     PadicFloat,
-    PadicInt,
-    binom_series_coeff,
     check_odd_prime,
     int_val,
     int_val_capped,
     is_prime,
-    padic_exp,
-    padic_log,
 )
+from towerlim.tower import matrix_log
 
 PRIMES = [3, 5, 7, 11, 13]
 
@@ -62,70 +58,6 @@ def test_int_val_capped():
     assert int_val_capped(3, 3**9, 7) == 7
 
 
-def test_padic_int_ring_ops():
-    rng = random.Random(101)
-    for _ in range(200):
-        ell = rng.choice(PRIMES)
-        prec = rng.randint(2, 9)
-        mod = ell**prec
-        a, b = rng.randrange(mod), rng.randrange(mod)
-        x, y = PadicInt(ell, prec, a), PadicInt(ell, prec, b)
-        assert (x + y).residue == (a + b) % mod
-        assert (x * y).residue == (a * b) % mod
-        assert (x - y).residue == (a - b) % mod
-        assert (-x).residue == (-a) % mod
-
-
-def test_precision_coercion_uses_minimum():
-    x = PadicInt(3, 8, 5)
-    y = PadicInt(3, 4, 5)
-    assert (x + y).prec == 4
-    assert (x * y).prec == 4
-
-
-def test_val_and_saturation():
-    v, sat = PadicInt(3, 6, 18).val()
-    assert (v, sat) == (2, False)
-    v, sat = PadicInt(3, 6, 0).val()
-    assert (v, sat) == (6, True)
-    assert PadicInt(5, 4, 7).is_unit()
-    assert not PadicInt(5, 4, 10).is_unit()
-
-
-def test_inverse_and_divide_exact():
-    rng = random.Random(77)
-    for _ in range(100):
-        ell = rng.choice(PRIMES)
-        prec = rng.randint(2, 8)
-        mod = ell**prec
-        u = rng.randrange(1, mod)
-        while u % ell == 0:
-            u = rng.randrange(1, mod)
-        x = PadicInt(ell, prec, u)
-        assert (x * x.inverse()).residue == 1
-    with pytest.raises(InputError):
-        PadicInt(3, 5, 6).inverse()
-    y = PadicInt(3, 6, 4 * 27)
-    q = y.divide_exact(3)
-    assert q.residue % 3**3 == (4 * 9) % 3**3
-
-
-def _exp_series(ell, prec, x):
-    """Independent exponential: sum x^k / k! with term-wise unit inversion."""
-    mod = ell**prec
-    acc = 0
-    for k in range(4 * prec + 8):
-        fact = math.factorial(k)
-        a = 0
-        while fact % ell == 0:
-            fact //= ell
-            a += 1
-        num = x**k
-        assert num % ell**a == 0
-        acc = (acc + (num // ell**a) * pow(fact, -1, mod)) % mod
-    return acc
-
-
 def _log_series(ell, prec, u):
     """Independent logarithm of u = 1 + t via the alternating series."""
     mod = ell**prec
@@ -144,71 +76,13 @@ def _log_series(ell, prec, u):
     return acc
 
 
-def test_exp_matches_reference_series():
-    rng = random.Random(19)
-    assert padic_exp(PadicInt(3, 8, 3)).residue == _exp_series(3, 8, 3)
-    for _ in range(60):
-        ell = rng.choice(PRIMES)
-        prec = rng.randint(3, 9)
-        x = ell * rng.randrange(ell ** (prec - 1))
-        assert padic_exp(PadicInt(ell, prec, x)).residue == _exp_series(ell, prec, x)
-
-
 def test_log_matches_reference_series():
     rng = random.Random(23)
     for _ in range(60):
         ell = rng.choice(PRIMES)
         prec = rng.randint(3, 9)
         u = 1 + ell * rng.randrange(ell ** (prec - 1))
-        assert padic_log(PadicInt(ell, prec, u)).residue == _log_series(ell, prec, u)
-
-
-def test_exp_log_roundtrip():
-    rng = random.Random(31)
-    for _ in range(120):
-        ell = rng.choice(PRIMES)
-        prec = rng.randint(3, 10)
-        x = PadicInt(ell, prec, ell * rng.randrange(ell ** (prec - 1)))
-        assert padic_log(padic_exp(x)).residue == x.residue % ell**prec
-        u = PadicInt(ell, prec, 1 + ell * rng.randrange(ell ** (prec - 1)))
-        assert padic_exp(padic_log(u)).residue == u.residue % ell**prec
-
-
-def test_exp_additivity_log_multiplicativity():
-    rng = random.Random(37)
-    for _ in range(60):
-        ell = rng.choice(PRIMES)
-        prec = rng.randint(3, 9)
-        a = PadicInt(ell, prec, ell * rng.randrange(ell ** (prec - 1)))
-        b = PadicInt(ell, prec, ell * rng.randrange(ell ** (prec - 1)))
-        assert padic_exp(a + b).residue == (padic_exp(a) * padic_exp(b)).residue
-        u = PadicInt(ell, prec, 1 + ell * rng.randrange(ell ** (prec - 1)))
-        v = PadicInt(ell, prec, 1 + ell * rng.randrange(ell ** (prec - 1)))
-        assert padic_log(u * v).residue == (padic_log(u) + padic_log(v)).residue
-
-
-def test_exp_log_domain_errors():
-    with pytest.raises(InputError):
-        padic_exp(PadicInt(3, 5, 1))
-    with pytest.raises(InputError):
-        padic_log(PadicInt(3, 5, 3))
-
-
-def test_binom_series_coeff_integer_top():
-    # For an integer top argument the series coefficient is a binomial number.
-    mod = 5**8
-    lam = PadicInt(5, 8, 6)
-    for k in range(9):
-        expected = math.comb(6, k) if k <= 6 else 0
-        assert binom_series_coeff(lam, k).residue == expected % mod
-
-
-def test_binom_series_coeff_half():
-    # lam = 1/2 in the 7-adic integers: C(1/2, 2) = -1/8.
-    mod = 7**6
-    half = PadicInt(7, 6, (mod + 1) // 2)
-    got = binom_series_coeff(half, 2)
-    assert got.residue == (-pow(8, -1, mod)) % mod
+        assert matrix_log([[u]], ell, prec) == [[_log_series(ell, prec, u)]]
 
 
 def test_padic_float_mul_and_rescale():

@@ -6,8 +6,9 @@ import random
 
 import pytest
 
+from towerlim import tower
 from towerlim.cyclo import CycloRing
-from towerlim.errors import InputError
+from towerlim.errors import CheckFailed, InputError
 from towerlim.tower import (
     OrbitParams,
     caseB_limit_estimate,
@@ -132,6 +133,21 @@ def test_orbit_params_frozen_cases():
     assert orbit_params(_spec56()) == OrbitParams(1, 0, 1, 1)
     assert orbit_params(_spec_general()) == OrbitParams(1, 0, 1, 1)
     assert orbit_params(_spec_scalar10()) == OrbitParams(2, 0, 2, 2)
+
+
+def test_orbit_failures_name_level_and_representative(monkeypatch):
+    spec = _spec34()
+    with monkeypatch.context() as mp:
+        mp.setattr(tower, "mat_vec_mod", lambda *args: None)
+        with pytest.raises(CheckFailed) as exc:
+            orbit_order(spec, 2, (13,))
+    assert exc.value.context == {"level": 2, "rep": (4,)}
+    real_reps = tower.primitive_orbit_reps
+    monkeypatch.setattr(tower, "primitive_orbit_reps", lambda spec, n: [
+        (v, 3 * size) for v, size in real_reps(spec, n)])
+    with pytest.raises(CheckFailed) as exc:
+        orbit_params(spec)
+    assert exc.value.context == {"level": 1, "n0": 1, "min_size": 3}
 
 
 def test_p_poly_shape_and_galois_symmetry():
