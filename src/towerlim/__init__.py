@@ -30,13 +30,7 @@ from .charsums import (
     zeta_from_counts,
 )
 from .config import Experiment, load_config, parse_config
-from .cyclo import (
-    BiCycloElem,
-    BiCycloRing,
-    CycloElem,
-    CycloRing,
-    ell_divisibility,
-)
+from .cyclo import BiCycloElem, BiCycloRing, CycloElem, CycloRing
 from .errors import (
     CheckFailed,
     GuardExceeded,

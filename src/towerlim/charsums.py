@@ -24,12 +24,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cyclo import BiCycloElem, BiCycloRing, CycloElem, CycloRing, ell_divisibility
+from .cyclo import BiCycloElem, BiCycloRing, CycloElem, CycloRing
 from .errors import CheckFailed, GuardExceeded, InputError
 from .fields import FIELD_CAP, FqField, _poly_pow_mod, field_build
 from .matfermat import det_from_traces, intify, traces_from_det
-from .matrices import orbit_reps, poly_mul
-from .padic import check_odd_prime, int_val
+from .matrices import orbit, orbit_reps, poly_mul
+from .padic import check_odd_prime, int_val, min_val
 
 ENUM_CAP = 10**7
 # Elements per digit-codec batch in the two enumerations (d-th powers per
@@ -164,20 +164,16 @@ def jacobi_gauss_bridge_check(field: FqField, ell: int, level: int,
 # -- orbit-sum lemmas -----------------------------------------------------
 
 
-def mult_order(q: int, mod: int) -> int:
-    if mod == 1:
-        return 1
-    from math import gcd
-
-    if gcd(q, mod) != 1:
+def _powers(q: int, mod: int) -> list[int]:
+    """q^0, q^1, ..., q^(k-1) mod `mod`: the orbit of 1 under x -> q*x."""
+    if math.gcd(q, mod) != 1:
         raise InputError(f"{q} is not invertible mod {mod}")
-    k, t = 1, q % mod
-    while t != 1:
-        t = t * q % mod
-        k += 1
-        if k > mod:
-            raise CheckFailed("order computation overran the group size")
-    return k
+    return [t for (t,) in orbit([[q]], (1,), mod)]
+
+
+def mult_order(q: int, mod: int) -> int:
+    """The multiplicative order of q mod `mod`."""
+    return len(_powers(q, mod))
 
 
 def s_rho_n(ell: int, n: int, q: int, w: int, rho: int) -> dict:
@@ -192,21 +188,18 @@ def s_rho_n(ell: int, n: int, q: int, w: int, rho: int) -> dict:
     if n < 1 or rho < 1:
         raise InputError("need n >= 1 and rho >= 1")
     mod = ell**n
-    k = mult_order(q, mod)
+    powers = _powers(q, mod)  # the same multiset as q^1, ..., q^k
+    k = len(powers)
     if rho % k != 0:
         raise InputError(f"rho = {rho} is not a multiple of the orbit size {k}")
     ring = CycloRing(ell, n, None)
-    pairs = []
-    t = 1
-    for _ in range(k):
-        t = t * q % mod
-        pairs.append((t * w % mod, rho // k))
-    s = ring.from_exponent_counts(pairs)
+    s = ring.from_exponent_counts((t * w % mod, rho // k) for t in powers)
     required = int_val(ell, rho)
-    val, saturated = ell_divisibility(s)
-    if not saturated and val < required:
+    val = min_val(ell, s.coeffs)
+    if val is not None and val < required:
         raise CheckFailed(
-            f"orbit sum valuation {val} below the certified bound {required}"
+            f"orbit sum valuation {val} below the certified bound {required}",
+            level=n, valuation=val, required=required,
         )
     return {
         "n": n,
@@ -214,8 +207,8 @@ def s_rho_n(ell: int, n: int, q: int, w: int, rho: int) -> dict:
         "w": w,
         "rho": rho,
         "k_n": k,
-        "exactly_zero": bool(saturated),
-        "valuation": None if saturated else val,
+        "exactly_zero": val is None,
+        "valuation": val,
         "required": required,
         "passed": True,
     }
@@ -260,10 +253,11 @@ def primitive_char_sum(ell: int, n: int, shape: Sequence[int],
         e = sum(li * xi * wi for li, xi, wi in zip(lam, x, weights)) % mod
         buf[e] += 1
     s = ring.from_exponent_counts([(e, c) for e, c in enumerate(buf) if c])
-    val, saturated = ell_divisibility(s)
-    if not saturated and val < required:
+    val = min_val(ell, s.coeffs)
+    if val is not None and val < required:
         raise CheckFailed(
-            f"primitive character sum valuation {val} below bound {required}"
+            f"primitive character sum valuation {val} below bound {required}",
+            level=n, valuation=val, required=required,
         )
     return {
         "n": n,
@@ -271,8 +265,8 @@ def primitive_char_sum(ell: int, n: int, shape: Sequence[int],
         "lam": list(lam),
         "free": free,
         "num_primitive": count,
-        "exactly_zero": bool(saturated),
-        "valuation": None if saturated else val,
+        "exactly_zero": val is None,
+        "valuation": val,
         "required": required,
         "passed": True,
     }
@@ -281,10 +275,16 @@ def primitive_char_sum(ell: int, n: int, shape: Sequence[int],
 # -- point counts, two independent routes each ----------------------------
 
 
-def _elem_int(x: CycloElem, what: str) -> int:
-    if any(c != 0 for c in x.coeffs[1:]):
-        raise CheckFailed(f"{what} is not a rational integer")
-    return x.coeffs[0]
+def _elem_int(coeffs: Sequence[int], what: str, **context) -> int:
+    """The constant term; CheckFailed naming any other nonzero one."""
+    for i, c in enumerate(coeffs):
+        if i and c:
+            raise CheckFailed(
+                f"{what} is not a rational integer "
+                f"(basis coefficient {i} is {c})",
+                coefficient=i, value=c, **context,
+            )
+    return coeffs[0]
 
 
 def fermat_point_count(ell: int, n: int, q: int,
@@ -313,7 +313,8 @@ def fermat_point_count(ell: int, n: int, q: int,
                 total = total + ring.from_int(-1)
             else:
                 total = total + jacobi_sum(field, ell, n, j1, j2)
-    n_char = _elem_int(total, "Jacobi-sum point count")
+    n_char = _elem_int(total.coeffs, "Jacobi-sum point count",
+                       family="fermat", q=q, m=1, d=d)
     if n_enum != n_char:
         raise CheckFailed(
             f"Fermat counts disagree: enumeration {n_enum} vs "
@@ -370,7 +371,9 @@ def artin_schreier_point_count(ell: int, n: int, q: int, m: int,
                 pairs[key] = pairs.get(key, 0) + int(cc)
     ring = BiCycloRing(p, ell, n)
     total = ring.from_exponent_counts(pairs)
-    n_char = q**m + 1 + total.as_int()
+    n_char = q**m + 1 + _elem_int(
+        [c for row in total.mat for c in row], "Gauss-sum point count",
+        family="artin-schreier", q=q, m=m, d=d)
     if n_enum != n_char:
         raise CheckFailed(
             f"Artin-Schreier counts disagree: trace criterion {n_enum} vs "
@@ -411,14 +414,17 @@ def zeta_from_counts(q: int, genus: int, counts: Sequence[int]) -> dict:
     for m, a in enumerate(traces, start=1):
         if a * a > 4 * genus * genus * q**m:
             raise CheckFailed(
-                f"Weil bound violated at m = {m}: |{a}| > 2g q^(m/2)"
+                f"Weil bound violated at m = {m}: |{a}| > 2g q^(m/2)",
+                m=m, trace=a, genus=genus, q=q,
             )
     coeffs = intify(det_from_traces(traces), "zeta numerator")
     for k in range(genus + 1):
         if coeffs[2 * genus - k] != q ** (genus - k) * coeffs[k]:
             raise CheckFailed(
                 f"functional equation failed at k = {k}: "
-                f"{coeffs[2 * genus - k]} != {q}^{genus - k} * {coeffs[k]}"
+                f"{coeffs[2 * genus - k]} != {q}^{genus - k} * {coeffs[k]}",
+                k=k, high=coeffs[2 * genus - k], low=coeffs[k],
+                genus=genus, q=q,
             )
     return {
         "q": q,
@@ -635,7 +641,8 @@ def _coleman_jacobi_core(E: FqField, sub_q: int, ell: int, n: int,
     mask = om != 0
     k2 = E.dlog_table[om[mask]]
     if int((k2 % step).sum()):
-        raise CheckFailed("1 - x left the subfield; tables are inconsistent")
+        raise CheckFailed("1 - x left the subfield; tables are inconsistent",
+                          level=n, sub_q=sub_q)
     es = ((w1 % d_lo) * ts[mask] + (w2 % d_lo) * (k2 // step)) % d_lo
     j_sub = _jacobi_from_exponents(ell, n, es)
     rhs = j_sub.embed_up() * (sub_q ** ((ell - 1) // 2))
@@ -665,7 +672,8 @@ def _coleman_gauss_core(E: FqField, sub_q: int, ell: int, n: int,
     g_sub = _gauss_from_table(E.p, ell, n, trs, (v % d_lo) * ts % d_lo)
     k_ell = E.dlog(ell % E.p)
     if k_ell % step:
-        raise CheckFailed("l left the subfield; tables are inconsistent")
+        raise CheckFailed("l left the subfield; tables are inconsistent",
+                          level=n, sub_q=sub_q)
     zexp = (-ell * v * (k_ell // step)) % d_hi
     zfac = CycloRing(ell, n + 1, None).zeta(zexp)
     base = g_sub.embed_up() * zfac * (sub_q ** ((ell - 1) // 2))

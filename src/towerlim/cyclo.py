@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .padic import check_odd_prime, is_prime, min_val
+from .padic import check_odd_prime, is_prime
 
 
 def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -295,21 +295,6 @@ class CycloElem:
             half = q // 2
             cs = tuple(c - q if c > half else c for c in cs)
         return complex(sum(c * z**j for j, c in enumerate(cs)))
-
-
-def ell_divisibility(x: CycloElem) -> tuple[int, bool]:
-    """Coefficient-wise min l-valuation of x, with saturation flag.
-
-    Returns ``(v, False)`` for a definite valuation.  For x = 0 in a
-    fixed-precision ring only "v >= prec" is knowable: returns
-    ``(prec, True)``.  Exact-ring zero returns ``(-1, True)`` meaning
-    +infinity (the -1 is a sentinel; check the flag first).
-    """
-    r = x.ring
-    v = min_val(r.ell, x.coeffs)
-    if v is None:
-        return (-1 if r.prec is None else r.prec), True
-    return (v if r.prec is None else min(v, r.prec)), False
 
 
 class BiCycloRing:

@@ -12,12 +12,13 @@ but renders no pass/fail verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, zip_longest
 from typing import Optional, Sequence
 
-from .errors import CheckFailed, InputError
+from .errors import CheckFailed, GuardExceeded, InputError
 from .matrices import det_one_minus_y, mat_pow, mat_trace
 from .padic import is_prime, min_val
 
@@ -70,6 +71,10 @@ def poly_diff_val(p1: Sequence[int], p2: Sequence[int], ell: int,
     return min(best, cap), False
 
 
+MAX_POWER_DIGITS = 50_000  # entry digits of the next power (2 x 2: seconds)
+MAX_TRACE_DIGITS = 4300  # trace digits a report prints: Python's str limit
+
+
 @dataclass(frozen=True)
 class TracePowerReport:
     ell: int
@@ -108,15 +113,29 @@ def arnold_zarelua_check(a: IntMatrix, ell: int, n: int,
     For odd primes the congruence must hold to depth n+1 and the report
     carries a verdict; for l = 2 it reports measured valuations only.
     Exact-zero differences saturate at `val_cap`.
+
+    Powers are taken one l-th power at a time; a step whose entry bound
+    |X|^l (|X| the largest row sum of |x_ij|) passes 10^MAX_POWER_DIGITS,
+    or a trace past MAX_TRACE_DIGITS digits, is a GuardExceeded.
     """
     check_square(a)
     if not is_prime(ell):
         raise InputError(f"l must be prime, got {ell}")
     if n < 0:
         raise InputError("n must be >= 0")
-    lo = mat_pow(a, ell**n, 1, 0)
-    hi = mat_pow(lo, ell, 1, 0)
+    hi = a
+    for i in range(1, n + 2):  # hi: A^(l^(i-1)) -> A^(l^i)
+        digits = ell * math.log10(max(sum(map(abs, row)) for row in hi) or 1)
+        if digits > MAX_POWER_DIGITS:
+            raise GuardExceeded(f"arnold at n = {n}: entries of A^({ell}^{i}) "
+                                f"may reach 10^{digits:.0f}")
+        lo, hi = hi, mat_pow(hi, ell, 1, 0)
     t_lo, t_hi = mat_trace(lo), mat_trace(hi)
+    big = max(abs(t_lo), abs(t_hi))
+    if big >= 10**MAX_TRACE_DIGITS:
+        raise GuardExceeded(f"arnold at n = {n}: a trace of about "
+                            f"{big.bit_length() * math.log10(2):.0f} digits "
+                            "is too long to report")
     tv, tsat = poly_diff_val([t_hi], [t_lo], ell, val_cap)
     p_lo = det_one_minus_y(lo, 1, 0)
     p_hi = det_one_minus_y(hi, 1, 0)

@@ -6,16 +6,16 @@
   characteristic polynomial uses the Berkowitz algorithm, which is
   division-free and therefore valid verbatim over these rings.
 * Polynomials as ascending coefficient lists over any such ring.
-* Integer matrices mod M, and orbits of (Z/M)^b under an integer matrix.
+* Orbits of (Z/M)^b under an integer matrix: `orbit` is the one orbit
+  walker.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import gcd
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from .errors import InputError
+from .errors import CheckFailed
 
 Matrix = Sequence[Sequence]
 
@@ -143,57 +143,33 @@ def poly_mul(a: Sequence, b: Sequence, zero, stretch: int = 1) -> list:
     return out
 
 
-# -- integer matrices mod M --------------------------------------------------
-
-
-def mat_mul_mod(a: Matrix, b: Matrix, mod: int) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % mod for col in cols]
-            for row in a]
+# -- integer vectors mod M and their orbits ----------------------------------
 
 
 def mat_vec_mod(a: Matrix, v: Sequence[int], mod: int) -> tuple[int, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) % mod for row in a)
 
 
-def mat_pow_mod(a: Matrix, e: int, mod: int) -> list[list[int]]:
-    out = [[int(i == j) % mod for j in range(len(a))] for i in range(len(a))]
-    base = [[x % mod for x in row] for row in a]
-    while e:
-        if e & 1:
-            out = mat_mul_mod(out, base, mod)
-        e >>= 1
-        if e:
-            base = mat_mul_mod(base, base, mod)
-    return out
+def orbit(step: Matrix, v: Sequence[int], mod: int,
+          **context) -> list[tuple[int, ...]]:
+    """The orbit v, step*v, step^2*v, ... mod `mod`, up to its return to v.
 
-
-def mat_inv_mod(a: Matrix, mod: int) -> list[list[int]]:
-    """Inverse of an integer matrix mod a prime power, by Gauss-Jordan.
-
-    Every column is cleared with a unit pivot.  Over Z/p^k such a pivot
-    exists at every step exactly when the matrix is invertible, so a
-    missing one raises InputError.
+    The one orbit walk.  An invertible step closes it within mod^b steps;
+    one still open then is a CheckFailed carrying `rep` and `context`.
     """
-    r = len(a)
-    rows = [[x % mod for x in row] + [int(i == j) for j in range(r)]
-            for i, row in enumerate(a)]
-    for col in range(r):
-        piv = next((i for i in range(col, r) if gcd(rows[i][col], mod) == 1),
-                   None)
-        if piv is None:
-            raise InputError(f"matrix is not invertible mod {mod}")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = pow(rows[col][col], -1, mod)
-        pivot_row = rows[col] = [x * inv % mod for x in rows[col]]
-        for i in range(r):
-            f = rows[i][col]
-            if i != col and f:
-                rows[i] = [(x - f * y) % mod for x, y in zip(rows[i], pivot_row)]
-    return [row[r:] for row in rows]
-
-
-# -- orbits of (Z/M)^b under an integer matrix -------------------------------
+    v = tuple(x % mod for x in v)
+    limit = mod ** len(v)
+    members = [v]
+    w = mat_vec_mod(step, v, mod)
+    while w != v:
+        if len(members) >= limit:
+            raise CheckFailed(
+                f"orbit of {v} mod {mod} did not close within {limit} steps",
+                rep=v, **context,
+            )
+        members.append(w)
+        w = mat_vec_mod(step, w, mod)
+    return members
 
 
 def orbit_reps(
@@ -215,26 +191,11 @@ def orbit_reps(
     for idx, v in enumerate(product(range(mod), repeat=b)):
         if seen[idx] or not keep(v):
             continue
-        size = 0
-        w = v
-        while True:
+        members = orbit(step, v, mod)
+        for w in members:
             widx = 0
             for x in w:
                 widx = widx * mod + x
-            if seen[widx]:
-                break
             seen[widx] = 1
-            size += 1
-            w = mat_vec_mod(step, w, mod)
-        reps.append((v, size))
+        reps.append((v, len(members)))
     return reps
-
-
-def inverse_orbit(step: Matrix, v: Sequence[int], mod: int,
-                  k: int) -> Iterator[tuple[int, ...]]:
-    """step^-i v mod `mod` for i = 1..k, in order."""
-    inv = mat_inv_mod(step, mod)
-    w = tuple(x % mod for x in v)
-    for _ in range(k):
-        w = mat_vec_mod(inv, w, mod)
-        yield w

@@ -32,20 +32,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cyclo import CycloElem, CycloRing, ell_divisibility
+from .cyclo import CycloElem, CycloRing
 from .errors import CheckFailed, GuardExceeded, InputError
 from .matfermat import poly_diff_val, traces_from_det
 from .matrices import (
     det_one_minus_y,
-    inverse_orbit,
     mat_identity,
     mat_mul,
-    mat_pow_mod,
     mat_vec_mod,
+    orbit,
     orbit_reps,
     poly_mul,
 )
-from .padic import PadicFloat, check_odd_prime, int_val, int_val_capped
+from .padic import (PadicFloat, check_odd_prime, int_val, int_val_capped,
+                    min_val)
 
 DEFAULT_ORBIT_CAP = 10**7
 
@@ -206,27 +206,19 @@ class OrbitParams:
 
 
 def orbit_order(spec: TowerSpec, n: int, v: Sequence[int]) -> int:
-    """Size of the orbit of v mod l^n under powers of Q (an l-power).
+    """Size of the orbit of v mod l^n under powers of Q, by `orbit`.
 
-    Tests Q^(l^t) v = v for t = 0, 1, ...; the first fixing power is the
-    orbit size because the stabilizer of a cyclic l-group action is the
-    subgroup of index (orbit size).
+    Q = I mod l makes it a power of l (the matrix Fermat theorem); any
+    other walked size is a CheckFailed naming level, rep and size.
     """
-    if n == 0:
-        return 1
-    mod = spec.ell**n
-    v = tuple(x % mod for x in v)
-    qp = [[x % mod for x in row] for row in spec.q_matrix]
-    k = 1
-    for _ in range(n * spec.b + 4):
-        if mat_vec_mod(qp, v, mod) == v:
-            return k
-        qp = mat_pow_mod(qp, spec.ell, mod)
-        k *= spec.ell
-    raise CheckFailed(
-        "orbit order did not resolve (impossible for Q = I mod l)",
-        level=n, rep=v,
-    )
+    members = orbit(spec.q_matrix, v, spec.ell**n, level=n)
+    size = len(members)
+    if spec.ell ** int_val(spec.ell, size) != size:
+        raise CheckFailed(
+            f"orbit size {size} at level {n} is not a power of {spec.ell}",
+            level=n, rep=members[0], size=size,
+        )
+    return size
 
 
 def primitive_orbit_reps(
@@ -337,9 +329,8 @@ def orbit_params(spec: TowerSpec) -> OrbitParams:
         )
     n0 = alpha + beta0
     verified = None
-    for n in range(max(n0, 1), spec.n_max + 1):
-        if ell ** (n * b) > min(spec.orbit_cap, 100_000):
-            break
+    n = max(n0, 1)
+    if n <= spec.n_max and ell ** (n * b) <= min(spec.orbit_cap, 100_000):
         sizes = [s for _, s in primitive_orbit_reps(spec, n)]
         if min(sizes) != ell ** max(0, n - n0):
             raise CheckFailed(
@@ -348,7 +339,6 @@ def orbit_params(spec: TowerSpec) -> OrbitParams:
                 level=n, n0=n0, min_size=min(sizes),
             )
         verified = n
-        break
     return OrbitParams(alpha, beta0, n0, verified)
 
 
@@ -457,10 +447,11 @@ def frobenius_product(
     n: int,
     v: Sequence[int],
     ring: Optional[CycloRing] = None,
-    k: Optional[int] = None,
 ) -> list[list[CycloElem]]:
     """A_n(v) = F(z^(Q^-1 v)) ... F(z^(Q^-k v)) over the level-n ring.
 
+    k is the orbit size and Q^-i v = Q^(k-i) v: the factors follow the
+    walk `orbit` backwards, taken once the memory guard has passed.
     The product is formed in the group ring (Z/l^prec)[C_{l^n}]: acc[i, :, j]
     holds the l^n exponent coefficients of entry (i, j).  A factor
     F(z^w) = sum_t M_t z^<e_t, w> multiplies in as acc times M_t, rolled
@@ -469,8 +460,6 @@ def frobenius_product(
     """
     if ring is None:
         ring = build_ring(spec, n)
-    if k is None:
-        k = orbit_order(spec, n, v)
     dtype = _product_dtype(spec, ring)
     need = _group_ring_bytes(ring, dtype, spec.r**2 * ring.order)
     if need > MAX_PRODUCT_BYTES:
@@ -483,7 +472,7 @@ def frobenius_product(
     acc = np.zeros((r, size, r), dtype=dtype)
     for i in range(r):
         acc[i, 0, i] = 1
-    for w in inverse_orbit(spec.q_matrix, v, size, k):
+    for w in reversed(orbit(spec.q_matrix, v, size, level=n)):
         new = np.zeros_like(acc)
         for term, m in zip(spec.f_terms, mats):
             d = sum(e * x for e, x in zip(term.exponents, w))
@@ -499,13 +488,13 @@ def frobenius_product(
 
 
 def _memo_p_poly(pieces: Optional[dict], spec: TowerSpec, n: int,
-                 v: tuple, ring: CycloRing, k: int) -> "CharPoly":
+                 v: tuple, ring: CycloRing) -> "CharPoly":
     """p_poly through a per-run memo keyed by (level, rep), when given."""
     if pieces is None:
-        return p_poly(spec, n, v, ring, k)
+        return p_poly(spec, n, v, ring)
     p = pieces.get((n, v))
     if p is None:
-        p = pieces[(n, v)] = p_poly(spec, n, v, ring, k)
+        p = pieces[(n, v)] = p_poly(spec, n, v, ring)
     return p
 
 
@@ -514,12 +503,12 @@ def p_poly(
     n: int,
     v: Sequence[int],
     ring: Optional[CycloRing] = None,
-    k: Optional[int] = None,
 ) -> CharPoly:
-    """p_{n,v}(y) = det(I - y A_n(v)) over Z[zeta_{l^n}] mod l^prec."""
+    """p_{n,v}(y) = det(I - y A_n(v)) over Z[zeta_{l^n}] mod l^prec; the
+    twisted product walks the orbit of v itself."""
     if ring is None:
         ring = build_ring(spec, n)
-    a = frobenius_product(spec, n, v, ring, k)
+    a = frobenius_product(spec, n, v, ring)
     coeffs = det_one_minus_y(a, ring.one(), ring.zero())
     return CharPoly(spec.ell, n, ring.prec, tuple(coeffs))
 
@@ -559,7 +548,7 @@ def r_poly(
     k_n = min(s for _, s in reps)
     factors = []
     for v, size in reps:
-        p = _memo_p_poly(pieces, spec, n, v, ring, size)
+        p = _memo_p_poly(pieces, spec, n, v, ring)
         s, rem = divmod(size, k_n)
         if rem:
             raise CheckFailed(
@@ -685,8 +674,8 @@ def scalar_congruence_rows(
         ring_hi = build_ring(spec, n + 1)
         for v, size in primitive_orbit_reps(spec, n):
             size_hi = orbit_order(spec, n + 1, v)
-            p_lo = _memo_p_poly(pieces, spec, n, v, ring_lo, size)
-            p_hi = _memo_p_poly(pieces, spec, n + 1, v, ring_hi, size_hi)
+            p_lo = _memo_p_poly(pieces, spec, n, v, ring_lo)
+            p_hi = _memo_p_poly(pieces, spec, n + 1, v, ring_hi)
             required = int_val(spec.ell, size_hi) if size_hi > 1 else 0
             # both coefficient lists, spread over the ring basis
             measured, sat = poly_diff_val(
@@ -857,7 +846,8 @@ def qsum_rows(
     n_hi: int,
     emit_products: bool = False,
 ) -> dict:
-    """Exact orbit character sums S_n = sum_i zeta^(<lam, Q^-i v>) by level.
+    """Exact orbit character sums S_n = sum_i zeta^(<lam, Q^i v>) by level,
+    over the walk `orbit` (the same multiset as the Q^-i v).
 
     Uses exact integer cyclotomic arithmetic (no precision cap), reporting
     the coefficient-wise l-divisibility of each sum; an exactly-zero sum is
@@ -876,28 +866,27 @@ def qsum_rows(
     prev_prod = None
     for n in range(n_lo, n_hi + 1):
         ring = CycloRing(spec.ell, n, None)
-        k = orbit_order(spec, n, v)
+        members = orbit(spec.q_matrix, v, spec.ell**n, level=n)
+        k = len(members)
         s = ring.from_exponent_counts(
-            (sum(a * x for a, x in zip(lam, w)), 1)
-            for w in inverse_orbit(spec.q_matrix, v, spec.ell**n, k)
+            (sum(a * x for a, x in zip(lam, w)), 1) for w in members
         )
-        sval, sat = ell_divisibility(s)
+        sval = min_val(spec.ell, s.coeffs)
         rows.append({
             "n": n,
             "k_n": k,
-            "sum_is_zero": bool(sat),
-            "valuation": None if sat else sval,
+            "sum_is_zero": sval is None,
+            "valuation": sval,
             "status": "measured-only",
         })
         if emit_products:
-            a = frobenius_product(spec, n, v, ring, k)[0][0]
+            a = frobenius_product(spec, n, v, ring)[0][0]
             entry = {"n": n, "k_n": k,
                      "coeffs": [str(c) for c in a.coeffs]}
             if prev_prod is not None:
-                diff = a - prev_prod.embed_up()
-                dval, dsat = ell_divisibility(diff)
+                dval = min_val(spec.ell, (a - prev_prod.embed_up()).coeffs)
                 entry["diff_from_previous"] = (
-                    {"exactly_zero": True} if dsat
+                    {"exactly_zero": True} if dval is None
                     else {"valuation": dval}
                 )
             products.append(entry)

@@ -27,7 +27,6 @@ from towerlim.charsums import (
 )
 from towerlim.errors import InputError
 from towerlim.matfermat import arnold_zarelua_check
-from towerlim.matrices import mat_pow_mod
 from towerlim.padic import int_val
 from towerlim.tower import (
     general_congruence_rows,
@@ -39,6 +38,8 @@ from towerlim.tower import (
     r_poly,
     scalar_congruence_rows,
 )
+
+from oracles import mat_pow_mod
 
 F_LINEAR = [((0,), [[1]]), ((1,), [[1]])]
 F_TWO_VAR = [((0, 0), [[1]]), ((3, 1), [[1]])]

@@ -39,7 +39,7 @@ def oracle_r_poly(spec, n):
     k_n = min(s for _, s in reps)
     poly = [ring.one()]
     for v, size in reps:
-        p = p_poly(spec, n, v, ring, size)
+        p = p_poly(spec, n, v, ring)
         poly = poly_mul(poly, p.coeffs, ring.zero(), size // k_n)
     assert all(not any(c.coeffs[1:]) for c in poly)
     meta = {
@@ -214,8 +214,8 @@ def _skew_one_rep(monkeypatch, level):
     target = primitive_orbit_reps(GEN, level)[0][0]
     real = tower.p_poly
 
-    def skewed(spec, n, v, ring=None, k=None):
-        p = real(spec, n, v, ring, k)
+    def skewed(spec, n, v, ring=None):
+        p = real(spec, n, v, ring)
         if n == level and tuple(v) == target:
             z = p.coeffs[0].ring.zeta()
             p = CharPoly(p.ell, p.level, p.prec,

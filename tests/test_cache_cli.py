@@ -294,6 +294,28 @@ def test_arnold_even_prime_is_measured(capsys):
     assert rep["status"] == "measured"
 
 
+def test_arnold_guard_refuses_traces_and_powers_past_its_caps(capsys):
+    # tr 2^(3^9) has 5,926 digits, more than a report can print
+    assert main(["arnold", "--matrix", "2", "--ell", "3", "--n", "8"]) == 4
+    assert "n = 8" in capsys.readouterr().err
+    assert main(["arnold", "--matrix", "2,1;1,1", "--ell", "3",
+                 "--n", "8"]) == 4
+    # A^2 = -27 I keeps every trace 0 while the entries grow: at n = 8 they
+    # have about 14,000 digits and still report; the step to A^(3^11)
+    # would pass 10^50000 and is refused before it is taken
+    assert main(["arnold", "--matrix", "3,-6;6,-3", "--ell", "3",
+                 "--n", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["trace_high"] == "0"
+    assert main(["arnold", "--matrix", "3,-6;6,-3", "--ell", "3",
+                 "--n", "10"]) == 4
+    assert "n = 10" in capsys.readouterr().err
+    # one level down the first two still report
+    assert main(["arnold", "--matrix", "2", "--ell", "3", "--n", "7"]) == 0
+    assert main(["arnold", "--matrix", "2,1;1,1", "--ell", "3",
+                 "--n", "7"]) == 0
+    capsys.readouterr()
+
+
 def test_arnold_rejects_malformed_matrix(capsys):
     assert main(["arnold", "--matrix", "1,2;3", "--ell", "3", "--n", "1"]) == 3
     assert main(["arnold", "--matrix", "a,b;c,d", "--ell", "3", "--n", "1"]) == 3

@@ -29,6 +29,7 @@ from towerlim.charsums import (
     s_rho_n,
     zeta_from_counts,
 )
+from towerlim.cyclo import BiCycloRing, CycloRing
 from towerlim.errors import CheckFailed, InputError
 from towerlim.fields import field_build
 
@@ -397,3 +398,64 @@ def test_hyperelliptic_zeta_check():
 def test_hyperelliptic_input_checks():
     with pytest.raises(InputError):
         motivating_zeta_check(1)
+
+
+# -- failures name where they broke ------------------------------------------
+
+
+def test_orbit_and_primitive_sum_failures_name_level_and_valuation(
+        monkeypatch):
+    monkeypatch.setattr(charsums, "min_val", lambda ell, xs: 0)
+    want = {"level": 2, "valuation": 0, "required": 2}
+    with pytest.raises(CheckFailed) as exc:
+        s_rho_n(3, 2, 4, 1, 9)
+    assert exc.value.context == want
+    with pytest.raises(CheckFailed) as exc:
+        primitive_char_sum(3, 2, (2, 2), (1, 1))
+    assert exc.value.context == want
+
+
+def test_fermat_count_off_the_integers_names_the_coefficient(monkeypatch):
+    monkeypatch.setattr(charsums, "jacobi_sum",
+                        lambda field, ell, level, v1, v2:
+                        CycloRing(ell, level, None).zeta(1))
+    with pytest.raises(CheckFailed) as exc:
+        fermat_point_count(3, 1, 7)
+    assert exc.value.context == {"family": "fermat", "q": 7, "m": 1, "d": 3,
+                                 "coefficient": 1, "value": 2}
+
+
+def test_artin_schreier_count_off_the_integers_is_a_failed_check(
+        monkeypatch):
+    # one stray zeta_p in the Gauss-sum total: a broken identity (exit 2),
+    # not invalid input
+    real = BiCycloRing.from_exponent_counts
+    monkeypatch.setattr(
+        BiCycloRing, "from_exponent_counts",
+        lambda self, counts: real(
+            self, {**counts, (1, 0): counts.get((1, 0), 0) + 1}))
+    with pytest.raises(CheckFailed) as exc:
+        artin_schreier_point_count(3, 1, 7, 1)
+    assert exc.value.context == {"family": "artin-schreier", "q": 7, "m": 1,
+                                 "d": 3, "coefficient": 2, "value": 1}
+
+
+def test_zeta_from_counts_failures_name_the_index_and_values():
+    with pytest.raises(CheckFailed) as exc:
+        zeta_from_counts(5, 1, [100, 100])  # a_1 = -94, |a_1| > 2 sqrt 5
+    assert exc.value.context == {"m": 1, "trace": -94, "genus": 1, "q": 5}
+    with pytest.raises(CheckFailed) as exc:
+        zeta_from_counts(5, 1, [6, 26])  # a_1 = a_2 = 0 gives c_2 = 0 != 5
+    assert exc.value.context == {"k": 0, "high": 0, "low": 1, "genus": 1,
+                                 "q": 5}
+
+
+def test_coleman_cores_name_level_and_subfield():
+    # F_7 is not a subfield of F_19: the index-3 subgroup stands in for it
+    big = field_build(19, 1)
+    with pytest.raises(CheckFailed) as exc:
+        charsums._coleman_jacobi_core(big, 7, 3, 1, 1, 1)
+    assert exc.value.context == {"level": 1, "sub_q": 7}
+    with pytest.raises(CheckFailed) as exc:
+        charsums._coleman_gauss_core(big, 7, 3, 1, 1)
+    assert exc.value.context == {"level": 1, "sub_q": 7}

@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from towerlim.cyclo import BiCycloRing, CycloRing, ell_divisibility
+from towerlim.cyclo import BiCycloRing, CycloRing
 from towerlim.errors import InputError
+from towerlim.padic import min_val
 
 RINGS = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)]
 
@@ -136,11 +137,11 @@ def test_complex_embedding():
 
 
 def test_ell_divisibility_counts_full_powers():
-    ring = CycloRing(3, 2, prec=4)
-    assert ell_divisibility(ring.from_int(3) * ring.zeta(1)) == (1, False)
-    assert ell_divisibility(ring.from_int(27)) == (3, False)
-    assert ell_divisibility(ring.zeta(1) - ring.one()) == (0, False)
-    assert ell_divisibility(ring.zero()) == (4, True)
+    ring = CycloRing(3, 2, None)
+    assert min_val(3, (ring.from_int(3) * ring.zeta(1)).coeffs) == 1
+    assert min_val(3, ring.from_int(27).coeffs) == 3
+    assert min_val(3, (ring.zeta(1) - ring.one()).coeffs) == 0
+    assert min_val(3, ring.zero().coeffs) is None
 
 
 def test_cross_ring_comparison_is_false():

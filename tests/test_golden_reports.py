@@ -4,7 +4,7 @@ Each case pins the SHA-256 of a command's rendered report with the
 `timings` key dropped.  The digests were recorded before the polynomial,
 valuation, orbit and count-table helpers were merged, so a refactor of
 those helpers that changes any reported byte fails here.  Together the
-cases cover `poly_diff_val` (arnold), `ell_divisibility` (qsum), the
+cases cover `poly_diff_val` (arnold), `min_val` and `orbit` (qsum), the
 Fermat pair orbits (zeta fermat), both descent cores (coleman) and the
 scalar and general congruence rows (converge).  The three `zeta-*` tower
 cases (k_m = 1 and 3, both families) were recorded while h_m was still the

@@ -4,23 +4,21 @@ helpers, each against a plain oracle written out here."""
 from __future__ import annotations
 
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from towerlim.cyclo import CycloRing, ell_divisibility
-from towerlim.errors import InputError
+from towerlim.charsums import mult_order
+from towerlim.cyclo import CycloRing
+from towerlim.errors import CheckFailed, InputError
 from towerlim.matfermat import poly_diff_val
-from towerlim.matrices import (
-    inverse_orbit,
-    mat_inv_mod,
-    mat_mul_mod,
-    mat_vec_mod,
-    orbit_reps,
-    poly_mul,
-)
+from towerlim.matrices import mat_vec_mod, orbit, orbit_reps, poly_mul
+from towerlim.padic import min_val
 from towerlim.tower import make_tower_spec, orbit_order
+
+from oracles import mat_pow_mod
 
 PROPS = settings(derandomize=True, database=None, max_examples=60,
                  deadline=None)
@@ -81,25 +79,49 @@ def unipotent_mod(draw, ell=3, n=3):
 
 
 @PROPS
-@given(unipotent_mod())
-def test_mat_inv_mod_is_an_inverse(data):
-    a, mod = data
-    b = len(a)
-    inv = mat_inv_mod(a, mod)
-    ident = [[int(i == j) for j in range(b)] for i in range(b)]
-    assert mat_mul_mod(a, inv, mod) == ident
-    assert mat_mul_mod(inv, a, mod) == ident
+@given(unipotent_mod(), st.data())
+def test_orbit_closes_after_the_least_fixing_ell_power(qm, data):
+    q, mod = qm
+    b = len(q)
+    v = tuple(data.draw(st.lists(st.integers(0, mod - 1), min_size=b,
+                                 max_size=b)))
+    walk = orbit(q, v, mod)
+    k = len(walk)
+    assert walk[0] == v and len(set(walk)) == k
+    assert mat_vec_mod(q, walk[-1], mod) == v
+
+    def q_power_v(e):
+        return mat_vec_mod(mat_pow_mod(q, e, mod), v, mod)
+
+    # the powering oracle: the least l^t with Q^(l^t) v = v
+    t = 0
+    while q_power_v(3**t) != v:
+        t += 1
+    assert k == 3**t
+    # the backward walk Q^-i v = Q^(k-i) v, i = 1..k, is the walk reversed
+    back = list(reversed(walk))
+    assert back == [q_power_v(k - i) for i in range(1, k + 1)]
 
 
-@pytest.mark.parametrize("a", [
-    [[3]],
-    [[1, 2], [2, 4]],
-    [[3, 0], [0, 1]],
-    [[1, 1, 0], [0, 1, 1], [1, 2, 1]],
-])
-def test_mat_inv_mod_rejects_singular(a):
-    with pytest.raises(InputError):
-        mat_inv_mod(a, 27)
+@PROPS
+@given(st.integers(-200, 200), st.sampled_from([1, 3, 9, 27, 5, 25, 49]))
+def test_mult_order_matches_brute_force(q, mod):
+    if gcd(q, mod) != 1:
+        with pytest.raises(InputError):
+            mult_order(q, mod)
+        return
+    k, t = 1, q % mod
+    while t != 1 % mod:
+        t = t * q % mod
+        k += 1
+    assert mult_order(q, mod) == k
+
+
+def test_orbit_that_does_not_close_names_rep_and_context():
+    # 1 -> 3 -> 0 -> 0 -> ... mod 9 never returns to 1
+    with pytest.raises(CheckFailed) as exc:
+        orbit([[3]], (1,), 9, level=2)
+    assert exc.value.context == {"rep": (1,), "level": 2}
 
 
 @PROPS
@@ -117,18 +139,16 @@ def test_orbit_walk_partitions_kept_points(q, n):
     reps = orbit_reps(q, mod, b, keep)
     covered = []
     for rep, size in reps:
-        orbit = [rep]
+        walk = [rep]
         while True:
-            nxt = mat_vec_mod(q, orbit[-1], mod)
+            nxt = mat_vec_mod(q, walk[-1], mod)
             if nxt == rep:
                 break
-            orbit.append(nxt)
-        assert len(orbit) == size == orbit_order(spec, n, rep)
-        assert rep == min(orbit)
-        # the inverse walk visits the same orbit, ending back at rep
-        back = list(inverse_orbit(q, rep, mod, size))
-        assert back[-1] == rep and sorted(back) == sorted(orbit)
-        covered.extend(orbit)
+            walk.append(nxt)
+        assert len(walk) == size == orbit_order(spec, n, rep)
+        assert rep == min(walk)
+        assert orbit(q, rep, mod) == walk
+        covered.extend(walk)
     kept = [v for v in product(range(mod), repeat=b) if keep(v)]
     assert sorted(covered) == kept
 
@@ -155,9 +175,8 @@ def test_poly_diff_val_matches_brute_force(p1, p2, shift):
 
 
 def test_ell_divisibility_saturation():
+    # on an exact ring the valuation of an element is min_val of its
+    # coefficients, None meaning zero
     exact = CycloRing(3, 2, None)
-    fixed = CycloRing(3, 2, 5)
-    assert ell_divisibility(exact.zero()) == (-1, True)
-    assert ell_divisibility(fixed.zero()) == (5, True)
-    assert ell_divisibility(exact.from_int(3**7)) == (7, False)
-    assert ell_divisibility(fixed.from_int(3**4) * fixed.zeta(1)) == (4, False)
+    assert min_val(3, exact.zero().coeffs) is None
+    assert min_val(3, exact.from_int(3**7).coeffs) == 7

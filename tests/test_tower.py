@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from towerlim import tower
+from towerlim import matrices, tower
 from towerlim.cyclo import CycloRing
 from towerlim.errors import CheckFailed, InputError
 from towerlim.tower import (
@@ -138,10 +138,16 @@ def test_orbit_params_frozen_cases():
 def test_orbit_failures_name_level_and_representative(monkeypatch):
     spec = _spec34()
     with monkeypatch.context() as mp:
-        mp.setattr(tower, "mat_vec_mod", lambda *args: None)
+        mp.setattr(matrices, "mat_vec_mod", lambda *args: None)
         with pytest.raises(CheckFailed) as exc:
             orbit_order(spec, 2, (13,))
     assert exc.value.context == {"level": 2, "rep": (4,)}
+    # a walk whose size is not a power of l breaks the matrix Fermat theorem
+    with monkeypatch.context() as mp:
+        mp.setattr(tower, "orbit", lambda step, v, mod, **ctx: [(4,), (7,)])
+        with pytest.raises(CheckFailed) as exc:
+            orbit_order(spec, 2, (13,))
+    assert exc.value.context == {"level": 2, "rep": (4,), "size": 2}
     real_reps = tower.primitive_orbit_reps
     monkeypatch.setattr(tower, "primitive_orbit_reps", lambda spec, n: [
         (v, 3 * size) for v, size in real_reps(spec, n)])
