@@ -47,7 +47,7 @@ from .matfermat import (
     trace_power,
     traces_from_det,
 )
-from .matrices import berkowitz_char_coeffs, det_one_minus_y
+from .matrices import det_one_minus_y
 from .padic import PadicFloat
 from .tower import (
     CharPoly,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cyclo import BiCycloElem, BiCycloRing, CycloElem, CycloRing
 from .errors import CheckFailed, GuardExceeded, InputError
-from .fields import FIELD_CAP, FqField, _poly_pow_mod, field_build
+from .fields import FqField, check_field_size, field_build
 from .matfermat import det_from_traces, intify, traces_from_det
 from .matrices import orbit, orbit_reps, poly_mul
 from .padic import check_odd_prime, int_val, min_val
@@ -215,7 +215,7 @@ def s_rho_n(ell: int, n: int, q: int, w: int, rho: int) -> dict:
 
 
 def primitive_char_sum(ell: int, n: int, shape: Sequence[int],
-                       lam: Sequence[int], cap: int = ENUM_CAP) -> dict:
+                       lam: Sequence[int]) -> dict:
     """Sum of chi over elements of maximal order in a product of cyclic
     l-groups; certifies the divisibility floor.
 
@@ -237,8 +237,11 @@ def primitive_char_sum(ell: int, n: int, shape: Sequence[int],
     total = 1
     for ni in shape:
         total *= ell**ni
-        if total > cap:
-            raise GuardExceeded(f"module size exceeds enumeration cap {cap}")
+        if total > ENUM_CAP:
+            raise GuardExceeded(
+                f"module of shape {shape} has more than {ENUM_CAP} elements",
+                shape=shape, need=total, limit=ENUM_CAP,
+            )
     free = all(ni == n for ni in shape)
     required = (n - 1) * (len(shape) if free else 1)
     mod = ell**n
@@ -287,8 +290,7 @@ def _elem_int(coeffs: Sequence[int], what: str, **context) -> int:
     return coeffs[0]
 
 
-def fermat_point_count(ell: int, n: int, q: int,
-                       field_cap: int = FIELD_CAP) -> dict:
+def fermat_point_count(ell: int, n: int, q: int) -> dict:
     """Projective points of x^d + y^d + z^d = 0 over F_q, d = l^n.
 
     Route one is plain enumeration: tabulate the d-th power map, count
@@ -301,9 +303,9 @@ def fermat_point_count(ell: int, n: int, q: int,
     a hard error.
     """
     p, f = prime_power_split(q)
-    field = field_build(p, f, field_cap)
+    field = field_build(p, f)
     d = _char_level_check(field, ell, n)
-    enum = fermat_enum_count(q, d, field_cap, field=field)
+    enum = fermat_enum_count(q, d, field=field)
     n_enum = enum["count"]
     ring = CycloRing(ell, n, None)
     total = ring.from_int(q + d)
@@ -333,8 +335,7 @@ def fermat_point_count(ell: int, n: int, q: int,
     }
 
 
-def artin_schreier_point_count(ell: int, n: int, q: int, m: int,
-                               field_cap: int = FIELD_CAP) -> dict:
+def artin_schreier_point_count(ell: int, n: int, q: int, m: int) -> dict:
     """Points of y^q - y = x^d (d = l^n) over F_{q^m}, plus one at infinity.
 
     Route one is the additive criterion: y^q - y = c is solvable in K iff
@@ -349,9 +350,9 @@ def artin_schreier_point_count(ell: int, n: int, q: int, m: int,
     p, f = prime_power_split(q)
     if m < 1:
         raise InputError("extension degree m must be >= 1")
-    big = field_build(p, f * m, field_cap)
+    big = field_build(p, f * m)
     d = _char_level_check(big, ell, n)
-    enum = artin_schreier_enum_count(q, m, d, field_cap, field=big)
+    enum = artin_schreier_enum_count(q, m, d, field=big)
     n_enum = enum["count"]
     nq = big.q - 1
     ks = np.arange(nq, dtype=np.int64)
@@ -446,8 +447,7 @@ def predicted_counts(coeffs: Sequence[int], q: int, m_max: int) -> list[int]:
 
 
 def motivating_curve_counts(tower_level: int = 3,
-                            m_max: Optional[int] = None,
-                            field_cap: int = FIELD_CAP) -> dict:
+                            m_max: Optional[int] = None) -> dict:
     """Counts for y^2 = x^(2^t) + 1 over F_5 extensions, by enumeration.
 
     The quadratic character does the y-counting: x contributes
@@ -455,8 +455,8 @@ def motivating_curve_counts(tower_level: int = 3,
     rational points at infinity of the smooth model (d is even and the
     leading coefficient is a square).  This family is the package's one
     l = 2 pipeline and deliberately bypasses the cyclotomic machinery.
-    The largest field, F_(5^m_max), is checked against `field_cap` before
-    any table is built.
+    The largest field, F_(5^m_max), is checked against the field guard
+    before any table is built.
     """
     t = tower_level
     if t < 2:
@@ -465,14 +465,10 @@ def motivating_curve_counts(tower_level: int = 3,
     genus = 2 ** (t - 1) - 1
     if m_max is None:
         m_max = 2 * genus
-    if 5**m_max > field_cap:
-        raise GuardExceeded(
-            f"counts up to m = {m_max} need the field F_5^{m_max} of size "
-            f"{5**m_max}, above the table guard {field_cap}"
-        )
+    check_field_size(5, m_max)
     counts = []
     for m in range(1, m_max + 1):
-        field = field_build(5, m, field_cap)
+        field = field_build(5, m)
         nq = field.q - 1
         ks = np.arange(nq, dtype=np.int64)
         pows = np.zeros(field.q, dtype=np.int64)
@@ -506,10 +502,9 @@ def motivating_reference_poly(tower_level: int = 3) -> list[int]:
     return poly
 
 
-def motivating_zeta_check(tower_level: int = 3,
-                          field_cap: int = FIELD_CAP) -> dict:
+def motivating_zeta_check(tower_level: int = 3) -> dict:
     """Counts -> zeta numerator, compared against the closed form."""
-    data = motivating_curve_counts(tower_level, None, field_cap)
+    data = motivating_curve_counts(tower_level)
     z = zeta_from_counts(5, data["genus"], data["counts"])
     want = motivating_reference_poly(tower_level)
     return {
@@ -522,17 +517,16 @@ def motivating_zeta_check(tower_level: int = 3,
     }
 
 
-def _enum_field(p: int, f: int, field_cap: int,
-                field: Optional[FqField]) -> FqField:
+def _enum_field(p: int, f: int, field: Optional[FqField]) -> FqField:
     """F_{p^f}, or `field` when the caller has already built it."""
     if field is None:
-        return field_build(p, f, field_cap)
+        return field_build(p, f)
     if field.q != p**f:
         raise InputError(f"expected the field of size {p**f}, got {field.q}")
     return field
 
 
-def fermat_enum_count(q: int, d: int, field_cap: int = FIELD_CAP, *,
+def fermat_enum_count(q: int, d: int, *,
                       field: Optional[FqField] = None) -> dict:
     """Projective count of x^d + y^d + z^d = 0 over F_q by enumeration only.
 
@@ -543,7 +537,7 @@ def fermat_enum_count(q: int, d: int, field_cap: int = FIELD_CAP, *,
     """
     if d < 1:
         raise InputError("exponent d must be >= 1")
-    field = _enum_field(*prime_power_split(q), field_cap, field)
+    field = _enum_field(*prime_power_split(q), field)
     nq = field.q - 1
     ks = np.arange(nq, dtype=np.int64)
     pows = np.zeros(field.q, dtype=np.int64)
@@ -559,35 +553,7 @@ def fermat_enum_count(q: int, d: int, field_cap: int = FIELD_CAP, *,
             "affine": n_aff, "at_infinity": n_inf}
 
 
-def relative_trace_matrix(big: FqField, q: int, m: int) -> np.ndarray:
-    """Tr_{K/F_q} on K = F_{q^m} as an F_p-matrix in K's power basis.
-
-    The Frobenius x -> x^q is F_p-linear; column j of its matrix is the
-    basis vector x^j raised to the q-th power modulo K's modulus, and the
-    trace is the sum of its first m powers.  The trace lands in F_q, so
-    T T = m T (mod p); a matrix that fails this is a hard error.
-    """
-    p, fm = big.p, big.f
-    modulus = list(big.modulus)
-    basis = np.eye(fm, dtype=np.int64).tolist()
-    frob = np.array([_poly_pow_mod(e, q, modulus, p) for e in basis],
-                    dtype=np.int64).T
-    trace = np.eye(fm, dtype=np.int64)
-    power = trace
-    for _ in range(m - 1):
-        power = frob @ power % p
-        trace = trace + power
-    trace %= p
-    if np.any((trace @ trace - m * trace) % p):
-        raise CheckFailed(
-            f"relative trace matrix of F_{big.q} over F_{q} fails T T = m T",
-            q=q, m=m, field_q=big.q,
-        )
-    return trace
-
-
-def artin_schreier_enum_count(q: int, m: int, d: int,
-                              field_cap: int = FIELD_CAP, *,
+def artin_schreier_enum_count(q: int, m: int, d: int, *,
                               field: Optional[FqField] = None) -> dict:
     """Count of y^q - y = x^d over F_{q^m} (plus the point at infinity)
     by the trace criterion alone: x contributes q points iff
@@ -595,15 +561,15 @@ def artin_schreier_enum_count(q: int, m: int, d: int,
 
     x -> x^d maps K^* onto the g-th powers exp_table[::g], g = gcd(d,
     q^m - 1), hitting each g times, so the affine count is
-    q * (1 + g * #{g-th powers y : T y = 0}) with T the relative trace
-    matrix.  The powers are tested AS_CHUNK at a time.  A caller that
-    already holds F_{q^m} passes it as `field`.
+    q * (1 + g * #{g-th powers y : T y = 0}) with T = the relative trace
+    matrix `FqField.trace_matrix`.  The powers are tested AS_CHUNK at a
+    time.  A caller that already holds F_{q^m} passes it as `field`.
     """
     if d < 1 or m < 1:
         raise InputError("need d >= 1 and m >= 1")
     p, f = prime_power_split(q)
-    big = _enum_field(p, f * m, field_cap, field)
-    trace = relative_trace_matrix(big, q, m)
+    big = _enum_field(p, f * m, field)
+    trace = big.trace_matrix(q, m)
     trace = trace[trace.any(axis=1)].T  # zero rows test nothing
     g = math.gcd(d, big.q - 1)
     powers = big.exp_table[::g]
@@ -684,8 +650,7 @@ def _coleman_gauss_core(E: FqField, sub_q: int, ell: int, n: int,
     }
 
 
-def coleman_jacobi_check(ell: int, q: int, v1: int, v2: int,
-                         field_cap: int = FIELD_CAP) -> dict:
+def coleman_jacobi_check(ell: int, q: int, v1: int, v2: int) -> dict:
     """Jacobi descent through the degree-l extension E = F_{q^l}.
 
     With n = v_l(q - 1) >= 1, levels n (over F_q) and n + 1 (over E) are
@@ -705,7 +670,7 @@ def coleman_jacobi_check(ell: int, q: int, v1: int, v2: int,
                 f"{name} is degenerate at level {n} (v = {w}); the descent "
                 f"identity does not apply"
             )
-    big = field_build(p, f * ell, field_cap)
+    big = field_build(p, f * ell)
     row = _coleman_jacobi_core(big, q, ell, n, v1 % d_hi, v2 % d_hi)
     return {
         "identity": "jacobi",
@@ -719,8 +684,7 @@ def coleman_jacobi_check(ell: int, q: int, v1: int, v2: int,
     }
 
 
-def coleman_gauss_check(ell: int, q: int, v: Optional[int] = None,
-                        field_cap: int = FIELD_CAP) -> dict:
+def coleman_gauss_check(ell: int, q: int, v: Optional[int] = None) -> dict:
     """Gauss descent through E = F_{q^l}, with sign resolution.
 
     Runs one row per character parameter (all units mod l^(n+1) when v is
@@ -743,7 +707,7 @@ def coleman_gauss_check(ell: int, q: int, v: Optional[int] = None,
                 f"required)"
             )
         vs = [v % d_hi]
-    big = field_build(p, f * ell, field_cap)
+    big = field_build(p, f * ell)
     rows = [_coleman_gauss_core(big, q, ell, n, w) for w in vs]
     status = "pass"
     signs = set()
@@ -831,8 +795,7 @@ def _h_from_traces(family: str, m: int, k_m: int, gens: Sequence,
                   family=family, level=m)
 
 
-def h_poly_tower(family: str, ell: int, q: int, n: int,
-                 field_cap: int = FIELD_CAP) -> dict:
+def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
     """Zeta numerator of the level-n curve of a tower, built level by level.
 
     Families over F_q (which must contain the l-th roots of unity):
@@ -875,7 +838,7 @@ def h_poly_tower(family: str, ell: int, q: int, n: int,
 
     def get_field(k: int) -> FqField:
         if k not in fields:
-            fields[k] = field_build(p, f * k, field_cap)
+            fields[k] = field_build(p, f * k)
         return fields[k]
 
     levels = []

@@ -29,10 +29,11 @@ from .charsums import (
     h_poly_tower,
     motivating_zeta_check,
     predicted_counts,
+    prime_power_split,
 )
 from .config import load_config
 from .errors import CheckFailed, GuardExceeded, InputError, TowerlimError
-from .fields import FIELD_CAP
+from .fields import check_field_size
 from .matfermat import arnold_zarelua_check
 from .report import Timer, decimal_list, make_report, write_report
 from .tower import (
@@ -171,23 +172,23 @@ def cmd_arnold(args) -> int:
 
 
 def _tower_zeta_body(family: str, args, timer: Timer) -> tuple[dict, bool]:
-    res = h_poly_tower(family, args.ell, args.q, args.n,
-                       field_cap=args.field_cap)
-    timer.mark("character_sums")
-    d = args.ell**args.n
     m_max = args.m_max
     if m_max is None:
-        m_max = _default_m_max(args.q, min(args.field_cap, 10**6))
+        m_max = _default_m_max(args.q, 10**6)
+    p, f = prime_power_split(args.q)
+    if m_max <= 64:  # predicted_counts refuses a larger m_max as input
+        check_field_size(p, f * m_max)  # the largest field counted
+    res = h_poly_tower(family, args.ell, args.q, args.n)
+    timer.mark("character_sums")
+    d = args.ell**args.n
     count_rows = []
     counts_ok = True
     predictions = predicted_counts(res["f"], args.q, m_max)
     for m in range(1, m_max + 1):
         if family == "fermat":
-            measured = fermat_enum_count(args.q**m, d, args.field_cap)["count"]
+            measured = fermat_enum_count(args.q**m, d)["count"]
         else:
-            measured = artin_schreier_enum_count(
-                args.q, m, d, args.field_cap
-            )["count"]
+            measured = artin_schreier_enum_count(args.q, m, d)["count"]
         match = measured == predictions[m - 1]
         counts_ok = counts_ok and match
         count_rows.append({
@@ -225,7 +226,7 @@ def _tower_zeta_body(family: str, args, timer: Timer) -> tuple[dict, bool]:
 def cmd_zeta(args) -> int:
     timer = Timer()
     if args.family == "motivating":
-        res = motivating_zeta_check(args.level, field_cap=args.field_cap)
+        res = motivating_zeta_check(args.level)
         timer.mark("counts")
         body = {
             "family": "motivating",
@@ -253,12 +254,10 @@ def cmd_zeta(args) -> int:
 def cmd_coleman(args) -> int:
     timer = Timer()
     if args.kind == "jacobi":
-        res = coleman_jacobi_check(args.ell, args.q, args.v1, args.v2,
-                                   field_cap=args.field_cap)
+        res = coleman_jacobi_check(args.ell, args.q, args.v1, args.v2)
         ok = res["passed"]
     else:
-        res = coleman_gauss_check(args.ell, args.q, args.v,
-                                  field_cap=args.field_cap)
+        res = coleman_gauss_check(args.ell, args.q, args.v)
         ok = res["status"] == "pass"
     timer.mark("check")
     report = make_report("coleman", res, timer=timer)
@@ -289,11 +288,6 @@ def cmd_qsum(args) -> int:
 
 def _add_out(p) -> None:
     p.add_argument("--out", help="also write the JSON report to this file")
-
-
-def _add_field_cap(p) -> None:
-    p.add_argument("--field-cap", type=int, default=FIELD_CAP,
-                   help="largest finite field the command may build")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,13 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base field size (prime power, 1 mod ell)")
         pf.add_argument("--m-max", type=int, default=None,
                         help="check counts over extensions up to this degree")
-        _add_field_cap(pf)
         _add_out(pf)
         pf.set_defaults(func=cmd_zeta, family=fam)
     pm = zs.add_parser("motivating")
     pm.add_argument("--level", type=int, default=3,
                     help="tower level t of y^2 = x^(2^t) + 1 over F_5")
-    _add_field_cap(pm)
     _add_out(pm)
     pm.set_defaults(func=cmd_zeta, family="motivating")
 
@@ -346,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     pj.add_argument("--q", type=int, required=True)
     pj.add_argument("--v1", type=int, required=True)
     pj.add_argument("--v2", type=int, required=True)
-    _add_field_cap(pj)
     _add_out(pj)
     pj.set_defaults(func=cmd_coleman, kind="jacobi")
     pg = cs.add_parser("gauss")
@@ -354,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--q", type=int, required=True)
     pg.add_argument("--v", type=int, default=None,
                     help="single character parameter (default: all units)")
-    _add_field_cap(pg)
     _add_out(pg)
     pg.set_defaults(func=cmd_coleman, kind="gauss")
 

@@ -14,7 +14,6 @@ A config describes one tower experiment:
       ],
       "n_max": 3,
       "precision": 11,                 # optional, default b*n_max + 6
-      "guards": {"orbit_cap": 10000000},  # optional
       "cache_dir": ".towerlim-cache"   # optional
     }
 
@@ -30,11 +29,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
-from .tower import DEFAULT_ORBIT_CAP, TowerSpec, make_tower_spec
+from .tower import TowerSpec, make_tower_spec
 
 _TOP_KEYS = {
-    "name", "ell", "b", "r", "Q", "F", "n_max", "precision", "guards",
-    "cache_dir",
+    "name", "ell", "b", "r", "Q", "F", "n_max", "precision", "cache_dir",
 }
 
 
@@ -127,18 +125,6 @@ def parse_config(data: dict, source: str = "<config>",
     precision = None
     if "precision" in data:
         precision = _need_int(data, "precision", source)
-    orbit_cap = DEFAULT_ORBIT_CAP
-    if "guards" in data:
-        guards = data["guards"]
-        if not isinstance(guards, dict):
-            raise InputError(f"{source}: field 'guards' must be an object")
-        extra = sorted(set(guards) - {"orbit_cap"})
-        if extra:
-            raise InputError(
-                f"{source}: guards has unknown field '{extra[0]}'"
-            )
-        if "orbit_cap" in guards:
-            orbit_cap = _need_int(guards, "orbit_cap", f"{source}: guards")
     name = ""
     if "name" in data:
         if not isinstance(data["name"], str):
@@ -150,8 +136,7 @@ def parse_config(data: dict, source: str = "<config>",
             raise InputError(f"{source}: field 'cache_dir' must be a string")
         cache_dir = data["cache_dir"]
     spec = make_tower_spec(
-        ell, b, r, q_rows, terms, n_max,
-        prec=precision, orbit_cap=orbit_cap, name=name,
+        ell, b, r, q_rows, terms, n_max, prec=precision, name=name,
     )
     return Experiment(spec=spec, cache_dir=cache_dir)
 

@@ -484,15 +484,6 @@ class BiCycloElem:
             out.append(tuple(buf))
         return BiCycloElem(up, tuple(out))
 
-    def as_int(self) -> int:
-        """Demote a rational-integer element; error if it is not one."""
-        c0 = self.mat[0][0]
-        for a, row in enumerate(self.mat):
-            for j, c in enumerate(row):
-                if (a, j) != (0, 0) and c != 0:
-                    raise InputError("element is not a rational integer")
-        return c0
-
     def complex_value(self, kp: int = 1, kl: int = 1) -> complex:
         br = self.ring
         zp = np.exp(2j * np.pi * kp / br.p)

@@ -6,7 +6,15 @@ CheckFailed (a theorem-backed identity broke) -> 2.
 
 
 class TowerlimError(Exception):
-    """Base class for package errors."""
+    """Base class for package errors.
+
+    Keyword arguments name where it happened (family, level, rep, limit,
+    ...) and are kept in `context`.
+    """
+
+    def __init__(self, message: str, **context):
+        super().__init__(message)
+        self.context = context
 
 
 class InputError(TowerlimError):
@@ -14,19 +22,12 @@ class InputError(TowerlimError):
 
 
 class GuardExceeded(TowerlimError):
-    """A desk-scale resource guard would be exceeded."""
+    """A desk-scale resource guard would be exceeded; `context` names the
+    guard's `limit` and the measured size."""
 
 
 class CheckFailed(TowerlimError):
-    """An identity that must hold failed; indicates a bug or a broken theorem.
-
-    Keyword arguments name where it broke (family, level, power,
-    coefficient, ...) and are kept in `context`.
-    """
-
-    def __init__(self, message: str, **context):
-        super().__init__(message)
-        self.context = context
+    """An identity that must hold failed; indicates a bug or a broken theorem."""
 
 
 class PrecisionExhausted(TowerlimError):

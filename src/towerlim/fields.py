@@ -14,15 +14,15 @@ Batched arithmetic goes through one digit codec: `digits` splits packed
 encodings into their base-p coefficient rows, and every batch operation is
 a line of F_p arithmetic on those rows.
 
-Everything is capped at q <= 10^7 (a full-table design is a desk-scale
-tool); the cap is an explicit guard, not a soft limit.
+Every field is capped at q <= FIELD_CAP = 10^7 (a full-table design is a
+desk-scale tool); `check_field_size` is the one place the cap is checked.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import GuardExceeded, InputError
+from .errors import CheckFailed, GuardExceeded, InputError
 from .padic import is_prime
 
 FIELD_CAP = 10**7
@@ -42,6 +42,18 @@ def _factorize(m: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
+
+
+def check_field_size(p: int, f: int) -> None:
+    """GuardExceeded naming q = p^f and the limit when q > FIELD_CAP."""
+    q = p**f
+    if q > FIELD_CAP:
+        # q is not printed: it can pass Python's int-to-str digit limit
+        raise GuardExceeded(
+            f"the field F_{p}^{f} exceeds the table guard of {FIELD_CAP} "
+            "elements",
+            q=q, limit=FIELD_CAP,
+        )
 
 
 def _poly_mul_mod(a: list[int], b: list[int], mod_poly: list[int], p: int) -> list[int]:
@@ -142,22 +154,19 @@ def _find_modulus(p: int, f: int) -> tuple[int, ...]:
 class FqField:
     """F_{p^f} with exp/dlog tables; elements are packed ints in [0, q)."""
 
-    def __init__(self, p: int, f: int, cap: int = FIELD_CAP):
+    def __init__(self, p: int, f: int):
         if not is_prime(p):
             raise InputError(f"p must be prime, got {p}")
         if f < 1:
             raise InputError(f"f must be >= 1, got {f}")
-        q = p**f
-        if q > cap:
-            raise GuardExceeded(
-                f"field size p^f = {q} exceeds the table guard {cap}"
-            )
-        self.p, self.f, self.q = p, f, q
+        check_field_size(p, f)
+        self.p, self.f, self.q = p, f, p**f
         self.modulus = _find_modulus(p, f)
         self._weights = np.array([p**i for i in range(f)], dtype=np.int64)
         self.gen = self._find_generator()
         self._build_tables()
-        self._trace_basis = self._basis_traces()
+        # Tr(x^i) for the power basis, for O(f) absolute traces
+        self._trace_basis = self.trace_matrix(p, f)[0]
 
     # -- construction internals ------------------------------------------
 
@@ -226,21 +235,33 @@ class FqField:
             raise InputError("generator order check failed (impossible)")
         self.dlog_table = dlog
 
-    def _basis_traces(self) -> np.ndarray:
-        """Tr(x^i) for the power basis, for O(f) absolute traces."""
-        out = []
-        for i in range(self.f):
-            basis = [0] * self.f
-            basis[i] = 1
-            acc = list(basis)
-            total = list(basis)
-            for _ in range(self.f - 1):
-                acc = _poly_pow_mod(acc, self.p, list(self.modulus), self.p)
-                total = [(x + y) % self.p for x, y in zip(total, acc)]
-            # the trace of a field element is in F_p: constant coefficient
-            assert all(c == 0 for c in total[1:]), "trace left the prime field"
-            out.append(total[0])
-        return np.array(out, dtype=np.int64)
+    def trace_matrix(self, q: int, m: int) -> np.ndarray:
+        """Tr_{K/F_q} on K = F_{q^m} (this field) as an F_p-matrix in K's
+        power basis.
+
+        The Frobenius x -> x^q is F_p-linear; column j of its matrix is the
+        basis vector x^j raised to the q-th power modulo K's modulus, and the
+        trace is the sum of its first m powers.  The trace lands in F_q, so
+        T T = m T (mod p); a matrix that fails this is a hard error.
+        """
+        p, f = self.p, self.f
+        modulus = list(self.modulus)
+        basis = np.eye(f, dtype=np.int64).tolist()
+        frob = np.array([_poly_pow_mod(e, q, modulus, p) for e in basis],
+                        dtype=np.int64).T
+        trace = np.eye(f, dtype=np.int64)
+        power = trace
+        for _ in range(m - 1):
+            power = frob @ power % p
+            trace = trace + power
+        trace %= p
+        if np.any((trace @ trace - m * trace) % p):
+            raise CheckFailed(
+                f"relative trace matrix of F_{self.q} over F_{q} fails "
+                "T T = m T",
+                q=q, m=m, field_q=self.q,
+            )
+        return trace
 
     # -- element codec ----------------------------------------------------
 
@@ -326,6 +347,6 @@ class FqField:
         return f"FqField({self.p}^{self.f}, modulus={list(self.modulus)}, g={self.gen})"
 
 
-def field_build(p: int, f: int, cap: int = FIELD_CAP) -> FqField:
+def field_build(p: int, f: int) -> FqField:
     """Construct F_{p^f} with its tables (deterministic modulus/generator)."""
-    return FqField(p, f, cap)
+    return FqField(p, f)

@@ -68,12 +68,13 @@ def mat_trace(a: Matrix):
     return acc
 
 
-def berkowitz_char_coeffs(m: Matrix, one, zero) -> list:
-    """Coefficients of det(y*I - M), descending: [1, c_1, ..., c_r].
+def det_one_minus_y(m: Matrix, one, zero) -> list:
+    """Coefficients [a_0, ..., a_r] of det(I - y*M), ascending in y.
 
-    Berkowitz's vector recurrence: growing the leading principal minor one
-    row at a time, the new coefficient vector is a truncated convolution of
-    the old one with the Toeplitz column
+    They are the coefficients of det(lambda*I - M), descending in lambda,
+    from Berkowitz's vector recurrence: growing the leading principal minor
+    one row at a time, the new coefficient vector is a truncated
+    convolution of the old one with the Toeplitz column
 
         [1, -M[i][i], -(R.S), -(R.A.S), -(R.A^2.S), ...]
 
@@ -104,15 +105,6 @@ def berkowitz_char_coeffs(m: Matrix, one, zero) -> list:
                 out[ai + bi] = out[ai + bi] + term
         coeffs = out
     return coeffs
-
-
-def det_one_minus_y(m: Matrix, one, zero) -> list:
-    """Coefficients [a_0, ..., a_r] of det(I - y*M), ascending in y.
-
-    The coefficient of y^i here equals the coefficient of lambda^(r-i) in
-    det(lambda*I - M), so this is a relabeling of the Berkowitz output.
-    """
-    return berkowitz_char_coeffs(m, one, zero)
 
 
 # -- polynomials -------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Primality, l-adic valuations and relative-precision l-adic floats.
 
 `is_prime` and `check_odd_prime` validate the prime l (l = 2 is rejected
-throughout; nothing downstream needs the 2-adic case).  `int_val`,
-`int_val_capped` and `min_val` are the integer valuations.  A `PadicFloat`
-is l^e times a unit known to a fixed number of digits, so division by l is
-lossless; `tower.caseB_limit_estimate` runs its series in it.
+throughout; nothing downstream needs the 2-adic case).  `int_val` and
+`min_val` are the integer valuations.  A `PadicFloat` is l^e times a unit
+known to a fixed number of digits, so division by l is lossless;
+`tower.caseB_limit_estimate` runs its series in it.
 """
 
 from __future__ import annotations
@@ -56,17 +56,6 @@ def int_val(ell: int, m: int) -> int:
     while m % ell == 0:
         m //= ell
         v += 1
-    return v
-
-
-def int_val_capped(ell: int, m: int, cap: int) -> int:
-    """min(v_l(m), cap); safe for m = 0."""
-    v = 0
-    while v < cap and m % ell == 0:
-        m //= ell
-        v += 1
-        if m == 0:
-            return cap
     return v
 
 

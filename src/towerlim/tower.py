@@ -44,10 +44,10 @@ from .matrices import (
     orbit_reps,
     poly_mul,
 )
-from .padic import (PadicFloat, check_odd_prime, int_val, int_val_capped,
-                    min_val)
+from .padic import PadicFloat, check_odd_prime, int_val, min_val
 
-DEFAULT_ORBIT_CAP = 10**7
+# Residue vectors an orbit scan or the beta0 enumeration may visit.
+ORBIT_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,6 @@ class TowerSpec:
     f_terms: tuple[FTerm, ...]
     n_max: int
     prec: int
-    orbit_cap: int = DEFAULT_ORBIT_CAP
     name: str = ""
 
     def digest(self) -> str:
@@ -121,7 +120,6 @@ def make_tower_spec(
     f_terms: Sequence[tuple[Sequence[int], Sequence[Sequence[int]]]],
     n_max: int,
     prec: Optional[int] = None,
-    orbit_cap: int = DEFAULT_ORBIT_CAP,
     name: str = "",
 ) -> TowerSpec:
     """Validate raw data and freeze it into a :class:`TowerSpec`."""
@@ -164,9 +162,7 @@ def make_tower_spec(
             f"precision {prec} is below n_max + 1 = {n_max + 1}; "
             "congruence depths could not be certified"
         )
-    if orbit_cap < 1000:
-        raise InputError("orbit_cap must be >= 1000")
-    spec = TowerSpec(ell, b, r, q, tuple(terms), n_max, prec, orbit_cap, name)
+    spec = TowerSpec(ell, b, r, q, tuple(terms), n_max, prec, name)
     if spec.is_scalar_q() and prec < b * (n_max - 1):
         raise InputError(
             f"precision {prec} is below b*(n_max - 1) = {b * (n_max - 1)}, "
@@ -234,9 +230,10 @@ def primitive_orbit_reps(
         raise InputError("orbit enumeration needs n >= 1")
     mod = spec.ell**n
     total = mod**spec.b
-    if total > spec.orbit_cap:
+    if total > ORBIT_CAP:
         raise GuardExceeded(
-            f"level {n} needs {total} residue vectors > orbit cap {spec.orbit_cap}"
+            f"level {n} needs {total} residue vectors > orbit cap {ORBIT_CAP}",
+            level=n, need=total, limit=ORBIT_CAP,
         )
     ell = spec.ell
     return orbit_reps(spec.q_matrix, mod, spec.b,
@@ -293,10 +290,9 @@ def orbit_params(spec: TowerSpec) -> OrbitParams:
     ell, b = spec.ell, spec.b
     work = spec.prec + 6
     log_q = matrix_log(spec.q_matrix, ell, work)
-    alpha = min(
-        int_val_capped(ell, log_q[i][j], work) for i in range(b) for j in range(b)
-    )
-    if alpha >= work - 2:
+    # entries are residues mod l^work: a nonzero one has valuation < work
+    alpha = min_val(ell, (x for row in log_q for x in row))
+    if alpha is None or alpha >= work - 2:
         raise InputError(
             "log Q vanishes to working precision; raise `precision` "
             "(Q is too close to the identity for this setting)"
@@ -305,9 +301,12 @@ def orbit_params(spec: TowerSpec) -> OrbitParams:
               for j in range(b)] for i in range(b)]
     beta0 = None
     for c in range(1, work - alpha):
-        if ell ** (c * b) > spec.orbit_cap:
+        need = ell ** (c * b)
+        if need > ORBIT_CAP:
             raise GuardExceeded(
-                f"beta0 enumeration at modulus {ell}^{c} exceeds the orbit cap"
+                f"beta0 enumeration at modulus {ell}^{c} needs {need} residue "
+                f"vectors > orbit cap {ORBIT_CAP}",
+                level=c, need=need, limit=ORBIT_CAP,
             )
         mc = ell**c
         xm = [[x % mc for x in row] for row in x_mat]
@@ -315,10 +314,8 @@ def orbit_params(spec: TowerSpec) -> OrbitParams:
         for v in product(range(mc), repeat=b):
             if all(x % ell == 0 for x in v):
                 continue
-            w = mat_vec_mod(xm, v, mc)
-            wv = min(int_val_capped(ell, x, c) for x in w)
-            if wv > worst:
-                worst = wv
+            wv = min_val(ell, mat_vec_mod(xm, v, mc))
+            worst = max(worst, c if wv is None else wv)
         if worst < c:
             beta0 = worst
             break
@@ -330,7 +327,7 @@ def orbit_params(spec: TowerSpec) -> OrbitParams:
     n0 = alpha + beta0
     verified = None
     n = max(n0, 1)
-    if n <= spec.n_max and ell ** (n * b) <= min(spec.orbit_cap, 100_000):
+    if n <= spec.n_max and ell ** (n * b) <= 100_000:
         sizes = [s for _, s in primitive_orbit_reps(spec, n)]
         if min(sizes) != ell ** max(0, n - n0):
             raise CheckFailed(
@@ -379,8 +376,8 @@ class CharPoly:
         }
 
 
-def build_ring(spec: TowerSpec, n: int, exact: bool = False) -> CycloRing:
-    return CycloRing(spec.ell, n, None if exact else spec.prec)
+def build_ring(spec: TowerSpec, n: int) -> CycloRing:
+    return CycloRing(spec.ell, n, spec.prec)
 
 
 # Working-set ceiling for one group-ring array computation: the twisted
@@ -465,7 +462,8 @@ def frobenius_product(
     if need > MAX_PRODUCT_BYTES:
         raise GuardExceeded(
             f"twisted product at level {n}, rep {tuple(v)} needs about "
-            f"{need} bytes > {MAX_PRODUCT_BYTES}"
+            f"{need} bytes > {MAX_PRODUCT_BYTES}",
+            level=n, rep=tuple(v), need=need, limit=MAX_PRODUCT_BYTES,
         )
     r, size, q = spec.r, ring.order, ring.qmod
     mats = [np.array(t.matrix, dtype=dtype) for t in spec.f_terms]
@@ -562,7 +560,8 @@ def r_poly(
     if need > MAX_PRODUCT_BYTES:
         raise GuardExceeded(
             f"aggregate r_{n} at level {n} has degree {degree} and needs "
-            f"about {need} bytes > {MAX_PRODUCT_BYTES}"
+            f"about {need} bytes > {MAX_PRODUCT_BYTES}",
+            level=n, degree=degree, need=need, limit=MAX_PRODUCT_BYTES,
         )
     q = ring.qmod
     acc = np.zeros((1, ring.order), dtype=dtype)
@@ -754,13 +753,9 @@ def _serialize_lfloat(x: PadicFloat) -> dict:
 DEFAULT_LIMIT_DEGREE = 16
 
 
-def caseB_limit_estimate(
-    spec: TowerSpec,
-    n_lo: int,
-    n_hi: int,
-    degree: Optional[int] = None,
-) -> dict:
-    """Watch log r_n / l^((n-n0)(b-1)) converge coefficient-wise.
+def caseB_limit_estimate(spec: TowerSpec, n_lo: int, n_hi: int) -> dict:
+    """Watch log r_n / l^((n-n0)(b-1)) converge coefficient-wise, in the
+    first DEFAULT_LIMIT_DEGREE coefficients.
 
     For each level the log series of r_n is produced by the division-free
     power-sum recurrence (the only divisions are by the term index d and the
@@ -779,8 +774,7 @@ def caseB_limit_estimate(
     for n in range(n_lo, n_hi + 1):
         rp, _meta = r_poly(spec, n)
         degrees.append(rp.degree)
-        cap = DEFAULT_LIMIT_DEGREE if degree is None else degree
-        d_max = min(cap, rp.degree)
+        d_max = min(DEFAULT_LIMIT_DEGREE, rp.degree)
         traces = [t % ell**spec.prec
                   for t in traces_from_det(rp.coeffs, d_max)]
         norm = max(0, n - params.n0) * (spec.b - 1)

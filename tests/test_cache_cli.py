@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from towerlim import charsums
 from towerlim.cache import (
     CACHE_VERSION,
     cache_get,
@@ -316,6 +317,16 @@ def test_arnold_guard_refuses_traces_and_powers_past_its_caps(capsys):
     capsys.readouterr()
 
 
+def test_arnold_saturated_difference_passes_past_the_valuation_cap(capsys):
+    # n + 1 = 65 exceeds VAL_CAP, but both differences are exactly zero
+    assert main(["arnold", "--matrix", "0,-1;1,0", "--ell", "3",
+                 "--n", "64"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["trace_saturated"] and rep["charpoly_saturated"]
+    assert (rep["trace_valuation"], rep["charpoly_valuation"]) == (64, 64)
+    assert (rep["required"], rep["status"]) == (65, "pass")
+
+
 def test_arnold_rejects_malformed_matrix(capsys):
     assert main(["arnold", "--matrix", "1,2;3", "--ell", "3", "--n", "1"]) == 3
     assert main(["arnold", "--matrix", "a,b;c,d", "--ell", "3", "--n", "1"]) == 3
@@ -351,10 +362,15 @@ def test_zeta_motivating_command(capsys):
     assert rep["counts"] == ["4", "32"]
 
 
-def test_zeta_guard_exit(capsys):
+def test_zeta_guard_exit(monkeypatch, capsys):
+    # 7^9 > FIELD_CAP: refused before any field table is built
+    builds = []
+    monkeypatch.setattr(charsums, "field_build",
+                        lambda *args: builds.append(args))
     assert main(["zeta", "fermat", "--ell", "3", "--q", "7", "--n", "1",
-                 "--m-max", "9", "--field-cap", "1000"]) == 4
-    capsys.readouterr()
+                 "--m-max", "9"]) == 4
+    assert builds == []
+    assert "7^9" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ coleman

@@ -61,16 +61,13 @@ def test_parse_nested_and_flat_matrices_agree():
 
 
 def test_parse_optional_fields():
-    exp = parse_config(_variant(precision=12, cache_dir="/tmp/x",
-                                guards={"orbit_cap": 50000}))
+    exp = parse_config(_variant(precision=12, cache_dir="/tmp/x"))
     assert exp.spec.prec == 12
     assert exp.cache_dir == "/tmp/x"
-    assert exp.spec.orbit_cap == 50000
+    # resource guards are constants, not config
     with pytest.raises(InputError) as err:
-        parse_config(_variant(guards={"field_cap": 600}))
-    assert "field_cap" in str(err.value)
-    with pytest.raises(InputError):
-        parse_config(_variant(guards={"orbit_cap": 10}))
+        parse_config(_variant(guards={"orbit_cap": 50000}))
+    assert "unknown field 'guards'" in str(err.value)
 
 
 @pytest.mark.parametrize("missing", ["ell", "b", "r", "n_max", "Q", "F"])
@@ -85,8 +82,8 @@ def test_parse_rejects_unknown_fields():
         parse_config(_variant(extra=1))
     assert "extra" in str(err.value)
     with pytest.raises(InputError) as err:
-        parse_config(_variant(guards={"field_cap": 5, "bogus": 1}))
-    assert "bogus" in str(err.value)
+        parse_config(_variant(guards={}))
+    assert "guards" in str(err.value)
     bad_term = _variant(F=[{"exponents": [0], "matrix": [1], "note": "x"},
                            {"exponents": [1], "matrix": [1]}])
     with pytest.raises(InputError) as err:
@@ -101,8 +98,6 @@ def test_parse_rejects_wrong_types():
         parse_config(_variant(ell=True))  # booleans are not integers here
     with pytest.raises(InputError):
         parse_config(_variant(name=7))
-    with pytest.raises(InputError):
-        parse_config(_variant(guards=[1]))
     with pytest.raises(InputError):
         parse_config([])
 

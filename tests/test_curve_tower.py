@@ -74,7 +74,8 @@ def serial_h(family, ell, q, n):
                 a = int(big.exp_table[t * step])
                 for (v,) in reps:
                     h = poly_mul(h, [1, gauss_sum(big, ell, m, v, a=a)], zero)
-            out.append([c.as_int() for c in h])
+            out.append([charsums._elem_int([x for row in c.mat for x in row],
+                                           "h coefficient") for c in h])
     return out
 
 
@@ -155,6 +156,9 @@ def test_motivating_field_guard_builds_nothing(monkeypatch, capsys):
     assert main(["zeta", "motivating", "--level", "4"]) == 4
     assert builds == []
     assert "5^14" in capsys.readouterr().err
+    # 5^8190 has more digits than Python prints: the message names p^f
+    assert main(["zeta", "motivating", "--level", "13"]) == 4
+    assert "5^8190" in capsys.readouterr().err
     assert motivating_curve_counts(3, m_max=2)["counts"]
     assert len(builds) == 2
 

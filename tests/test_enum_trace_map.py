@@ -14,14 +14,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from towerlim import charsums
+from towerlim import charsums, fields
 from towerlim.charsums import (
     artin_schreier_enum_count,
     artin_schreier_point_count,
     fermat_enum_count,
     fermat_point_count,
     prime_power_split,
-    relative_trace_matrix,
 )
 from towerlim.errors import CheckFailed, InputError
 from towerlim.fields import field_build
@@ -79,7 +78,7 @@ def test_cases_cover_both_gcds_and_a_non_divisor():
 def test_trace_matrix_matches_the_scalar_trace(q, m):
     p, f = prime_power_split(q)
     big = field_build(p, f * m)
-    trace = relative_trace_matrix(big, q, m)
+    trace = big.trace_matrix(q, m)
     xs = np.arange(0, big.q, max(1, big.q // 97), dtype=np.int64)
     images = big.digits(xs) @ trace.T % p @ big._weights
     for x, y in zip(xs, images):
@@ -165,10 +164,10 @@ def test_each_point_count_builds_its_field_once(monkeypatch):
 
     monkeypatch.setattr(charsums, "field_build", counting_build)
     assert artin_schreier_point_count(3, 1, 7, 2)["routes_agree"] is True
-    assert builds == [(7, 2, charsums.FIELD_CAP)]
+    assert builds == [(7, 2)]
     builds.clear()
     assert fermat_point_count(3, 1, 7)["routes_agree"] is True
-    assert builds == [(7, 1, charsums.FIELD_CAP)]
+    assert builds == [(7, 1)]
 
 
 def test_a_field_of_the_wrong_size_is_refused():
@@ -210,14 +209,15 @@ def test_disagreeing_counts_name_family_sizes_and_both_counts(monkeypatch):
 
 
 def test_a_broken_trace_matrix_is_a_check_failure(monkeypatch):
-    real = charsums._poly_pow_mod
+    big = field_build(7, 3)
+    real = fields._poly_pow_mod
 
     def skewed(a, e, mod_poly, p):
         out = real(a, e, mod_poly, p)
         out[-1] = (out[-1] + 1) % p
         return out
 
-    monkeypatch.setattr(charsums, "_poly_pow_mod", skewed)
+    monkeypatch.setattr(fields, "_poly_pow_mod", skewed)
     with pytest.raises(CheckFailed) as exc:
-        artin_schreier_enum_count(7, 3, 3)
+        artin_schreier_enum_count(7, 3, 3, field=big)
     assert exc.value.context == {"q": 7, "m": 3, "field_q": 343}

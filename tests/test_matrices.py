@@ -7,7 +7,6 @@ from fractions import Fraction
 
 from towerlim.cyclo import CycloRing
 from towerlim.matrices import (
-    berkowitz_char_coeffs,
     det_one_minus_y,
     mat_identity,
     mat_mul,
@@ -52,7 +51,7 @@ def test_char_coeffs_match_elimination_determinant():
     for _ in range(40):
         n = rng.randint(1, 5)
         m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        coeffs = berkowitz_char_coeffs(m, 1, 0)
+        coeffs = det_one_minus_y(m, 1, 0)
         assert len(coeffs) == n + 1
         assert coeffs[0] == 1
         for y in (-2, -1, 0, 1, 2, 3):
@@ -61,14 +60,6 @@ def test_char_coeffs_match_elimination_determinant():
                 for i in range(n)
             ]
             assert _poly_eval(coeffs, Fraction(y)) == _det_fraction(shifted)
-
-
-def test_det_one_minus_y_alias():
-    rng = random.Random(43)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert det_one_minus_y(m, 1, 0) == berkowitz_char_coeffs(m, 1, 0)
 
 
 class _Counted:
@@ -97,12 +88,12 @@ def test_berkowitz_adds_unit_terms_instead_of_multiplying():
     for r, want in [(1, 0), (2, 2), (3, 13)]:
         m = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(r)]
         _Counted.muls = 0
-        got = berkowitz_char_coeffs([[_Counted(x) for x in row] for row in m],
-                                    _Counted(1), _Counted(0))
+        got = det_one_minus_y([[_Counted(x) for x in row] for row in m],
+                              _Counted(1), _Counted(0))
         assert _Counted.muls == want
-        assert [c.x for c in got] == berkowitz_char_coeffs(m, 1, 0)
+        assert [c.x for c in got] == det_one_minus_y(m, 1, 0)
         z3 = CycloRing(3, 0, prec=5)
-        mod3 = berkowitz_char_coeffs(
+        mod3 = det_one_minus_y(
             [[z3.from_int(x) for x in row] for row in m], z3.one(), z3.zero())
         assert mod3 == [z3.from_int(c.x) for c in got]
 
@@ -118,7 +109,7 @@ def test_char_coeffs_of_triangular_ring_matrix():
         m[i][i] = diag[i]
         for j in range(i + 1, 3):
             m[i][j] = ring.zeta(rng.randrange(9))
-    coeffs = berkowitz_char_coeffs(m, ring.one(), ring.zero())
+    coeffs = det_one_minus_y(m, ring.one(), ring.zero())
     expected = [ring.one()]
     for d in diag:
         nxt = [ring.zero()] * (len(expected) + 1)
@@ -135,10 +126,10 @@ def test_char_coeffs_ring_matrix_galois_equivariance():
     ring = CycloRing(5, 1, prec=5)
     rng = random.Random(53)
     m = [[ring.zeta(rng.randrange(5)) + ring.from_int(rng.randrange(3)) for _ in range(3)] for _ in range(3)]
-    coeffs = berkowitz_char_coeffs(m, ring.one(), ring.zero())
+    coeffs = det_one_minus_y(m, ring.one(), ring.zero())
     for u in (2, 3, 4):
         twisted = [[x.galois_act(u) for x in row] for row in m]
-        got = berkowitz_char_coeffs(twisted, ring.one(), ring.zero())
+        got = det_one_minus_y(twisted, ring.one(), ring.zero())
         assert got == [c.galois_act(u) for c in coeffs]
 
 

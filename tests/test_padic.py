@@ -11,8 +11,8 @@ from towerlim.padic import (
     PadicFloat,
     check_odd_prime,
     int_val,
-    int_val_capped,
     is_prime,
+    min_val,
 )
 from towerlim.tower import matrix_log
 
@@ -52,10 +52,12 @@ def test_int_val_exact():
         int_val(3, 0)
 
 
-def test_int_val_capped():
-    assert int_val_capped(3, 0, 7) == 7
-    assert int_val_capped(3, 54, 7) == 3
-    assert int_val_capped(3, 3**9, 7) == 7
+def test_min_val():
+    assert min_val(3, []) is None
+    assert min_val(3, [0, 0]) is None
+    assert min_val(3, [54, 0, 3**9]) == 3
+    assert min_val(3, [0, 3**9]) == 9
+    assert min_val(3, [3**9, 7, 54]) == 0
 
 
 def _log_series(ell, prec, u):
