@@ -14,10 +14,8 @@ from .charsums import (
     coleman_jacobi_check,
     fermat_enum_count,
     fermat_point_count,
-    gauss_norm_check,
     gauss_sum,
     h_poly_tower,
-    jacobi_gauss_bridge_check,
     jacobi_sum,
     motivating_curve_counts,
     motivating_reference_poly,
@@ -31,30 +29,20 @@ from .charsums import (
 )
 from .config import Experiment, load_config, parse_config
 from .cyclo import BiCycloElem, BiCycloRing, CycloElem, CycloRing
-from .errors import (
-    CheckFailed,
-    GuardExceeded,
-    InputError,
-    PrecisionExhausted,
-    TowerlimError,
-)
+from .errors import CheckFailed, GuardExceeded, InputError, TowerlimError
 from .fields import FIELD_CAP, FqField, field_build
 from .matfermat import (
     arnold_zarelua_check,
-    closed_walk_count,
     det_from_traces,
     intify,
-    trace_power,
     traces_from_det,
 )
 from .matrices import det_one_minus_y
-from .padic import PadicFloat
 from .tower import (
     CharPoly,
     CongruenceRow,
     OrbitParams,
     TowerSpec,
-    caseB_limit_estimate,
     general_congruence_rows,
     make_tower_spec,
     orbit_order,

@@ -122,45 +122,6 @@ def _jacobi_from_exponents(ell: int, level: int, es: np.ndarray) -> CycloElem:
     )
 
 
-def gauss_norm_check(field: FqField, ell: int, level: int, v: int) -> dict:
-    """Verify g(psi, chi_v) * g(psi_-1, chi_-v) = chi_v(-1) * q exactly.
-
-    This is the exact form of |g|^2 = q; the second factor is the complex
-    conjugate of the first.  Hard error on failure.
-    """
-    d = _char_level_check(field, ell, level)
-    if v % d == 0:
-        raise InputError("norm identity needs a nontrivial character")
-    g = gauss_sum(field, ell, level, v)
-    prod = g * g.conjugate()
-    neg1 = field.neg(1)
-    chi_m1 = (v * field.dlog(neg1)) % d
-    ring = BiCycloRing(field.p, ell, level)
-    want = ring.from_exponent_counts({(0, chi_m1): field.q})
-    if prod != want:
-        raise CheckFailed("Gauss sum norm identity failed",
-                          q=field.q, level=level, v=v)
-    return {"q": field.q, "level": level, "v": v, "passed": True}
-
-
-def jacobi_gauss_bridge_check(field: FqField, ell: int, level: int,
-                              v1: int, v2: int) -> dict:
-    """Verify J(chi1, chi2) * g(psi, chi1 chi2) = g(psi, chi1) g(psi, chi2).
-
-    Requires chi1, chi2, chi1*chi2 all nontrivial.  Hard error on failure.
-    """
-    d = _char_level_check(field, ell, level)
-    if v1 % d == 0 or v2 % d == 0 or (v1 + v2) % d == 0:
-        raise InputError("bridge identity needs all three characters nontrivial")
-    j = jacobi_sum(field, ell, level, v1, v2)
-    lhs = gauss_sum(field, ell, level, v1 + v2) * j
-    rhs = gauss_sum(field, ell, level, v1) * gauss_sum(field, ell, level, v2)
-    if lhs != rhs:
-        raise CheckFailed("Jacobi/Gauss bridge identity failed",
-                          q=field.q, level=level, v1=v1, v2=v2)
-    return {"q": field.q, "level": level, "v": [v1, v2], "passed": True}
-
-
 # -- orbit-sum lemmas -----------------------------------------------------
 
 

@@ -32,7 +32,7 @@ from .charsums import (
     prime_power_split,
 )
 from .config import load_config
-from .errors import CheckFailed, GuardExceeded, InputError, TowerlimError
+from .errors import CheckFailed, GuardExceeded, InputError
 from .fields import check_field_size
 from .matfermat import arnold_zarelua_check
 from .report import Timer, decimal_list, make_report, write_report
@@ -375,9 +375,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_GUARD
     except CheckFailed as exc:
         print(f"towerlim: check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except TowerlimError as exc:
-        print(f"towerlim: error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
 

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import InputError
 from .padic import check_odd_prime, is_prime
 
@@ -272,9 +270,6 @@ class CycloElem:
                 buf[a * j % r.order] += c
         return CycloElem(r, tuple(r._fold_top(buf)))
 
-    def conjugate(self) -> "CycloElem":
-        return self.galois_act(-1 % max(self.ring.order, 2))
-
     def trace(self) -> int:
         """Tr to Q (mod l^prec in a fixed-precision ring), a linear functional
         on the power basis: Tr(1) = phi, Tr(zeta^j) = -l^(n-1) when zeta^j
@@ -284,17 +279,6 @@ class CycloElem:
         c = self.coeffs
         t = c[0] if r.level == 0 else r.phi * c[0] - r.m * sum(c[r.m :: r.m])
         return t if r.qmod is None else t % r.qmod
-
-    def complex_value(self, k: int = 1) -> complex:
-        """Float sanity embedding zeta -> exp(2 pi i k / l^n); not exact."""
-        r = self.ring
-        q = r.qmod
-        z = np.exp(2j * np.pi * k / max(r.order, 1))
-        cs = self.coeffs
-        if q is not None:
-            half = q // 2
-            cs = tuple(c - q if c > half else c for c in cs)
-        return complex(sum(c * z**j for j, c in enumerate(cs)))
 
 
 class BiCycloRing:
@@ -450,18 +434,6 @@ class BiCycloElem:
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in r) for r in self.mat)
 
-    def conjugate(self) -> "BiCycloElem":
-        """Complex conjugation: zeta_p -> zeta_p^-1 and zeta -> zeta^-1."""
-        br = self.ring
-        p, cy = br.p, br.cyclo
-        counts: dict[tuple[int, int], int] = {}
-        for a, row in enumerate(self.mat):
-            for j, c in enumerate(row):
-                if c:
-                    key = ((-a) % p, (-j) % max(cy.order, 1))
-                    counts[key] = counts.get(key, 0) + c
-        return br.from_exponent_counts(counts)
-
     def trace(self) -> int:
         """Tr to Q, through Q(zeta_{l^n}): summing the zeta_p rows with
         Tr(zeta_p^a) = p - 1 for a = 0 and -1 otherwise gives the relative
@@ -483,17 +455,6 @@ class BiCycloElem:
                 buf[ell * j] = c
             out.append(tuple(buf))
         return BiCycloElem(up, tuple(out))
-
-    def complex_value(self, kp: int = 1, kl: int = 1) -> complex:
-        br = self.ring
-        zp = np.exp(2j * np.pi * kp / br.p)
-        zl = np.exp(2j * np.pi * kl / max(br.cyclo.order, 1))
-        total = 0j
-        for a, row in enumerate(self.mat):
-            for j, c in enumerate(row):
-                if c:
-                    total += c * zp**a * zl**j
-        return complex(total)
 
     def __repr__(self) -> str:
         return f"BiCycloElem(p={self.ring.p}, {self.ring.cyclo!r})"

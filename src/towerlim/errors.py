@@ -28,7 +28,3 @@ class GuardExceeded(TowerlimError):
 
 class CheckFailed(TowerlimError):
     """An identity that must hold failed; indicates a bug or a broken theorem."""
-
-
-class PrecisionExhausted(TowerlimError):
-    """Division loss consumed all working precision."""

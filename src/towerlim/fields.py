@@ -4,8 +4,8 @@ Elements are packed integers sum a_i p^i for the coefficient vector
 (a_0, ..., a_{f-1}) over a deterministic modulus: the lexicographically
 first monic irreducible of degree f (comparing coefficient tuples from the
 x^(f-1) coefficient down).  The multiplicative group is tabulated against
-the smallest generator (by packed encoding), so multiplication, inversion,
-powers and discrete logs are O(1) lookups.  Construction is vectorized:
+the smallest generator (by packed encoding), so powers of the generator
+and discrete logs are O(1) lookups.  Construction is vectorized:
 multiplication by g^k is F_p-linear, so the first block of the exp table
 fills by doubling (columns [k, 2k) are M_{g^k} times columns [0, k)) and the
 table then advances in blocks through one small matrix product per block.
@@ -45,15 +45,20 @@ def _factorize(m: int) -> list[int]:
 
 
 def check_field_size(p: int, f: int) -> None:
-    """GuardExceeded naming q = p^f and the limit when q > FIELD_CAP."""
-    q = p**f
-    if q > FIELD_CAP:
-        # q is not printed: it can pass Python's int-to-str digit limit
-        raise GuardExceeded(
-            f"the field F_{p}^{f} exceeds the table guard of {FIELD_CAP} "
-            "elements",
-            q=q, limit=FIELD_CAP,
-        )
+    """GuardExceeded naming p, f and the limit when p^f > FIELD_CAP.
+
+    p^f is never formed: p multiplies into a running product only until it
+    passes the cap, at most 24 steps for p >= 2, whatever f is.
+    """
+    q = 1
+    for _ in range(f):
+        q *= p
+        if q > FIELD_CAP:
+            raise GuardExceeded(
+                f"the field F_{p}^{f} exceeds the table guard of {FIELD_CAP} "
+                "elements",
+                p=p, f=f, limit=FIELD_CAP,
+            )
 
 
 def _poly_mul_mod(a: list[int], b: list[int], mod_poly: list[int], p: int) -> list[int]:
@@ -84,35 +89,29 @@ def _poly_pow_mod(a: list[int], e: int, mod_poly: list[int], p: int) -> list[int
     return out
 
 
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = [x % p for x in a], [x % p for x in b]
-
-    def deg(u):
-        d = len(u) - 1
-        while d >= 0 and u[d] == 0:
-            d -= 1
-        return d
-
-    while deg(b) >= 0:
-        da, db = deg(a), deg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[deg(b)], -1, p)
-        while deg(a) >= deg(b):
-            shift = deg(a) - deg(b)
-            c = a[deg(a)] * inv % p
-            for i in range(deg(b) + 1):
-                a[i + shift] = (a[i + shift] - c * b[i]) % p
-        a, b = b, a
-    return a
-
-
 def _poly_deg(u: list[int]) -> int:
     d = len(u) - 1
     while d >= 0 and u[d] == 0:
         d -= 1
     return d
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    a, b = [x % p for x in a], [x % p for x in b]
+    while _poly_deg(b) >= 0:
+        da, db = _poly_deg(a), _poly_deg(b)
+        if da < db:
+            a, b = b, a
+            continue
+        inv = pow(b[db], -1, p)
+        while da >= db:
+            shift = da - db
+            c = a[da] * inv % p
+            for i in range(db + 1):
+                a[i + shift] = (a[i + shift] - c * b[i]) % p
+            da = _poly_deg(a)
+        a, b = b, a
+    return a
 
 
 def _is_irreducible(mod_poly: list[int], p: int) -> bool:
@@ -169,11 +168,6 @@ class FqField:
         self._trace_basis = self.trace_matrix(p, f)[0]
 
     # -- construction internals ------------------------------------------
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        da = self.decode(a)
-        db = self.decode(b)
-        return self.encode(_poly_mul_mod(da, db, list(self.modulus), self.p))
 
     def _pow_poly(self, a: int, e: int) -> int:
         return self.encode(
@@ -280,49 +274,13 @@ class FqField:
 
     # -- arithmetic -------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return self.encode(
-            [(x + y) % self.p for x, y in zip(self.decode(a), self.decode(b))]
-        )
-
     def neg(self, a: int) -> int:
         return self.encode([(-x) % self.p for x in self.decode(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        n = self.q - 1
-        return int(
-            self.exp_table[
-                (int(self.dlog_table[a]) + int(self.dlog_table[b])) % n
-            ]
-        )
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise InputError("inverting 0 in a finite field")
-        n = self.q - 1
-        return int(self.exp_table[(-int(self.dlog_table[a])) % n])
-
-    def pow_elt(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise InputError("inverting 0 in a finite field")
-            return 0 if e else 1
-        n = self.q - 1
-        return int(self.exp_table[int(self.dlog_table[a]) * e % n])
 
     def dlog(self, a: int) -> int:
         if a == 0:
             raise InputError("dlog of 0 is undefined")
         return int(self.dlog_table[a])
-
-    def tr_abs(self, a: int) -> int:
-        """Absolute trace to F_p, returned as an int in [0, p)."""
-        return int(np.dot(self.decode(a), self._trace_basis) % self.p)
 
     def digits(self, encs: np.ndarray) -> np.ndarray:
         """Base-p coefficient rows of packed encodings: shape (len, f)."""

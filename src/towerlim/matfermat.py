@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, zip_longest
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 from .errors import CheckFailed, GuardExceeded, InputError
@@ -30,36 +30,6 @@ def check_square(a: IntMatrix) -> int:
     if r == 0 or any(len(row) != r for row in a):
         raise InputError("matrix must be square and nonempty")
     return r
-
-
-def trace_power(a: IntMatrix, e: int) -> int:
-    """tr(A^e), exact."""
-    check_square(a)
-    if e == 0:
-        return len(a)
-    return mat_trace(mat_pow(a, e, 1, 0))
-
-
-def closed_walk_count(a: IntMatrix, length: int) -> int:
-    """Weighted count of closed walks of the given length.
-
-    Brute-force enumeration over all vertex sequences, each weighted by the
-    product of traversed entry values.  Independent of the matrix-power
-    route (it never multiplies matrices), and exponential in `length` --
-    a small-case oracle, not a production path.
-    """
-    r = check_square(a)
-    if length == 0:
-        return r
-    total = 0
-    for walk in product(range(r), repeat=length):
-        w = 1
-        for i in range(length):
-            w *= a[walk[i]][walk[(i + 1) % length]]
-            if w == 0:
-                break
-        total += w
-    return total
 
 
 def poly_diff_val(p1: Sequence[int], p2: Sequence[int], ell: int,

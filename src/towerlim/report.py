@@ -16,10 +16,6 @@ TOOL_NAME = "towerlim"
 TOOL_VERSION = "0.1.0"
 
 
-def decimal(x: int) -> str:
-    return str(int(x))
-
-
 def decimal_list(xs) -> list[str]:
     return [str(int(x)) for x in xs]
 
@@ -57,10 +53,6 @@ def make_report(command: str, body: dict,
 
 def render(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-def strip_timings(report: dict) -> dict:
-    return {k: v for k, v in report.items() if k != "timings"}
 
 
 def write_report(report: dict, path: Optional[str]) -> str:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .cyclo import CycloElem, CycloRing
 from .errors import CheckFailed, GuardExceeded, InputError
-from .matfermat import poly_diff_val, traces_from_det
+from .matfermat import poly_diff_val
 from .matrices import (
     det_one_minus_y,
     mat_identity,
@@ -44,7 +44,7 @@ from .matrices import (
     orbit_reps,
     poly_mul,
 )
-from .padic import PadicFloat, check_odd_prime, int_val, min_val
+from .padic import check_odd_prime, int_val, min_val
 
 # Residue vectors an orbit scan or the beta0 enumeration may visit.
 ORBIT_CAP = 10**7
@@ -640,8 +640,6 @@ def _status(n: int, n0: int, measured: int, saturated: bool, required: int) -> s
 
 def scalar_congruence_rows(
     spec: TowerSpec,
-    n_lo: int = 1,
-    n_hi: Optional[int] = None,
     params: Optional[OrbitParams] = None,
     pieces: Optional[dict] = None,
 ) -> list[CongruenceRow]:
@@ -649,9 +647,9 @@ def scalar_congruence_rows(
 
     Only defined for scalar Q (the statement needs the twist to act by a
     scalar); refuses other twists.  For each level-n primitive orbit rep v,
-    compares p_{n+1,v} against the embedded p_{n,v}; the guaranteed depth is
-    v_l(k_{n+1}(v)) once n >= n0, and rows below the threshold are marked
-    rather than judged.
+    n = 1..n_max-1, compares p_{n+1,v} against the embedded p_{n,v}; the
+    guaranteed depth is v_l(k_{n+1}(v)) once n >= n0, and rows below the
+    threshold are marked rather than judged.
 
     Each p_{n,v} is computed once: `pieces` is the (level, rep) memo that
     `r_poly` fills, and without one a fresh memo still carries row n's
@@ -659,16 +657,12 @@ def scalar_congruence_rows(
     """
     if not spec.is_scalar_q():
         raise InputError("scalar congruence mode requires a scalar twist Q")
-    if n_hi is None:
-        n_hi = spec.n_max - 1
-    if n_lo < 1 or n_hi + 1 > spec.n_max:
-        raise InputError("level range must fit within 1..n_max")
     if params is None:
         params = orbit_params(spec)
     if pieces is None:
         pieces = {}
     rows = []
-    for n in range(n_lo, n_hi + 1):
+    for n in range(1, spec.n_max):
         ring_lo = build_ring(spec, n)
         ring_hi = build_ring(spec, n + 1)
         for v, size in primitive_orbit_reps(spec, n):
@@ -693,21 +687,16 @@ def scalar_congruence_rows(
 
 def general_congruence_rows(
     spec: TowerSpec,
-    n_lo: int = 1,
-    n_hi: Optional[int] = None,
     params: Optional[OrbitParams] = None,
     r_cache: Optional[dict] = None,
 ) -> list[CongruenceRow]:
-    """Aggregate congruences r_{n+1} = r_n^(l^(b-1)) mod l^n, per level.
+    """Aggregate congruences r_{n+1} = r_n^(l^(b-1)) mod l^n, per level
+    n = 1..n_max-1.
 
     The guaranteed depth is n (n*b for scalar twists) once n >= n0; below
     the threshold the degrees need not even match and the row is marked
     below-threshold with the raw measurement included.
     """
-    if n_hi is None:
-        n_hi = spec.n_max - 1
-    if n_lo < 1 or n_hi + 1 > spec.n_max:
-        raise InputError("level range must fit within 1..n_max")
     if params is None:
         params = orbit_params(spec)
     scalar = spec.is_scalar_q()
@@ -716,7 +705,7 @@ def general_congruence_rows(
     if r_cache is not None:
         polys.update(r_cache)
     rows = []
-    for n in range(n_lo, n_hi + 1):
+    for n in range(1, spec.n_max):
         for level in (n, n + 1):
             if level not in polys:
                 polys[level] = r_poly(spec, level)
@@ -739,94 +728,6 @@ def general_congruence_rows(
     if r_cache is not None:
         r_cache.update(polys)
     return rows
-
-
-# -- l-adic limit estimation (log/exp route) ------------------------------
-
-
-def _serialize_lfloat(x: PadicFloat) -> dict:
-    if x.is_zero():
-        return {"zero_to": x.zero_prec}
-    return {"exp": x.e, "unit": str(x.unit), "rel_prec": x.rel}
-
-
-DEFAULT_LIMIT_DEGREE = 16
-
-
-def caseB_limit_estimate(spec: TowerSpec, n_lo: int, n_hi: int) -> dict:
-    """Watch log r_n / l^((n-n0)(b-1)) converge coefficient-wise, in the
-    first DEFAULT_LIMIT_DEGREE coefficients.
-
-    For each level the log series of r_n is produced by the division-free
-    power-sum recurrence (the only divisions are by the term index d and the
-    normalizing l-power, both tracked through l-adic floats).  The report
-    tabulates the valuation of consecutive differences per degree (a Cauchy
-    table), then exponentiates the last level back and flags any coefficient
-    that is non-integral or out of precision.  Measured output only: no
-    theorem verdict is attached.
-    """
-    if n_lo < 1 or n_hi > spec.n_max or n_lo >= n_hi:
-        raise InputError("need 1 <= n_lo < n_hi <= n_max")
-    params = orbit_params(spec)
-    ell = spec.ell
-    series: dict[int, list[PadicFloat]] = {}
-    degrees = []
-    for n in range(n_lo, n_hi + 1):
-        rp, _meta = r_poly(spec, n)
-        degrees.append(rp.degree)
-        d_max = min(DEFAULT_LIMIT_DEGREE, rp.degree)
-        traces = [t % ell**spec.prec
-                  for t in traces_from_det(rp.coeffs, d_max)]
-        norm = max(0, n - params.n0) * (spec.b - 1)
-        coeffs = []
-        for d in range(1, d_max + 1):
-            base = PadicFloat.from_residue(ell, spec.prec, -traces[d - 1])
-            coeffs.append(base.divide_int(d * ell**norm))
-        series[n] = coeffs
-    d_common = min(len(series[n]) for n in series)
-    cauchy = []
-    for n in range(n_lo, n_hi):
-        row = []
-        for d in range(d_common):
-            delta = series[n + 1][d] - series[n][d]
-            if delta.is_zero():
-                row.append({"zero_to": delta.zero_prec})
-            else:
-                row.append({"val": delta.e})
-        cauchy.append({"n": n, "n_next": n + 1, "coeff_diffs": row})
-    last = series[n_hi]
-    limit_coeffs: list[dict] = [{"exp": 0, "unit": "1", "rel_prec": spec.prec}]
-    flags = []
-    recovered: list[PadicFloat] = [
-        PadicFloat.from_residue(ell, spec.prec, 1)
-    ]
-    for d in range(1, len(last) + 1):
-        acc = None
-        for i in range(1, d + 1):
-            term = (last[i - 1] * i) * recovered[d - i]
-            acc = term if acc is None else acc + term
-        cd = acc.divide_int(d)
-        recovered.append(cd)
-        limit_coeffs.append(_serialize_lfloat(cd))
-        if not cd.is_zero() and cd.e < 0:
-            flags.append({"degree": d, "issue": "non-integral"})
-        elif not cd.is_zero() and cd.rel <= 0:
-            flags.append({"degree": d, "issue": "precision-exhausted"})
-    return {
-        "mode": "limit-estimate",
-        "n_range": [n_lo, n_hi],
-        "orbit": {"alpha": params.alpha, "beta0": params.beta0,
-                  "n0": params.n0},
-        "normalizer_exponent": (spec.b - 1),
-        "log_coeffs": {
-            str(n): [_serialize_lfloat(x) for x in series[n]]
-            for n in sorted(series)
-        },
-        "cauchy_table": cauchy,
-        "limit_poly": limit_coeffs,
-        "flags": flags,
-        "degrees": degrees,
-    }
 
 
 # -- character-sum explorer ----------------------------------------------

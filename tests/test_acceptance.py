@@ -120,7 +120,7 @@ def test_criterion_3_scalar_congruence():
     def body():
         spec = make_tower_spec(5, 1, 1, [[6]], F_LINEAR, 4)
         rows = [
-            r for r in scalar_congruence_rows(spec, 1, 3) if r.rep == (1,)
+            r for r in scalar_congruence_rows(spec) if r.rep == (1,)
         ]
         assert [r.n for r in rows] == [1, 2, 3]
         for row in rows:
@@ -132,7 +132,7 @@ def test_criterion_3_scalar_congruence():
             terms = _draw_quadratic_coeff_family(rng, 5, 2)
             spec2 = make_tower_spec(5, 1, 2, [[6]], terms, 4)
             rows2 = [
-                r for r in scalar_congruence_rows(spec2, 1, 3) if r.rep == (1,)
+                r for r in scalar_congruence_rows(spec2) if r.rep == (1,)
             ]
             assert [r.n for r in rows2] == [1, 2, 3]
             for row in rows2:

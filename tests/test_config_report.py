@@ -10,13 +10,13 @@ from towerlim.config import load_config, parse_config
 from towerlim.errors import InputError
 from towerlim.report import (
     Timer,
-    decimal,
     decimal_list,
     make_report,
     render,
-    strip_timings,
     write_report,
 )
+
+from oracles import strip_timings
 
 BASE_CONFIG = {
     "name": "demo",
@@ -143,7 +143,6 @@ def test_load_config_reports_json_position(tmp_path):
 
 
 def test_decimal_helpers():
-    assert decimal(3**40) == str(3**40)
     assert decimal_list([1, -2, 10**30]) == ["1", "-2", str(10**30)]
 
 

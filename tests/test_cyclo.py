@@ -11,6 +11,8 @@ from towerlim.cyclo import BiCycloRing, CycloRing
 from towerlim.errors import CheckFailed, InputError
 from towerlim.padic import min_val
 
+from oracles import complex_value, conjugate
+
 RINGS = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)]
 
 
@@ -120,20 +122,20 @@ def test_galois_action():
 def test_conjugate_is_inversion_of_roots():
     ring = CycloRing(3, 2, prec=6)
     for k in range(9):
-        assert ring.zeta(k).conjugate() == ring.zeta(-k)
+        assert conjugate(ring.zeta(k)) == ring.zeta(-k)
     rng = random.Random(18)
     for _ in range(10):
         x = _rand_elem(rng, ring)
-        assert x.conjugate().conjugate() == x
+        assert conjugate(conjugate(x)) == x
 
 
 def test_complex_embedding():
     ring = CycloRing(5, 2, prec=None)
-    z = ring.zeta(1).complex_value()
+    z = complex_value(ring.zeta(1))
     assert abs(abs(z) - 1.0) < 1e-9
     assert abs(z**25 - 1.0) < 1e-9
     # The minimal polynomial vanishes numerically as well.
-    total = sum(ring.zeta(5 * i).complex_value() for i in range(5))
+    total = sum(complex_value(ring.zeta(5 * i)) for i in range(5))
     assert abs(total) < 1e-9
 
 
@@ -196,8 +198,8 @@ def test_bicyclo_complex_embedding_is_multiplicative():
         y = ring.from_exponent_counts(
             {(rng.randrange(5), rng.randrange(3)): rng.randrange(1, 4) for _ in range(3)}
         )
-        lhs = (x * y).complex_value()
-        rhs = x.complex_value() * y.complex_value()
+        lhs = complex_value(x * y)
+        rhs = complex_value(x) * complex_value(y)
         assert abs(lhs - rhs) < 1e-6
 
 
@@ -217,8 +219,8 @@ def test_bicyclo_embed_up_is_multiplicative():
 def test_bicyclo_conjugate_fixes_norms():
     ring = BiCycloRing(7, 3, 1)
     x = ring.from_exponent_counts({(1, 0): 1, (2, 1): 1})
-    norm = x * x.conjugate()
-    val = norm.complex_value()
+    norm = x * conjugate(x)
+    val = complex_value(norm)
     assert abs(val.imag) < 1e-9
     assert val.real > 0
 

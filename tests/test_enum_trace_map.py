@@ -25,6 +25,8 @@ from towerlim.charsums import (
 from towerlim.errors import CheckFailed, InputError
 from towerlim.fields import field_build
 
+from oracles import fq_add, fq_pow
+
 
 def _frob_batch(field, encs, e):
     out = np.zeros_like(encs)
@@ -84,10 +86,10 @@ def test_trace_matrix_matches_the_scalar_trace(q, m):
     for x, y in zip(xs, images):
         want, cur = int(x), int(x)
         for _ in range(m - 1):
-            cur = big.pow_elt(cur, q)
-            want = big.add(want, cur)
+            cur = fq_pow(big, cur, q)
+            want = fq_add(big, want, cur)
         assert int(y) == want
-        assert big.pow_elt(want, q) == want  # the trace lies in F_q
+        assert fq_pow(big, want, q) == want  # the trace lies in F_q
 
 
 def test_enumeration_uses_no_character_sums(monkeypatch):

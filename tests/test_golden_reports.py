@@ -23,7 +23,9 @@ import json
 import pytest
 
 from towerlim.cli import main
-from towerlim.report import render, strip_timings
+from towerlim.report import render
+
+from oracles import strip_timings
 
 README_CONFIG = {
     "name": "demo",

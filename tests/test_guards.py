@@ -3,6 +3,9 @@ tripped, on real inputs above the constants."""
 
 from __future__ import annotations
 
+import math
+import time
+
 import pytest
 
 from towerlim import tower
@@ -11,6 +14,7 @@ from towerlim.charsums import (
     motivating_curve_counts,
     primitive_char_sum,
 )
+from towerlim.cli import main
 from towerlim.errors import GuardExceeded
 from towerlim.fields import FIELD_CAP, FqField, field_build
 from towerlim.matfermat import (
@@ -47,11 +51,13 @@ def _aggregate_at_1000_bytes(monkeypatch):
 
 CASES = {
     "field_build": (lambda mp: field_build(7, 9),
-                    {"q": 7**9, "limit": FIELD_CAP}),
+                    {"p": 7, "f": 9, "limit": FIELD_CAP}),
     "FqField": (lambda mp: FqField(13, 7),
-                {"q": 13**7, "limit": FIELD_CAP}),
+                {"p": 13, "f": 7, "limit": FIELD_CAP}),
     "motivating": (lambda mp: motivating_curve_counts(4),
-                   {"q": 5**14, "limit": FIELD_CAP}),
+                   {"p": 5, "f": 14, "limit": FIELD_CAP}),
+    "motivating_level_24": (lambda mp: motivating_curve_counts(24),
+                            {"p": 5, "f": 2**24 - 2, "limit": FIELD_CAP}),
     "orbit_scan": (lambda mp: primitive_orbit_reps(GEN, 8),
                    {"level": 8, "need": 3**16, "limit": ORBIT_CAP}),
     "beta0": (lambda mp: orbit_params(FLAT),
@@ -74,7 +80,18 @@ def test_guard_context_names_limit_size_and_site(monkeypatch, site):
     with pytest.raises(GuardExceeded) as err:
         call(monkeypatch)
     assert err.value.context == want
-    assert want.get("q", want.get("need")) > want["limit"]
+    if "p" in want:  # p^f can take seconds to form: compare logarithms
+        assert want["f"] * math.log(want["p"]) > math.log(want["limit"])
+    else:
+        assert want["need"] > want["limit"]
+
+
+def test_field_guard_trips_at_once_however_large_the_degree():
+    # y^2 = x^(2^24) + 1 needs F_(5^(2^24 - 2)); the guard must not form
+    # that power (5^(2^22) alone takes seconds) before refusing it.
+    start = time.perf_counter()
+    assert main(["zeta", "motivating", "--level", "24"]) == 4
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("n, step, limit", [

@@ -1,4 +1,4 @@
-"""Tests for primality, valuations, the matrix log and l-adic floats."""
+"""Tests for primality, valuations and the matrix log."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from towerlim.errors import InputError
 from towerlim.padic import (
-    PadicFloat,
     check_odd_prime,
     int_val,
     is_prime,
@@ -85,29 +84,3 @@ def test_log_matches_reference_series():
         prec = rng.randint(3, 9)
         u = 1 + ell * rng.randrange(ell ** (prec - 1))
         assert matrix_log([[u]], ell, prec) == [[_log_series(ell, prec, u)]]
-
-
-def test_padic_float_mul_and_rescale():
-    x = PadicFloat(5, 1, 2, 6)
-    y = PadicFloat(5, 1, 3, 6)
-    z = x * y
-    assert (z.e, z.unit % 5**z.rel) == (2, 6)
-    s = x + y
-    # 5*2 + 5*3 = 5^2 * 1: one digit of relative precision is consumed.
-    assert (s.e, s.unit, s.rel) == (2, 1, 5)
-
-
-def test_padic_float_cancellation():
-    x = PadicFloat(3, 0, 1, 6)
-    z = x + PadicFloat(3, 0, -1, 6)
-    assert z.is_zero()
-    assert z.zero_prec == 6
-    deep = PadicFloat(5, 1, 2, 6) + PadicFloat(5, 1, 23, 6)
-    assert (deep.e, deep.unit, deep.rel) == (3, 1, 4)
-    assert not deep.is_zero()
-
-
-def test_padic_float_divide_int():
-    x = PadicFloat(3, 4, 2, 5)
-    y = x.divide_int(9)
-    assert (y.e, y.unit % 3**y.rel, y.rel) == (2, 2, 5)

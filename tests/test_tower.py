@@ -11,7 +11,6 @@ from towerlim.cyclo import CycloRing
 from towerlim.errors import CheckFailed, InputError
 from towerlim.tower import (
     OrbitParams,
-    caseB_limit_estimate,
     general_congruence_rows,
     make_tower_spec,
     orbit_order,
@@ -258,12 +257,11 @@ def test_rows_honor_parameter_override():
 
 
 def test_rows_range_selection():
-    rows = general_congruence_rows(_spec_general(), n_lo=2, n_hi=2)
-    assert [r.n for r in rows] == [2]
-    with pytest.raises(InputError):
-        general_congruence_rows(_spec_general(), n_lo=0)
-    with pytest.raises(InputError):
-        general_congruence_rows(_spec_general(), n_lo=2, n_hi=99)
+    # Rows span every level n = 1..n_max-1; row n compares levels n, n+1.
+    rows = general_congruence_rows(_spec_general())
+    assert [r.n for r in rows] == [1, 2]
+    row = rows[1]
+    assert (row.k_lo, row.k_hi, row.required, row.status) == (3, 9, 2, "pass")
 
 
 def test_general_rows_accept_prebuilt_polynomials():
@@ -300,29 +298,6 @@ def test_qsum_input_checks():
     two = make_tower_spec(3, 1, 2, [[4]], [((0,), [[1, 0], [0, 1]]), ((1,), [[1, 1], [0, 1]])], 2)
     with pytest.raises(InputError):
         qsum_rows(two, [1], [1], 1, 2, emit_products=True)
-
-
-def test_limit_estimate_exactly_stable_family():
-    est = caseB_limit_estimate(_spec56(), 1, 3)
-    assert est["mode"] == "limit-estimate"
-    assert est["flags"] == []
-    assert est["normalizer_exponent"] == 0
-    assert est["degrees"] == [4, 4, 4]
-    # All Cauchy differences vanish to working precision...
-    for step in est["cauchy_table"]:
-        assert all(d == {"zero_to": 10} for d in step["coeff_diffs"])
-    # ...so the estimated limit is the (exact) common aggregate 1 - 3y + 4y^2 - 2y^3 + y^4.
-    units = [int(entry["unit"]) for entry in est["limit_poly"]]
-    mod = 5**10
-    assert [u % mod for u in units] == [1, (-3) % mod, 4, (-2) % mod, 1]
-    assert [entry["exp"] for entry in est["limit_poly"]] == [0] * 5
-
-
-def test_limit_estimate_range_checks():
-    with pytest.raises(InputError):
-        caseB_limit_estimate(_spec56(), 3, 1)
-    with pytest.raises(InputError):
-        caseB_limit_estimate(_spec56(), 0, 2)
 
 
 def test_charpoly_records_use_decimal_strings():
