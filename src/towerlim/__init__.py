@@ -34,12 +34,10 @@ from .fields import FIELD_CAP, FqField, field_build
 from .matfermat import (
     arnold_zarelua_check,
     det_from_traces,
-    intify,
     traces_from_det,
 )
 from .matrices import det_one_minus_y
 from .tower import (
-    CharPoly,
     CongruenceRow,
     OrbitParams,
     TowerSpec,

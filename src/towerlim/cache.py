@@ -20,7 +20,7 @@ import os
 import tempfile
 from typing import Optional
 
-from .tower import CharPoly, TowerSpec, json_digest, r_poly
+from .tower import TowerSpec, json_digest, r_poly
 
 CACHE_VERSION = 2
 
@@ -81,17 +81,18 @@ def cache_put(dirpath: Optional[str], digest: str, level: int,
         raise
 
 
-def _poly_payload(rp: CharPoly, meta: dict) -> dict:
+def _poly_payload(spec: TowerSpec, coeffs: tuple[int, ...],
+                  meta: dict) -> dict:
     return {
-        "ell": rp.ell,
-        "prec": rp.prec,
-        "coeffs": [str(c) for c in rp.coeffs],
+        "ell": spec.ell,
+        "prec": spec.prec,
+        "coeffs": [str(c) for c in coeffs],
         "meta": meta,
     }
 
 
-def _poly_from_payload(payload: dict,
-                       spec: TowerSpec) -> Optional[tuple[CharPoly, dict]]:
+def _poly_from_payload(payload: dict, spec: TowerSpec
+                       ) -> Optional[tuple[tuple[int, ...], dict]]:
     try:
         if payload["ell"] != spec.ell or payload["prec"] != spec.prec:
             return None
@@ -100,11 +101,12 @@ def _poly_from_payload(payload: dict,
         int(meta["k_n"])
     except (KeyError, TypeError, ValueError):
         return None
-    return CharPoly(spec.ell, 0, spec.prec, coeffs), meta
+    return coeffs, meta
 
 
 def cached_r_poly(spec: TowerSpec, level: int, dirpath: Optional[str],
-                  pieces: Optional[dict] = None) -> tuple[CharPoly, dict]:
+                  pieces: Optional[dict] = None
+                  ) -> tuple[tuple[int, ...], dict]:
     """r_poly with read-through caching keyed by (level digest, level).
 
     `pieces` is passed on to r_poly on a miss (the per-run p_{n,v} memo).
@@ -115,6 +117,6 @@ def cached_r_poly(spec: TowerSpec, level: int, dirpath: Optional[str],
         hit = _poly_from_payload(payload, spec)
         if hit is not None:
             return hit
-    rp, meta = r_poly(spec, level, pieces=pieces)
-    cache_put(dirpath, digest, level, _poly_payload(rp, meta))
-    return rp, meta
+    coeffs, meta = r_poly(spec, level, pieces=pieces)
+    cache_put(dirpath, digest, level, _poly_payload(spec, coeffs, meta))
+    return coeffs, meta

@@ -24,11 +24,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cyclo import BiCycloElem, BiCycloRing, CycloElem, CycloRing
+from .cyclo import BiCycloElem, BiCycloRing, CycloElem, CycloRing, convolve
 from .errors import CheckFailed, GuardExceeded, InputError
 from .fields import FqField, check_field_size, field_build
-from .matfermat import det_from_traces, intify, traces_from_det
-from .matrices import orbit, orbit_reps, poly_mul
+from .matfermat import det_from_traces, traces_from_det
+from .matrices import orbit, orbit_reps
 from .padic import check_odd_prime, int_val, min_val
 
 ENUM_CAP = 10**7
@@ -360,8 +360,8 @@ def artin_schreier_point_count(ell: int, n: int, q: int, m: int) -> dict:
 def zeta_from_counts(q: int, genus: int, counts: Sequence[int]) -> dict:
     """Numerator of the zeta function from point counts N_1..N_{2g}.
 
-    Converts counts to power traces a_m = q^m + 1 - N_m, runs the Newton
-    recurrence to exact rational coefficients, and demotes to integers.
+    Converts counts to power traces a_m = q^m + 1 - N_m and runs the Newton
+    recurrence over the integers (a non-integral coefficient is an error).
     Enforces the functional equation c_{2g-k} = q^(g-k) c_k and the Weil
     bound |a_m| <= 2g sqrt(q^m); violations are hard errors (they mean the
     counts are not the counts of a genus-g curve).
@@ -379,7 +379,7 @@ def zeta_from_counts(q: int, genus: int, counts: Sequence[int]) -> dict:
                 f"Weil bound violated at m = {m}: |{a}| > 2g q^(m/2)",
                 m=m, trace=a, genus=genus, q=q,
             )
-    coeffs = intify(det_from_traces(traces), "zeta numerator")
+    coeffs = det_from_traces(traces, "zeta numerator")
     for k in range(genus + 1):
         if coeffs[2 * genus - k] != q ** (genus - k) * coeffs[k]:
             raise CheckFailed(
@@ -457,9 +457,8 @@ def motivating_reference_poly(tower_level: int = 3) -> list[int]:
         raise InputError("tower level must be >= 2")
     poly = [1, -2, 5]
     for i in range(1, t - 1):
-        factor = [1, 5 ** (2 ** (i - 1))]
-        for _ in range(2):
-            poly = poly_mul(poly, factor, 0, 2**i)
+        factor = [1] + [0] * (2**i - 1) + [5 ** (2 ** (i - 1))]
+        poly = convolve(convolve(poly, factor), factor)
     return poly
 
 
@@ -752,8 +751,8 @@ def _h_from_traces(family: str, m: int, k_m: int, gens: Sequence,
                 family=family, level=m, power=k,
             )
         traces.append(-(s // k_m) if k % 2 else s // k_m)
-    return intify(det_from_traces(traces), f"{family} level-{m} h",
-                  family=family, level=m)
+    return det_from_traces(traces, f"{family} level-{m} h",
+                           family=family, level=m)
 
 
 def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
@@ -851,7 +850,9 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
                 family=family, level=m, expected=fresh,
                 measured=(len(h_int) - 1) * k_m,
             )
-        f_poly = poly_mul(f_poly, h_int, 0, k_m)
+        stretched = [0] * ((len(h_int) - 1) * k_m + 1)
+        stretched[::k_m] = h_int  # h_m(y^(k_m))
+        f_poly = convolve(f_poly, stretched)
         levels.append({"m": m, "k": k_m, "field_q": big.q, "h": h_int})
 
     want_deg = (ell**n - 1) * (ell**n - 2) if family == "fermat" \

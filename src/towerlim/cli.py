@@ -141,9 +141,9 @@ def cmd_converge(args) -> int:
                 "k_n": meta["k_n"],
                 "num_orbits": meta["num_orbits"],
                 "degree": meta["degree"],
-                "coeffs": decimal_list(rp.coeffs),
+                "coeffs": decimal_list(coeffs),
             }
-            for level, (rp, meta) in sorted(polys.items())
+            for level, (coeffs, meta) in sorted(polys.items())
         ],
         "rows": [r.as_record() for r in rows],
     }
@@ -172,10 +172,12 @@ def cmd_arnold(args) -> int:
 
 
 def _tower_zeta_body(family: str, args, timer: Timer) -> tuple[dict, bool]:
+    p, f = prime_power_split(args.q)  # before q is raised to any power
     m_max = args.m_max
     if m_max is None:
         m_max = _default_m_max(args.q, 10**6)
-    p, f = prime_power_split(args.q)
+    if m_max < 1:
+        raise InputError(f"--m-max must be >= 1, got {m_max}")
     if m_max <= 64:  # predicted_counts refuses a larger m_max as input
         check_field_size(p, f * m_max)  # the largest field counted
     res = h_poly_tower(family, args.ell, args.q, args.n)

@@ -14,6 +14,8 @@ in Z[zeta_p, zeta_{l^n}] alike, is one call of :func:`convolve`: Kronecker
 substitution packs each operand into a single Python integer, so the
 coefficient product is one big-integer multiply whatever the modulus or
 degree, and the result is then wrapped mod l^n and folded as above.
+The integer polynomials of the package (zeta numerators, aggregate
+powers) are multiplied by the same :func:`convolve`.
 
 Level n = 0 is the degenerate ring Z (zeta = 1) and is fully supported so
 tower code can treat the base level uniformly.
@@ -236,9 +238,6 @@ class CycloElem:
     def __hash__(self) -> int:
         return hash((self.ring.ell, self.ring.level, self.ring.prec, self.coeffs))
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
-
     def __repr__(self) -> str:
         return f"CycloElem({self.ring!r}, {list(self.coeffs)})"
 
@@ -430,9 +429,6 @@ class BiCycloElem:
 
     def __hash__(self) -> int:
         return hash((self.ring.p, self.ring.cyclo.level, self.mat))
-
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in r) for r in self.mat)
 
     def trace(self) -> int:
         """Tr to Q, through Q(zeta_{l^n}): summing the zeta_p rows with

@@ -8,13 +8,15 @@ with a matching congruence between the characteristic polynomials of the two
 powers.  `arnold_zarelua_check` measures both valuations exactly.  For l = 2
 the congruence is outside the guaranteed range, so the check still measures
 but renders no pass/fail verdict.
+
+`det_from_traces` and `traces_from_det` are Newton's identities between
+power traces and det(1 - x*B), over the integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
 from typing import Optional, Sequence
 
@@ -122,54 +124,42 @@ def arnold_zarelua_check(a: IntMatrix, ell: int, n: int) -> TracePowerReport:
                             required, passed)
 
 
-def det_from_traces(traces: Sequence[int]) -> list[Fraction]:
-    """Coefficients of det(1 - x*B) from the power traces tr(B^d).
+def det_from_traces(traces: Sequence[int], what: str = "polynomial",
+                    **context) -> list[int]:
+    """Integer coefficients of det(1 - x*B) from the power traces tr(B^d).
 
     Newton's identities applied to exp(-sum tr(B^d) x^d / d), arranged
     division-free except for the single division by the coefficient index:
 
         k * c_k = -sum_{i=1..k} tr(B^i) * c_{k-i}.
 
-    Input traces (tr B^1, ..., tr B^D) yield coefficients c_0..c_D as exact
-    rationals (integral whenever the traces come from an integer matrix).
+    Input traces (tr B^1, ..., tr B^D) yield c_0..c_D.  They are integers
+    whenever the traces come from an integer matrix; the first division
+    that leaves a remainder is a CheckFailed naming `what`, the coefficient
+    index and `context`.
     """
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for k in range(1, len(traces) + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += Fraction(traces[i - 1]) * coeffs[k - i]
-        coeffs.append(-acc / k)
+        num = -sum(t * x for t, x in zip(traces, reversed(coeffs)))
+        c, rem = divmod(num, k)
+        if rem:
+            g = math.gcd(num, k)
+            raise CheckFailed(f"{what}: coefficient {k} is non-integral "
+                              f"({num // g}/{k // g})",
+                              coefficient=k, **context)
+        coeffs.append(c)
     return coeffs
 
 
-def traces_from_det(coeffs: Sequence, degree: int) -> list:
+def traces_from_det(coeffs: Sequence[int], degree: int) -> list[int]:
     """Inverse of :func:`det_from_traces`: power sums from det(1 - x*B).
 
-    Division-free (works over rings): tr(B^d) = -d*c_d - sum c_i tr(B^(d-i)).
+    Division-free: tr(B^d) = -d*c_d - sum_{i<d} c_i tr(B^(d-i)).
     `coeffs` is [c_0=1, c_1, ...]; missing high coefficients count as zero.
     """
-    traces: list = []
+    traces: list[int] = []
     for d in range(1, degree + 1):
-        cd = coeffs[d] if d < len(coeffs) else coeffs[0] - coeffs[0]
-        acc = cd * (-d)
-        for i in range(1, d):
-            ci = coeffs[i] if i < len(coeffs) else None
-            if ci is not None:
-                acc = acc - ci * traces[d - i - 1]
-        traces.append(acc)
+        cd = coeffs[d] if d < len(coeffs) else 0
+        traces.append(-d * cd - sum(
+            c * t for c, t in zip(coeffs[1:d], reversed(traces))))
     return traces
-
-
-def intify(coeffs: Sequence[Fraction], what: str = "polynomial",
-           **context) -> list[int]:
-    """Demote exact rationals to ints; CheckFailed if any is non-integral.
-
-    The failure carries `context` plus the coefficient index.
-    """
-    out = []
-    for i, c in enumerate(coeffs):
-        if c.denominator != 1:
-            raise CheckFailed(f"{what}: coefficient {i} is non-integral ({c})",
-                              coefficient=i, **context)
-        out.append(int(c))
-    return out

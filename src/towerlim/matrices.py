@@ -1,11 +1,10 @@
-"""Matrix and polynomial helpers: one implementation of each.
+"""Matrix helpers: one implementation of each.
 
 * Square matrices over any commutative ring.  Entries only need +, -, *
   (ints, CycloElem, ... all qualify).  Every routine takes
   explicit `one`/`zero` ring constants where it cannot infer them, and the
   characteristic polynomial uses the Berkowitz algorithm, which is
   division-free and therefore valid verbatim over these rings.
-* Polynomials as ascending coefficient lists over any such ring.
 * Orbits of (Z/M)^b under an integer matrix: `orbit` is the one orbit
   walker.
 """
@@ -105,34 +104,6 @@ def det_one_minus_y(m: Matrix, one, zero) -> list:
                 out[ai + bi] = out[ai + bi] + term
         coeffs = out
     return coeffs
-
-
-# -- polynomials -------------------------------------------------------------
-
-
-def _is_zero(x) -> bool:
-    return x == 0 if isinstance(x, int) else x.is_zero()
-
-
-def poly_mul(a: Sequence, b: Sequence, zero, stretch: int = 1) -> list:
-    """a(y) * b(y^stretch), ascending coefficients, skipping zero terms of b.
-
-    Every term of `a` is multiplied by every nonzero term of `b`, so the
-    number of ring multiplies depends on the shapes of `a` and `b`, not on
-    how many coefficients of `a` happen to vanish.
-
-    Python ints may stand in `b` next to ring elements of `a`, as in
-    ``poly_mul(h, [1, root], zero)``: ``x * 1`` is an integer scaling, not
-    a ring multiply.  Integer callers reduce mod M themselves.
-    """
-    out = [zero] * (len(a) + (len(b) - 1) * stretch)
-    for i, c in enumerate(b):
-        if _is_zero(c):
-            continue
-        base = i * stretch
-        for j, x in enumerate(a):
-            out[base + j] = out[base + j] + x * c
-    return out
 
 
 # -- integer vectors mod M and their orbits ----------------------------------

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cyclo import CycloElem, CycloRing
+from .cyclo import CycloElem, CycloRing, convolve
 from .errors import CheckFailed, GuardExceeded, InputError
 from .matfermat import poly_diff_val
 from .matrices import (
@@ -42,7 +42,6 @@ from .matrices import (
     mat_vec_mod,
     orbit,
     orbit_reps,
-    poly_mul,
 )
 from .padic import check_odd_prime, int_val, min_val
 
@@ -342,40 +341,6 @@ def orbit_params(spec: TowerSpec) -> OrbitParams:
 # -- twisted products and characteristic polynomials ----------------------
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Ascending coefficients of det(I - y*A); level 0 means integers."""
-
-    ell: int
-    level: int
-    prec: Optional[int]
-    coeffs: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def embed_up(self) -> "CharPoly":
-        if self.level == 0:
-            raise InputError("base-ring polynomial has no embedding step")
-        return CharPoly(
-            self.ell, self.level + 1, self.prec,
-            tuple(c.embed_up() for c in self.coeffs),
-        )
-
-    def as_record(self) -> dict:
-        if self.level == 0:
-            coeffs = [str(c) for c in self.coeffs]
-        else:
-            coeffs = [[str(x) for x in c.coeffs] for c in self.coeffs]
-        return {
-            "ell": self.ell,
-            "level": self.level,
-            "precision": self.prec,
-            "coeffs": coeffs,
-        }
-
-
 def build_ring(spec: TowerSpec, n: int) -> CycloRing:
     return CycloRing(spec.ell, n, spec.prec)
 
@@ -486,7 +451,7 @@ def frobenius_product(
 
 
 def _memo_p_poly(pieces: Optional[dict], spec: TowerSpec, n: int,
-                 v: tuple, ring: CycloRing) -> "CharPoly":
+                 v: tuple, ring: CycloRing) -> tuple[CycloElem, ...]:
     """p_poly through a per-run memo keyed by (level, rep), when given."""
     if pieces is None:
         return p_poly(spec, n, v, ring)
@@ -501,22 +466,21 @@ def p_poly(
     n: int,
     v: Sequence[int],
     ring: Optional[CycloRing] = None,
-) -> CharPoly:
-    """p_{n,v}(y) = det(I - y A_n(v)) over Z[zeta_{l^n}] mod l^prec; the
-    twisted product walks the orbit of v itself."""
+) -> tuple[CycloElem, ...]:
+    """Ascending coefficients of p_{n,v}(y) = det(I - y A_n(v)) over
+    Z[zeta_{l^n}] mod l^prec; the twisted product walks the orbit of v
+    itself."""
     if ring is None:
         ring = build_ring(spec, n)
     a = frobenius_product(spec, n, v, ring)
-    coeffs = det_one_minus_y(a, ring.one(), ring.zero())
-    return CharPoly(spec.ell, n, ring.prec, tuple(coeffs))
+    return tuple(det_one_minus_y(a, ring.one(), ring.zero()))
 
 
 def r_poly(
     spec: TowerSpec,
     n: int,
-    reps: Optional[list] = None,
     pieces: Optional[dict] = None,
-) -> tuple[CharPoly, dict]:
+) -> tuple[tuple[int, ...], dict]:
     """The aggregate polynomial r_n(y) with base-ring coefficients.
 
     Multiplies p_{n,v}(y^(k_n(v)/k_n)) over primitive orbit reps v, where
@@ -533,13 +497,12 @@ def r_poly(
     end; Z[x]/(x^(l^n) - 1) -> Z[z] is a ring map, so that commutes with
     the products.
 
-    Returns (polynomial, meta) where meta records k_n, the rep count, and
+    Returns (coefficients, meta) where meta records k_n, the rep count, and
     per-rep orbit sizes.  `pieces`, when given, is a per-run memo of p_{n,v}
     keyed by (level, rep), read and filled here (scalar congruence rows
     reuse it).
     """
-    if reps is None:
-        reps = primitive_orbit_reps(spec, n)
+    reps = primitive_orbit_reps(spec, n)
     if not reps:
         raise InputError(f"no primitive orbits at level {n}")
     ring = build_ring(spec, n)
@@ -553,7 +516,7 @@ def r_poly(
                 f"orbit size {size} not divisible by k_n = {k_n} at level {n}",
                 level=n, rep=tuple(v), size=size,
             )
-        factors.append((p.coeffs, s))
+        factors.append((p, s))
     degree = sum((len(c) - 1) * s for c, s in factors)
     dtype = _aggregate_dtype(spec, ring)
     need = _group_ring_bytes(ring, dtype, (degree + 1) * ring.order)
@@ -580,13 +543,13 @@ def r_poly(
     ints = []
     for i, row in enumerate(acc):
         c = ring._fold_top(row.tolist())
-        if any(x % (q or 0) != 0 if q else x != 0 for x in c[1:]):
+        if any(c[1:]):
             raise CheckFailed(
                 f"r_{n} coefficient {i} is not in the base ring; "
                 "Galois stability violated",
                 level=n, coefficient=i,
             )
-        ints.append(c[0] % q if q else c[0])
+        ints.append(c[0])
     meta = {
         "level": n,
         "k_n": k_n,
@@ -594,7 +557,7 @@ def r_poly(
         "orbit_sizes": sorted({s for _, s in reps}),
         "degree": len(ints) - 1,
     }
-    return CharPoly(spec.ell, 0, spec.prec, tuple(ints)), meta
+    return tuple(ints), meta
 
 
 # -- congruence reports ---------------------------------------------------
@@ -672,8 +635,8 @@ def scalar_congruence_rows(
             required = int_val(spec.ell, size_hi) if size_hi > 1 else 0
             # both coefficient lists, spread over the ring basis
             measured, sat = poly_diff_val(
-                [x for c in p_hi.coeffs for x in c.coeffs],
-                [x for c in p_lo.embed_up().coeffs for x in c.coeffs],
+                [x for c in p_hi for x in c.coeffs],
+                [x for c in p_lo for x in c.embed_up().coeffs],
                 spec.ell, spec.prec,
             )
             rows.append(
@@ -701,7 +664,7 @@ def general_congruence_rows(
         params = orbit_params(spec)
     scalar = spec.is_scalar_q()
     mod = spec.ell**spec.prec
-    polys: dict[int, tuple[CharPoly, dict]] = {}
+    polys: dict[int, tuple[tuple[int, ...], dict]] = {}
     if r_cache is not None:
         polys.update(r_cache)
     rows = []
@@ -710,13 +673,12 @@ def general_congruence_rows(
             if level not in polys:
                 polys[level] = r_poly(spec, level)
         (r_lo, meta_lo), (r_hi, meta_hi) = polys[n], polys[n + 1]
-        power = list(r_lo.coeffs)
+        power = r_lo
         for _ in range(spec.b - 1):  # power = r_lo^(l^(b-1)) mod l^prec
             base = power
             for _ in range(spec.ell - 1):
-                power = [x % mod for x in poly_mul(power, base, 0)]
-        measured, sat = poly_diff_val(r_hi.coeffs, power, spec.ell,
-                                      spec.prec)
+                power = [x % mod for x in convolve(power, base)]
+        measured, sat = poly_diff_val(r_hi, power, spec.ell, spec.prec)
         required = n * spec.b if scalar else n
         rows.append(
             CongruenceRow(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+from fractions import Fraction
 
 from towerlim.cyclo import CycloElem
 from towerlim.fields import _poly_mul_mod
@@ -29,6 +30,30 @@ def mat_pow_mod(a, e, mod):
         if e:
             base = mul(base, base)
     return out
+
+
+def poly_mul(a, b, zero, stretch=1):
+    """a(y) * b(y^stretch) over any ring, ascending coefficients: every
+    term of `a` times every nonzero term of `b`.  The serial route the
+    aggregate and the curve-tower numerators are checked against."""
+    out = [zero] * (len(a) + (len(b) - 1) * stretch)
+    for i, c in enumerate(b):
+        if c == 0:
+            continue
+        for j, x in enumerate(a):
+            out[i * stretch + j] = out[i * stretch + j] + x * c
+    return out
+
+
+def rational_det_from_traces(traces):
+    """Newton's identities k c_k = -sum_{i<=k} tr_i c_{k-i} over exact
+    rationals: det(1 - x B) from tr(B^1), ..., tr(B^D), integral or not."""
+    coeffs = [Fraction(1)]
+    for k in range(1, len(traces) + 1):
+        acc = sum(Fraction(traces[i - 1]) * coeffs[k - i]
+                  for i in range(1, k + 1))
+        coeffs.append(-acc / k)
+    return coeffs
 
 
 def strip_timings(report):

@@ -110,8 +110,8 @@ def test_cached_r_poly_matches_direct_computation(tmp_path):
     direct_poly, direct_meta = r_poly(spec, 2)
     cold_poly, cold_meta = cached_r_poly(spec, 2, str(tmp_path))
     warm_poly, warm_meta = cached_r_poly(spec, 2, str(tmp_path))
-    assert cold_poly.coeffs == direct_poly.coeffs
-    assert warm_poly.coeffs == direct_poly.coeffs
+    assert cold_poly == direct_poly
+    assert warm_poly == direct_poly
     assert cold_meta == direct_meta == warm_meta
     assert (tmp_path / f"{spec.level_digest()}-n2.json").exists()
 
@@ -123,7 +123,7 @@ def test_cached_r_poly_recomputes_after_corruption(tmp_path):
     assert entry.exists()
     entry.write_text("garbage")
     again, _ = cached_r_poly(spec, 1, str(tmp_path))
-    assert again.coeffs == poly.coeffs
+    assert again == poly
 
 
 def test_converge_recomputes_tampered_cache_entry(tmp_path, capsys,
@@ -159,9 +159,9 @@ def test_converge_reuses_cached_levels_across_n_max(tmp_path, capsys,
     computed = []
     real = cache.r_poly
 
-    def counting(spec, n, reps=None, pieces=None):
+    def counting(spec, n, pieces=None):
         computed.append(n)
-        return real(spec, n, reps, pieces)
+        return real(spec, n, pieces)
 
     monkeypatch.setattr(cache, "r_poly", counting)
     assert main(argv + ["--n-max", "4"]) == 0

@@ -9,8 +9,14 @@ forming only the powers of one generator per Galois orbit.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import towerlim
 from towerlim import charsums
 from towerlim.charsums import (
     _h_from_traces,
@@ -25,7 +31,8 @@ from towerlim.cli import main
 from towerlim.cyclo import BiCycloElem, CycloRing
 from towerlim.errors import CheckFailed, GuardExceeded
 from towerlim.fields import field_build
-from towerlim.matrices import poly_mul
+
+from oracles import poly_mul
 
 CASES = [(3, 4, 2), (3, 7, 1), (3, 7, 2), (3, 19, 2), (3, 25, 1), (5, 11, 1)]
 
@@ -163,6 +170,25 @@ def test_motivating_field_guard_builds_nothing(monkeypatch, capsys):
     assert len(builds) == 2
 
 
+@pytest.mark.parametrize("family", ["fermat", "as"])
+@pytest.mark.parametrize("bad", [["--q", "1"], ["--q", "0"], ["--q", "-1"],
+                                 ["--q", "7", "--m-max", "0"],
+                                 ["--q", "7", "--m-max", "-3"]],
+                         ids=["q1", "q0", "q-1", "m_max0", "m_max-3"])
+def test_zeta_rejects_q_below_2_and_m_max_below_1(family, bad):
+    # In a child process with a timeout: a q below 2 once looped forever
+    # while picking the default m_max, and m_max < 1 printed a "pass" that
+    # checked no count.
+    src = str(Path(towerlim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "towerlim.cli", "zeta", family, "--ell", "3",
+         "--n", "1", *bad], capture_output=True, text=True, timeout=30,
+        env=env)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "input error" in proc.stderr
+
+
 def _lie_about(monkeypatch, name, lie):
     """Replace charsums.<name> by lie(real, *args)."""
     real = getattr(charsums, name)
@@ -195,7 +221,7 @@ def test_bookkeeping_failures_name_family_level_and_values(monkeypatch):
         assert _bookkeeping_failure("fermat", 7, 1) == {
             "family": "fermat", "level": 1, "expected": 2, "measured": 3}
     with monkeypatch.context() as mp:  # f_n one degree too high per level
-        _lie_about(mp, "poly_mul", lambda real, *a: real(*a) + [0])
+        _lie_about(mp, "convolve", lambda real, *a: real(*a) + [0])
         assert _bookkeeping_failure("fermat", 7, 2) == {
             "family": "fermat", "level": 2, "expected": 56, "measured": 58}
     asked = set()

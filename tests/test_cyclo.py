@@ -29,7 +29,7 @@ def test_zeta_satisfies_cyclotomic_relation():
         total = ring.zero()
         for i in range(ell):
             total = total + ring.zeta(i * step)
-        assert total.is_zero()
+        assert total == ring.zero()
         assert ring.zeta(ell**level) == ring.one()
 
 
@@ -57,7 +57,7 @@ def test_ring_axioms_random_sweep():
                 assert x * (y + z) == x * y + x * z
                 assert x * ring.one() == x
                 assert x + ring.zero() == x
-                assert (x - x).is_zero()
+                assert x - x == ring.zero()
 
 
 def test_truncated_ring_matches_exact_ring():
@@ -168,7 +168,7 @@ def test_bicyclo_additive_root_relation():
     # sum of all p-th roots of unity vanishes.
     ring = BiCycloRing(7, 3, 1)
     x = ring.from_exponent_counts({(i, 0): 1 for i in range(7)})
-    assert x.is_zero()
+    assert x == ring.zero()
 
 
 def _as_int(x):

@@ -14,11 +14,11 @@ from towerlim.charsums import mult_order
 from towerlim.cyclo import CycloRing
 from towerlim.errors import CheckFailed, InputError
 from towerlim.matfermat import poly_diff_val
-from towerlim.matrices import mat_vec_mod, orbit, orbit_reps, poly_mul
+from towerlim.matrices import mat_vec_mod, orbit, orbit_reps
 from towerlim.padic import min_val
 from towerlim.tower import make_tower_spec, orbit_order
 
-from oracles import mat_pow_mod
+from oracles import mat_pow_mod, poly_mul
 
 PROPS = settings(derandomize=True, database=None, max_examples=60,
                  deadline=None)
@@ -39,6 +39,8 @@ def schoolbook(a, b, zero, stretch):
     return out
 
 
+# The serial oracle `poly_mul` of tests/oracles.py, checked against a
+# dense expansion of b(y^stretch).
 @PROPS
 @given(int_polys, int_polys, st.integers(1, 4))
 def test_poly_mul_ints_matches_schoolbook(a, b, stretch):

@@ -2,15 +2,24 @@
 
 Every module-level `def`/`class` and every non-dunder method of a module in
 `src/towerlim` (the re-exporting `__init__.py` aside) must be read somewhere
-in the package: its name must appear as a loaded `ast.Name` or
-`ast.Attribute` in another module, or in its own module outside its own
-definition.  Code that only tests read belongs in the tests; a name that
+in the package, outside its own definition:
+
+* a module-level name through a loaded `ast.Name` in its own module or in a
+  module that binds it with `from .module import name`, or through a loaded
+  `module.name`;
+* a method through a loaded `ast.Attribute` of its name, never a bare Name
+  (a local variable that shares the name reads nothing).
+
+Attribute names are not resolved by type, so any `x.add` still counts as a
+read of every method named `add`: that is how `set.add` once hid an unread
+`FqField.add`.  Code that only tests read belongs in the tests; a name that
 stays for another reason is listed in KEEP with that reason.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import towerlim
@@ -43,32 +52,41 @@ def _definitions(tree):
                     yield f"{node.name}.{sub.name}", sub
 
 
-def _reads(tree, skip=None):
-    """Names loaded as a Name or an Attribute, outside the node skip."""
-    skipped = {id(n) for n in ast.walk(skip)} if skip else set()
-    out = set()
+def _reads(tree, module: str, own: bool):
+    """Counts of the module-level names of `module` and of the method names
+    that `tree` loads.  `own` says `tree` is (part of) `module` itself."""
+    bound = {a.asname or a.name: a.name
+             for n in ast.walk(tree)
+             if isinstance(n, ast.ImportFrom) and n.level == 1
+             and n.module == module for a in n.names}
+    names, attrs = Counter(), Counter()
     for n in ast.walk(tree):
-        if id(n) in skipped or not isinstance(getattr(n, "ctx", None),
-                                              ast.Load):
+        if not isinstance(getattr(n, "ctx", None), ast.Load):
             continue
-        if isinstance(n, ast.Name):
-            out.add(n.id)
+        if isinstance(n, ast.Name) and (own or n.id in bound):
+            names[n.id if own else bound[n.id]] += 1
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
-    return out
+            attrs[n.attr] += 1
+            if isinstance(n.value, ast.Name) and n.value.id == module:
+                names[n.attr] += 1
+    return names, attrs
 
 
 def unread_definitions(src: Path) -> list[str]:
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(src.glob("*.py")) if p.name != "__init__.py"}
-    reads = {name: _reads(tree) for name, tree in trees.items()}
     unread = []
     for module, tree in trees.items():
+        elsewhere = [_reads(t, module, False)
+                     for m, t in trees.items() if m != module]
+        own = _reads(tree, module, True)
         for qualname, node in _definitions(tree):
+            kind = 1 if "." in qualname else 0  # a method: attributes only
             name = qualname.rsplit(".", 1)[-1]
-            elsewhere = any(name in r for m, r in reads.items() if m != module)
-            if not elsewhere and name not in _reads(tree, skip=node):
-                unread.append(f"{module[:-3]}.{qualname}")
+            inside = _reads(node, module, True)[kind][name]
+            if (own[kind][name] == inside
+                    and not any(r[kind][name] for r in elsewhere)):
+                unread.append(f"{module}.{qualname}")
     return unread
 
 

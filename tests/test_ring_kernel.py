@@ -156,8 +156,8 @@ def test_cyclo_ring_axioms(operands, k):
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
     assert x * one == x and one * x == x
-    assert (x * zero).is_zero()
-    assert (x + (-x)).is_zero()
+    assert x * zero == zero
+    assert x + (-x) == zero
     assert x * k == x * ring.from_int(k)
 
 
@@ -170,6 +170,6 @@ def test_bicyclo_ring_axioms(operands, k):
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
     assert x * one == x and one * x == x
-    assert (x * zero).is_zero()
-    assert (x + (-x)).is_zero()
+    assert x * zero == zero
+    assert x + (-x) == zero
     assert x * k == x * ring.from_int(k)

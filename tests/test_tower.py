@@ -161,22 +161,21 @@ def test_p_poly_shape_and_galois_symmetry():
         mod = 3**n
         for v in [(1, 1), (1, 2), (2, 1)]:
             poly = p_poly(spec, n, v)
-            assert poly.coeffs[0] == poly.coeffs[0].ring.one()
+            assert poly[0] == poly[0].ring.one()
             # det(I - y * A_n(v)) of an r x r product has degree r.
-            assert poly.degree == spec.r
+            assert len(poly) - 1 == spec.r
             # Advancing v along its own orbit leaves the polynomial fixed:
             # the product defining it is conjugated cyclically.
             qv = tuple(
                 (spec.q_matrix[i][0] * v[0] + spec.q_matrix[i][1] * v[1]) % mod
                 for i in range(2)
             )
-            assert p_poly(spec, n, qv).coeffs == poly.coeffs
+            assert p_poly(spec, n, qv) == poly
 
 
 def test_r_poly_base_case():
     poly, meta = r_poly(_spec34(), 1)
-    assert poly.level == 0
-    assert poly.coeffs == (1, 3**9 - 1, 1)  # 1 - y + y^2 mod 3^9
+    assert poly == (1, 3**9 - 1, 1)  # 1 - y + y^2 mod 3^9
     assert meta == {
         "level": 1,
         "k_n": 1,
@@ -194,19 +193,19 @@ def test_r_poly_degree_counts_orbits():
         # (l-1) l^(n-1) primitive residues.
         assert meta["degree"] == spec.r * meta["num_orbits"]
         assert meta["num_orbits"] * meta["k_n"] == 2 * 3 ** (n - 1)
-        assert poly.coeffs[0] == 1
-        assert all(isinstance(c, int) for c in poly.coeffs)
+        assert poly[0] == 1
+        assert all(isinstance(c, int) for c in poly)
     gen_poly, gen_meta = r_poly(_spec_general(), 2)
     assert gen_meta["degree"] == 24
     assert gen_meta["num_orbits"] == 24
     assert gen_meta["orbit_sizes"] == [3]
-    assert all(isinstance(c, int) for c in gen_poly.coeffs)
+    assert all(isinstance(c, int) for c in gen_poly)
 
 
 def test_r_poly_palindromic_normalization():
     # Aggregates of this family satisfy c_d = c_0 = 1 at the base level.
     poly, _ = r_poly(_spec56(), 1)
-    assert poly.coeffs[0] == 1 and poly.coeffs[-1] == 1
+    assert poly[0] == 1 and poly[-1] == 1
 
 
 def test_scalar_rows_saturate_for_stable_family():
@@ -300,20 +299,8 @@ def test_qsum_input_checks():
         qsum_rows(two, [1], [1], 1, 2, emit_products=True)
 
 
-def test_charpoly_records_use_decimal_strings():
-    spec = _spec34()
-    poly, _ = r_poly(spec, 1)
-    rec = poly.as_record()
-    assert rec["coeffs"] == ["1", str(3**9 - 1), "1"]
-    assert rec["level"] == 0
-    lvl = p_poly(spec, 2, (1,))
-    rec2 = lvl.as_record()
-    assert rec2["level"] == 2
-    assert all(isinstance(c, list) for c in rec2["coeffs"])
-
-
 def test_p_poly_accepts_explicit_ring():
     spec = _spec34()
     ring = CycloRing(3, 2, prec=spec.prec)
     poly = p_poly(spec, 2, (1,), ring=ring)
-    assert poly.coeffs == p_poly(spec, 2, (1,)).coeffs
+    assert poly == p_poly(spec, 2, (1,))

@@ -7,18 +7,23 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from towerlim.errors import CheckFailed, InputError
 from towerlim.matfermat import (
     arnold_zarelua_check,
     det_from_traces,
-    intify,
     poly_diff_val,
     traces_from_det,
 )
-from towerlim.matrices import mat_pow, mat_trace
+from towerlim.matrices import det_one_minus_y, mat_pow, mat_trace
+
+from oracles import rational_det_from_traces
 
 SWEEP_SEED = 971
+PROPS = settings(derandomize=True, database=None, max_examples=80,
+                 deadline=None)
 
 
 def trace_power(a, e):
@@ -119,7 +124,7 @@ def test_traces_and_determinant_coefficients_are_inverse():
     for _ in range(30):
         deg = rng.randint(1, 6)
         traces = [rng.randint(-20, 20) for _ in range(deg)]
-        coeffs = det_from_traces(traces)
+        coeffs = rational_det_from_traces(traces)
         assert len(coeffs) == deg + 1
         assert coeffs[0] == 1
         back = traces_from_det(coeffs, deg)
@@ -129,13 +134,43 @@ def test_traces_and_determinant_coefficients_are_inverse():
 def test_det_from_traces_known_matrix():
     # A = [[2,1],[1,1]] has det(I - yA) = 1 - 3y + y^2.
     traces = [trace_power([[2, 1], [1, 1]], m) for m in (1, 2)]
-    assert intify(det_from_traces(traces)) == [1, -3, 1]
+    assert det_from_traces(traces) == [1, -3, 1]
 
 
-def test_intify_rejects_true_fractions():
-    assert intify([Fraction(4, 2), Fraction(3)]) == [2, 3]
-    with pytest.raises(CheckFailed):
-        intify([Fraction(1, 3)])
+def test_det_from_traces_raises_at_the_first_non_integral_coefficient():
+    # c_1 = -1, then 2 c_2 = -(1 * c_1 + 0 * c_0) = 1
+    with pytest.raises(CheckFailed) as err:
+        det_from_traces([1, 0, 5], "test polynomial", family="x", level=3)
+    assert err.value.context == {"coefficient": 2, "family": "x", "level": 3}
+    assert str(err.value) == ("test polynomial: coefficient 2 is "
+                              "non-integral (1/2)")
+
+
+@PROPS
+@given(st.integers(1, 4).flatmap(lambda r: st.lists(
+    st.lists(st.integers(-6, 6), min_size=r, max_size=r),
+    min_size=r, max_size=r)), st.integers(0, 3))
+def test_det_from_traces_matches_rationals_on_integer_matrices(a, extra):
+    r = len(a)
+    traces = [trace_power(a, d) for d in range(1, r + extra + 1)]
+    got = det_from_traces(traces)
+    assert got == rational_det_from_traces(traces)
+    assert all(type(c) is int for c in got)
+    assert got == det_one_minus_y(a, 1, 0) + [0] * extra
+
+
+@PROPS
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=8))
+def test_det_from_traces_raises_where_the_rationals_turn_fractional(traces):
+    want = rational_det_from_traces(traces)
+    bad = next((i for i, c in enumerate(want) if c.denominator != 1), None)
+    if bad is None:
+        assert det_from_traces(traces) == want
+        return
+    with pytest.raises(CheckFailed) as err:
+        det_from_traces(traces, "h", level=7)
+    assert err.value.context == {"coefficient": bad, "level": 7}
+    assert str(err.value).endswith(f"non-integral ({want[bad]})")
 
 
 def test_poly_diff_val():
