@@ -20,16 +20,26 @@ import os
 import tempfile
 from typing import Optional
 
+from .errors import InputError
 from .tower import TowerSpec, json_digest, r_poly
 
 CACHE_VERSION = 2
 
 
 def resolve_cache_dir(configured: Optional[str]) -> Optional[str]:
-    env = os.environ.get("TOWERLIM_CACHE")
-    if env:
-        return env
-    return configured
+    """TOWERLIM_CACHE, else `configured`, else None (caching off).  The
+    directory is created here, once, so an unusable one is an InputError
+    naming it before any level is computed."""
+    path = os.environ.get("TOWERLIM_CACHE") or configured
+    if path is None:
+        return None
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cache directory {path!r}: {exc.strerror}") from None
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise InputError(f"cache directory {path!r} is not writable")
+    return path
 
 
 def _entry_path(dirpath: str, digest: str, level: int) -> str:
@@ -60,7 +70,6 @@ def cache_put(dirpath: Optional[str], digest: str, level: int,
               payload: dict) -> None:
     if dirpath is None:
         return
-    os.makedirs(dirpath, exist_ok=True)
     blob = {
         "version": CACHE_VERSION,
         "digest": digest,
@@ -105,8 +114,7 @@ def _poly_from_payload(payload: dict, spec: TowerSpec
 
 
 def cached_r_poly(spec: TowerSpec, level: int, dirpath: Optional[str],
-                  pieces: Optional[dict] = None
-                  ) -> tuple[tuple[int, ...], dict]:
+                  pieces: dict) -> tuple[tuple[int, ...], dict]:
     """r_poly with read-through caching keyed by (level digest, level).
 
     `pieces` is passed on to r_poly on a miss (the per-run p_{n,v} memo).
@@ -117,6 +125,6 @@ def cached_r_poly(spec: TowerSpec, level: int, dirpath: Optional[str],
         hit = _poly_from_payload(payload, spec)
         if hit is not None:
             return hit
-    coeffs, meta = r_poly(spec, level, pieces=pieces)
+    coeffs, meta = r_poly(spec, level, pieces)
     cache_put(dirpath, digest, level, _poly_payload(spec, coeffs, meta))
     return coeffs, meta

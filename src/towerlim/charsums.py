@@ -26,7 +26,7 @@ import numpy as np
 
 from .cyclo import BiCycloElem, BiCycloRing, CycloElem, CycloRing, convolve
 from .errors import CheckFailed, GuardExceeded, InputError
-from .fields import FqField, check_field_size, field_build
+from .fields import FIELD_CAP, FqField, check_field_size, field_build
 from .matfermat import det_from_traces, traces_from_det
 from .matrices import orbit, orbit_reps
 from .padic import check_odd_prime, int_val, min_val
@@ -40,9 +40,16 @@ AS_CHUNK = 1 << 16
 
 
 def prime_power_split(q: int) -> tuple[int, int]:
-    """q = p^f with p prime; error if q is not a prime power."""
+    """q = p^f with p prime; error if q is not a prime power.  Every caller
+    builds F_q, so a q past the field guard is refused before any trial
+    division (up to sqrt(q) steps)."""
     if q < 2:
         raise InputError(f"{q} is not a prime power")
+    if q > FIELD_CAP:
+        raise GuardExceeded(
+            f"q = {q} exceeds the table guard of {FIELD_CAP} elements",
+            q=q, limit=FIELD_CAP,
+        )
     for p in range(2, q + 1):
         if p * p > q:
             break
@@ -550,6 +557,29 @@ def artin_schreier_enum_count(q: int, m: int, d: int, *,
 # conventions inside E.
 
 
+def _degenerate_jacobi(w1: int, w2: int, d_lo: int) -> list[tuple[str, int]]:
+    """(name, v) of each of chi_w1, chi_w2 and their product that is
+    trivial at the lower level l^n = d_lo; the Jacobi descent needs none."""
+    pairs = (("chi_1", w1), ("chi_2", w2), ("their product", w1 + w2))
+    return [(name, w) for name, w in pairs if w % d_lo == 0]
+
+
+def _gauss_sign_status(rows: Sequence[dict]) -> tuple[str, Optional[int]]:
+    """(status, sign) of sign-resolved Gauss descent rows: "pass" and the
+    sign if each row matches exactly one sign and all rows agree; else the
+    last row matching both signs ("degenerate") or neither ("fail") sets
+    the status, and rows that disagree are a "fail"."""
+    status, signs = "pass", set()
+    for r in rows:
+        if r["sign_plus"] == r["sign_minus"]:
+            status = "degenerate" if r["sign_plus"] else "fail"
+        else:
+            signs.add(1 if r["sign_plus"] else -1)
+    if status == "pass" and len(signs) != 1:
+        status = "fail"
+    return status, signs.pop() if status == "pass" else None
+
+
 def _coleman_jacobi_core(E: FqField, sub_q: int, ell: int, n: int,
                          w1: int, w2: int) -> dict:
     """Level-(n+1) Jacobi sum over E against its level-n subfield image.
@@ -624,12 +654,11 @@ def coleman_jacobi_check(ell: int, q: int, v1: int, v2: int) -> dict:
         raise InputError(f"need {ell} | q - 1 (q = {q})")
     d_lo = ell**n
     d_hi = ell ** (n + 1)
-    for name, w in (("chi_1", v1), ("chi_2", v2), ("their product", v1 + v2)):
-        if w % d_lo == 0:
-            raise InputError(
-                f"{name} is degenerate at level {n} (v = {w}); the descent "
-                f"identity does not apply"
-            )
+    for name, w in _degenerate_jacobi(v1, v2, d_lo):
+        raise InputError(
+            f"{name} is degenerate at level {n} (v = {w}); the descent "
+            f"identity does not apply"
+        )
     big = field_build(p, f * ell)
     row = _coleman_jacobi_core(big, q, ell, n, v1 % d_hi, v2 % d_hi)
     return {
@@ -669,17 +698,7 @@ def coleman_gauss_check(ell: int, q: int, v: Optional[int] = None) -> dict:
         vs = [v % d_hi]
     big = field_build(p, f * ell)
     rows = [_coleman_gauss_core(big, q, ell, n, w) for w in vs]
-    status = "pass"
-    signs = set()
-    for r in rows:
-        if r["sign_plus"] and r["sign_minus"]:
-            status = "degenerate"
-        elif not r["sign_plus"] and not r["sign_minus"]:
-            status = "fail"
-        else:
-            signs.add(1 if r["sign_plus"] else -1)
-    if status == "pass" and len(signs) != 1:
-        status = "fail"
+    status, sign = _gauss_sign_status(rows)
     return {
         "identity": "gauss",
         "ell": ell,
@@ -688,7 +707,7 @@ def coleman_gauss_check(ell: int, q: int, v: Optional[int] = None) -> dict:
         "level": n + 1,
         "scale": q ** ((ell - 1) // 2),
         "status": status,
-        "sign": signs.pop() if status == "pass" else None,
+        "sign": sign,
         "rows": rows,
     }
 
@@ -882,7 +901,7 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
         if family == "fermat":
             d_lo = ell**m
             for (w1, w2), _ in _fresh_orbits(family, ell, m + 1, q):
-                if w1 % d_lo == 0 or w2 % d_lo == 0 or (w1 + w2) % d_lo == 0:
+                if _degenerate_jacobi(w1, w2, d_lo):
                     rows.append({"w": [w1, w2], "passed": None,
                                  "note": "degenerate at the lower level"})
                     continue
@@ -891,9 +910,7 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
         else:
             for (v,), _ in _fresh_orbits(family, ell, m + 1, q):
                 rows.append(_coleman_gauss_core(big, sub_q, ell, m, v))
-            one_sign = all(r["sign_plus"] != r["sign_minus"] for r in rows)
-            uniform = len({r["sign_plus"] for r in rows}) <= 1
-            ok = one_sign and uniform
+            ok = _gauss_sign_status(rows)[0] == "pass"
         stab.append({
             "m": m,
             "extension_q": big.q,

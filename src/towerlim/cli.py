@@ -37,6 +37,7 @@ from .fields import check_field_size
 from .matfermat import arnold_zarelua_check
 from .report import Timer, decimal_list, make_report, write_report
 from .tower import (
+    check_scalar_twist,
     general_congruence_rows,
     orbit_params,
     qsum_rows,
@@ -107,21 +108,21 @@ def cmd_converge(args) -> int:
     timer = Timer()
     exp = load_config(args.config, n_max=args.n_max)
     spec = exp.spec
+    if args.mode == "scalar":
+        check_scalar_twist(spec)
+    cachedir = resolve_cache_dir(exp.cache_dir)
     params = orbit_params(spec)
     timer.mark("orbit_params")
-    cachedir = resolve_cache_dir(exp.cache_dir)
-    # scalar rows reread every p_{n,v} the aggregates computed; general
-    # rows need none, so general mode holds no memo
-    pieces = {} if args.mode == "scalar" else None
+    pieces = {}  # each p_{n,v} by (level, rep), for the scalar rows too
     polys = {
         level: cached_r_poly(spec, level, cachedir, pieces)
         for level in range(1, spec.n_max + 1)
     }
     timer.mark("aggregate_polys")
     if args.mode == "scalar":
-        rows = scalar_congruence_rows(spec, params=params, pieces=pieces)
+        rows = scalar_congruence_rows(spec, params, pieces)
     else:
-        rows = general_congruence_rows(spec, params=params, r_cache=polys)
+        rows = general_congruence_rows(spec, params, polys)
     timer.mark("congruences")
     body = {
         "mode": args.mode,

@@ -404,12 +404,8 @@ def _roll_add(out: np.ndarray, src: np.ndarray, t: int) -> None:
         out[:, :t] += src[:, size - t:]
 
 
-def frobenius_product(
-    spec: TowerSpec,
-    n: int,
-    v: Sequence[int],
-    ring: Optional[CycloRing] = None,
-) -> list[list[CycloElem]]:
+def frobenius_product(spec: TowerSpec, n: int, v: Sequence[int],
+                      ring: CycloRing) -> list[list[CycloElem]]:
     """A_n(v) = F(z^(Q^-1 v)) ... F(z^(Q^-k v)) over the level-n ring.
 
     k is the orbit size and Q^-i v = Q^(k-i) v: the factors follow the
@@ -418,10 +414,9 @@ def frobenius_product(
     holds the l^n exponent coefficients of entry (i, j).  A factor
     F(z^w) = sum_t M_t z^<e_t, w> multiplies in as acc times M_t, rolled
     by <e_t, w>, per term, summed and reduced mod l^prec.  The entries are
-    folded to the power basis once, at the end.
+    folded to the power basis once, at the end.  `ring` is the level-n
+    ring: mod l^prec for p_poly, exact for qsum_rows.
     """
-    if ring is None:
-        ring = build_ring(spec, n)
     dtype = _product_dtype(spec, ring)
     need = _group_ring_bytes(ring, dtype, spec.r**2 * ring.order)
     if need > MAX_PRODUCT_BYTES:
@@ -450,37 +445,27 @@ def frobenius_product(
     ]
 
 
-def _memo_p_poly(pieces: Optional[dict], spec: TowerSpec, n: int,
-                 v: tuple, ring: CycloRing) -> tuple[CycloElem, ...]:
-    """p_poly through a per-run memo keyed by (level, rep), when given."""
-    if pieces is None:
-        return p_poly(spec, n, v, ring)
+def _memo_p_poly(pieces: dict, spec: TowerSpec, n: int,
+                 v: tuple) -> tuple[CycloElem, ...]:
+    """p_poly through a per-run memo keyed by (level, rep)."""
     p = pieces.get((n, v))
     if p is None:
-        p = pieces[(n, v)] = p_poly(spec, n, v, ring)
+        p = pieces[(n, v)] = p_poly(spec, n, v)
     return p
 
 
-def p_poly(
-    spec: TowerSpec,
-    n: int,
-    v: Sequence[int],
-    ring: Optional[CycloRing] = None,
-) -> tuple[CycloElem, ...]:
+def p_poly(spec: TowerSpec, n: int,
+           v: Sequence[int]) -> tuple[CycloElem, ...]:
     """Ascending coefficients of p_{n,v}(y) = det(I - y A_n(v)) over
     Z[zeta_{l^n}] mod l^prec; the twisted product walks the orbit of v
     itself."""
-    if ring is None:
-        ring = build_ring(spec, n)
+    ring = build_ring(spec, n)
     a = frobenius_product(spec, n, v, ring)
     return tuple(det_one_minus_y(a, ring.one(), ring.zero()))
 
 
-def r_poly(
-    spec: TowerSpec,
-    n: int,
-    pieces: Optional[dict] = None,
-) -> tuple[tuple[int, ...], dict]:
+def r_poly(spec: TowerSpec, n: int,
+           pieces: dict) -> tuple[tuple[int, ...], dict]:
     """The aggregate polynomial r_n(y) with base-ring coefficients.
 
     Multiplies p_{n,v}(y^(k_n(v)/k_n)) over primitive orbit reps v, where
@@ -498,9 +483,8 @@ def r_poly(
     the products.
 
     Returns (coefficients, meta) where meta records k_n, the rep count, and
-    per-rep orbit sizes.  `pieces`, when given, is a per-run memo of p_{n,v}
-    keyed by (level, rep), read and filled here (scalar congruence rows
-    reuse it).
+    per-rep orbit sizes.  `pieces` is the run's memo of p_{n,v} keyed by
+    (level, rep), read and filled here (scalar congruence rows reread it).
     """
     reps = primitive_orbit_reps(spec, n)
     if not reps:
@@ -509,7 +493,7 @@ def r_poly(
     k_n = min(s for _, s in reps)
     factors = []
     for v, size in reps:
-        p = _memo_p_poly(pieces, spec, n, v, ring)
+        p = _memo_p_poly(pieces, spec, n, v)
         s, rem = divmod(size, k_n)
         if rem:
             raise CheckFailed(
@@ -601,11 +585,14 @@ def _status(n: int, n0: int, measured: int, saturated: bool, required: int) -> s
     return "fail"
 
 
-def scalar_congruence_rows(
-    spec: TowerSpec,
-    params: Optional[OrbitParams] = None,
-    pieces: Optional[dict] = None,
-) -> list[CongruenceRow]:
+def check_scalar_twist(spec: TowerSpec) -> None:
+    """InputError unless Q is a scalar matrix, which scalar mode needs."""
+    if not spec.is_scalar_q():
+        raise InputError("scalar congruence mode requires a scalar twist Q")
+
+
+def scalar_congruence_rows(spec: TowerSpec, params: OrbitParams,
+                           pieces: dict) -> list[CongruenceRow]:
     """Per-orbit charpoly congruences p_{n+1,v} = p_{n,v} mod k_{n+1}.
 
     Only defined for scalar Q (the statement needs the twist to act by a
@@ -614,24 +601,17 @@ def scalar_congruence_rows(
     guaranteed depth is v_l(k_{n+1}(v)) once n >= n0, and rows below the
     threshold are marked rather than judged.
 
-    Each p_{n,v} is computed once: `pieces` is the (level, rep) memo that
-    `r_poly` fills, and without one a fresh memo still carries row n's
-    level-(n+1) polynomials into row n+1.
+    `pieces` is the run's (level, rep) memo that `r_poly` fills; a
+    level-n rep is also a level-(n+1) rep, so it holds every p_{n,v} read
+    here unless an aggregate came from the cache.
     """
-    if not spec.is_scalar_q():
-        raise InputError("scalar congruence mode requires a scalar twist Q")
-    if params is None:
-        params = orbit_params(spec)
-    if pieces is None:
-        pieces = {}
+    check_scalar_twist(spec)
     rows = []
     for n in range(1, spec.n_max):
-        ring_lo = build_ring(spec, n)
-        ring_hi = build_ring(spec, n + 1)
         for v, size in primitive_orbit_reps(spec, n):
             size_hi = orbit_order(spec, n + 1, v)
-            p_lo = _memo_p_poly(pieces, spec, n, v, ring_lo)
-            p_hi = _memo_p_poly(pieces, spec, n + 1, v, ring_hi)
+            p_lo = _memo_p_poly(pieces, spec, n, v)
+            p_hi = _memo_p_poly(pieces, spec, n + 1, v)
             required = int_val(spec.ell, size_hi) if size_hi > 1 else 0
             # both coefficient lists, spread over the ring basis
             measured, sat = poly_diff_val(
@@ -648,30 +628,20 @@ def scalar_congruence_rows(
     return rows
 
 
-def general_congruence_rows(
-    spec: TowerSpec,
-    params: Optional[OrbitParams] = None,
-    r_cache: Optional[dict] = None,
-) -> list[CongruenceRow]:
+def general_congruence_rows(spec: TowerSpec, params: OrbitParams,
+                            polys: dict) -> list[CongruenceRow]:
     """Aggregate congruences r_{n+1} = r_n^(l^(b-1)) mod l^n, per level
-    n = 1..n_max-1.
+    n = 1..n_max-1, from `polys`: r_poly's (coefficients, meta) for every
+    level 1..n_max.
 
     The guaranteed depth is n (n*b for scalar twists) once n >= n0; below
     the threshold the degrees need not even match and the row is marked
     below-threshold with the raw measurement included.
     """
-    if params is None:
-        params = orbit_params(spec)
     scalar = spec.is_scalar_q()
     mod = spec.ell**spec.prec
-    polys: dict[int, tuple[tuple[int, ...], dict]] = {}
-    if r_cache is not None:
-        polys.update(r_cache)
     rows = []
     for n in range(1, spec.n_max):
-        for level in (n, n + 1):
-            if level not in polys:
-                polys[level] = r_poly(spec, level)
         (r_lo, meta_lo), (r_hi, meta_hi) = polys[n], polys[n + 1]
         power = r_lo
         for _ in range(spec.b - 1):  # power = r_lo^(l^(b-1)) mod l^prec
@@ -687,8 +657,6 @@ def general_congruence_rows(
                 _status(n, params.n0, measured, sat, required),
             )
         )
-    if r_cache is not None:
-        r_cache.update(polys)
     return rows
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from towerlim.cyclo import CycloElem
 from towerlim.fields import _poly_mul_mod
+from towerlim.tower import r_poly
 
 
 def mat_pow_mod(a, e, mod):
@@ -143,3 +144,10 @@ def fq_mul_poly(field, a, b):
     prod = _poly_mul_mod(field.decode(a), field.decode(b),
                          list(field.modulus), field.p)
     return field.encode(prod)
+
+
+def aggregates(spec):
+    """r_n for n = 1..n_max through one p_{n,v} memo: the levels `converge`
+    passes to the general rows when caching is off."""
+    pieces = {}
+    return {n: r_poly(spec, n, pieces) for n in range(1, spec.n_max + 1)}

@@ -39,7 +39,7 @@ from towerlim.tower import (
     scalar_congruence_rows,
 )
 
-from oracles import mat_pow_mod
+from oracles import aggregates, mat_pow_mod
 
 F_LINEAR = [((0,), [[1]]), ((1,), [[1]])]
 F_TWO_VAR = [((0, 0), [[1]]), ((3, 1), [[1]])]
@@ -120,7 +120,8 @@ def test_criterion_3_scalar_congruence():
     def body():
         spec = make_tower_spec(5, 1, 1, [[6]], F_LINEAR, 4)
         rows = [
-            r for r in scalar_congruence_rows(spec) if r.rep == (1,)
+            r for r in scalar_congruence_rows(spec, orbit_params(spec), {})
+            if r.rep == (1,)
         ]
         assert [r.n for r in rows] == [1, 2, 3]
         for row in rows:
@@ -132,7 +133,9 @@ def test_criterion_3_scalar_congruence():
             terms = _draw_quadratic_coeff_family(rng, 5, 2)
             spec2 = make_tower_spec(5, 1, 2, [[6]], terms, 4)
             rows2 = [
-                r for r in scalar_congruence_rows(spec2) if r.rep == (1,)
+                r for r in scalar_congruence_rows(
+                    spec2, orbit_params(spec2), {})
+                if r.rep == (1,)
             ]
             assert [r.n for r in rows2] == [1, 2, 3]
             for row in rows2:
@@ -146,14 +149,15 @@ def test_criterion_3_scalar_congruence():
 def test_criterion_4_general_congruence():
     def body():
         gen = make_tower_spec(3, 2, 1, [[4, 0], [3, 4]], F_TWO_VAR, 3)
-        rows = general_congruence_rows(gen)
+        rows = general_congruence_rows(gen, orbit_params(gen), aggregates(gen))
         assert [(r.n, r.required, r.measured, r.status) for r in rows] == [
             (1, 1, 3, "pass"),
             (2, 2, 6, "pass"),
         ]
         scalar10 = make_tower_spec(3, 2, 1, [[10, 0], [0, 10]], F_TWO_VAR, 3)
         assert orbit_params(scalar10).n0 == 2
-        rows10 = general_congruence_rows(scalar10)
+        rows10 = general_congruence_rows(
+            scalar10, orbit_params(scalar10), aggregates(scalar10))
         # The 2n bound only binds from the threshold level n_0 = 2 on; the
         # level-1 row records its sub-threshold measurement without failing.
         assert [(r.n, r.required, r.measured, r.status) for r in rows10] == [
@@ -273,7 +277,7 @@ def test_criterion_8_property_suites():
         spec34 = make_tower_spec(3, 1, 1, [[4]], F_LINEAR, 3)
         for spec, levels in [(spec34, (1, 2, 3)), (gen, (1, 2))]:
             for n in levels:
-                poly, _ = r_poly(spec, n)
+                poly, _ = r_poly(spec, n, {})
                 assert all(isinstance(c, int) for c in poly)
 
         # Orbit orders step by exactly l once past the threshold.

@@ -39,7 +39,7 @@ def oracle_r_poly(spec, n):
     k_n = min(s for _, s in reps)
     poly = [ring.one()]
     for v, size in reps:
-        p = p_poly(spec, n, v, ring)
+        p = p_poly(spec, n, v)
         poly = poly_mul(poly, p, ring.zero(), size // k_n)
     assert all(not any(c.coeffs[1:]) for c in poly)
     meta = {
@@ -53,7 +53,7 @@ def oracle_r_poly(spec, n):
 
 
 def assert_matches_oracle(spec, n):
-    poly, meta = r_poly(spec, n)
+    poly, meta = r_poly(spec, n, {})
     assert (poly, meta) == oracle_r_poly(spec, n)
     return meta
 
@@ -160,20 +160,20 @@ def test_aggregate_does_no_ring_multiplies(monkeypatch):
     monkeypatch.setattr(tower, "p_poly", counting_p)
     monkeypatch.setattr(CycloElem, "__mul__", counting_mul)
     monkeypatch.setattr(CycloElem, "__rmul__", counting_mul)
-    poly, meta = r_poly(GEN, 4)
+    poly, meta = r_poly(GEN, 4, {})
     assert meta["degree"] == 216
     assert outside == []
 
 
 def test_aggregate_memory_guard_names_level_degree_and_estimate(monkeypatch):
     pieces = {}
-    want, _ = r_poly(GEN, 3, pieces=pieces)
+    want, _ = r_poly(GEN, 3, pieces)
     need = 3 * 73 * 27 * 8  # three int64 arrays of (72 + 1) x 3^3
     monkeypatch.setattr(tower, "MAX_PRODUCT_BYTES", need)
-    assert r_poly(GEN, 3, pieces=pieces)[0] == want
+    assert r_poly(GEN, 3, pieces)[0] == want
     monkeypatch.setattr(tower, "MAX_PRODUCT_BYTES", need - 1)
     with pytest.raises(GuardExceeded) as err:
-        r_poly(GEN, 3, pieces=pieces)
+        r_poly(GEN, 3, pieces)
     msg = str(err.value)
     assert "level 3" in msg and "degree 72" in msg and str(need) in msg
 
@@ -206,7 +206,7 @@ def test_size_check_names_level_rep_and_size(monkeypatch):
     reps = [((1, 0), 3), ((0, 1), 9), ((1, 1), 4)]
     monkeypatch.setattr(tower, "primitive_orbit_reps", lambda spec, n: reps)
     with pytest.raises(CheckFailed) as err:
-        r_poly(GEN, 2)
+        r_poly(GEN, 2, {})
     assert err.value.context == {"level": 2, "rep": (1, 1), "size": 4}
 
 
@@ -215,8 +215,8 @@ def _skew_one_rep(monkeypatch, level):
     target = primitive_orbit_reps(GEN, level)[0][0]
     real = tower.p_poly
 
-    def skewed(spec, n, v, ring=None):
-        p = real(spec, n, v, ring)
+    def skewed(spec, n, v):
+        p = real(spec, n, v)
         if n == level and tuple(v) == target:
             z = p[0].ring.zeta()
             p = tuple(z * c for c in p)
@@ -227,9 +227,9 @@ def _skew_one_rep(monkeypatch, level):
 
 def test_stability_check_names_level_and_coefficient(monkeypatch):
     _skew_one_rep(monkeypatch, 2)
-    assert r_poly(GEN, 1)[1]["degree"] == 8
+    assert r_poly(GEN, 1, {})[1]["degree"] == 8
     with pytest.raises(CheckFailed) as err:
-        r_poly(GEN, 2)
+        r_poly(GEN, 2, {})
     assert err.value.context == {"level": 2, "coefficient": 0}
     assert "Galois stability violated" in str(err.value)
 

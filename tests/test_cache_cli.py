@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from towerlim import charsums
+from towerlim import charsums, tower
 from towerlim.cache import (
     CACHE_VERSION,
     cache_get,
@@ -16,6 +16,7 @@ from towerlim.cache import (
     resolve_cache_dir,
 )
 from towerlim.cli import main
+from towerlim.config import load_config
 from towerlim.tower import make_tower_spec, r_poly
 
 SCALAR_CONFIG = {
@@ -98,18 +99,37 @@ def test_cache_ignores_version_and_key_mismatches(tmp_path):
 
 def test_resolve_cache_dir_env_override(monkeypatch, tmp_path):
     monkeypatch.delenv("TOWERLIM_CACHE", raising=False)
+    configured = str(tmp_path / "configured")
     assert resolve_cache_dir(None) is None
-    assert resolve_cache_dir("configured") == "configured"
-    monkeypatch.setenv("TOWERLIM_CACHE", str(tmp_path))
-    assert resolve_cache_dir("configured") == str(tmp_path)
-    assert resolve_cache_dir(None) == str(tmp_path)
+    assert resolve_cache_dir(configured) == configured
+    assert os.path.isdir(configured)  # created once, when resolved
+    monkeypatch.setenv("TOWERLIM_CACHE", str(tmp_path / "env"))
+    assert resolve_cache_dir(configured) == str(tmp_path / "env")
+    assert resolve_cache_dir(None) == str(tmp_path / "env")
+
+
+def test_converge_refuses_an_unusable_cache_dir(tmp_path, capsys,
+                                                monkeypatch):
+    # A read-only directory would be refused the same way; a test running
+    # as root cannot make one, since root may write anywhere.
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setenv("TOWERLIM_CACHE", str(blocker))
+    computed = []
+    monkeypatch.setattr("towerlim.cli.orbit_params",
+                        lambda spec: computed.append(spec))
+    cfg = _write_config(tmp_path, GENERAL_CONFIG)
+    assert main(["converge", "--config", cfg, "--mode", "general"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and computed == []
+    assert err.count("\n") == 1 and str(blocker) in err
 
 
 def test_cached_r_poly_matches_direct_computation(tmp_path):
     spec = _spec()
-    direct_poly, direct_meta = r_poly(spec, 2)
-    cold_poly, cold_meta = cached_r_poly(spec, 2, str(tmp_path))
-    warm_poly, warm_meta = cached_r_poly(spec, 2, str(tmp_path))
+    direct_poly, direct_meta = r_poly(spec, 2, {})
+    cold_poly, cold_meta = cached_r_poly(spec, 2, str(tmp_path), {})
+    warm_poly, warm_meta = cached_r_poly(spec, 2, str(tmp_path), {})
     assert cold_poly == direct_poly
     assert warm_poly == direct_poly
     assert cold_meta == direct_meta == warm_meta
@@ -118,11 +138,11 @@ def test_cached_r_poly_matches_direct_computation(tmp_path):
 
 def test_cached_r_poly_recomputes_after_corruption(tmp_path):
     spec = _spec()
-    poly, _ = cached_r_poly(spec, 1, str(tmp_path))
+    poly, _ = cached_r_poly(spec, 1, str(tmp_path), {})
     entry = tmp_path / f"{spec.level_digest()}-n1.json"
     assert entry.exists()
     entry.write_text("garbage")
-    again, _ = cached_r_poly(spec, 1, str(tmp_path))
+    again, _ = cached_r_poly(spec, 1, str(tmp_path), {})
     assert again == poly
 
 
@@ -159,7 +179,7 @@ def test_converge_reuses_cached_levels_across_n_max(tmp_path, capsys,
     computed = []
     real = cache.r_poly
 
-    def counting(spec, n, pieces=None):
+    def counting(spec, n, pieces):
         computed.append(n)
         return real(spec, n, pieces)
 
@@ -254,7 +274,7 @@ def test_converge_fail_rows_exit_nonzero(tmp_path, capsys, monkeypatch):
     import towerlim.cli as cli
     from towerlim.tower import CongruenceRow
 
-    def fake_rows(spec, n_lo=1, n_hi=None, params=None, pieces=None):
+    def fake_rows(spec, params, pieces):
         return [CongruenceRow("scalar", 1, (1,), 1, 1, 2, 0, False, "fail")]
 
     monkeypatch.setattr(cli, "scalar_congruence_rows", fake_rows)
@@ -277,6 +297,44 @@ def test_converge_input_errors(tmp_path, capsys):
     }, "low.json")
     assert main(["converge", "--config", cfg, "--mode", "general"]) == 3
     capsys.readouterr()
+
+
+def test_converge_refuses_scalar_mode_before_computing(tmp_path, capsys,
+                                                       monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("TOWERLIM_CACHE", str(cache))
+    cfg = _write_config(tmp_path, GENERAL_CONFIG)
+    assert main(["converge", "--config", cfg, "--mode", "scalar"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("towerlim: input error: scalar congruence mode requires "
+                   "a scalar twist Q\n")
+    assert not cache.exists() or list(cache.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode, config", [
+    ("scalar", SCALAR_CONFIG), ("general", GENERAL_CONFIG)])
+def test_rows_only_compare_the_levels_converge_passes(
+        tmp_path, capsys, monkeypatch, mode, config):
+    monkeypatch.delenv("TOWERLIM_CACHE", raising=False)
+    cfg = _write_config(tmp_path, config)
+    assert main(["converge", "--config", cfg, "--mode", mode]) == 0
+    want = json.loads(capsys.readouterr().out)["rows"]
+    spec = load_config(cfg).spec
+    params = tower.orbit_params(spec)
+    pieces = {}
+    polys = {n: r_poly(spec, n, pieces) for n in range(1, spec.n_max + 1)}
+
+    def refuse(*args):
+        raise AssertionError("a row function computed level data")
+
+    for name in ("r_poly", "p_poly", "orbit_params"):
+        monkeypatch.setattr(tower, name, refuse)
+    if mode == "scalar":
+        rows = tower.scalar_congruence_rows(spec, params, pieces)
+    else:
+        rows = tower.general_congruence_rows(spec, params, polys)
+    assert [r.as_record() for r in rows] == want
 
 
 # ------------------------------------------------------------------- arnold

@@ -12,6 +12,7 @@ from towerlim import tower
 from towerlim.charsums import (
     ENUM_CAP,
     motivating_curve_counts,
+    prime_power_split,
     primitive_char_sum,
 )
 from towerlim.cli import main
@@ -46,7 +47,7 @@ WIDE = make_tower_spec(3, 1, 4, [[4]], [((0,), EYE4), ((1,), EYE4)], 14)
 
 def _aggregate_at_1000_bytes(monkeypatch):
     monkeypatch.setattr(tower, "MAX_PRODUCT_BYTES", 1000)
-    r_poly(GEN, 2)
+    r_poly(GEN, 2, {})
 
 
 CASES = {
@@ -64,7 +65,8 @@ CASES = {
               {"level": 2, "need": 3**16, "limit": ORBIT_CAP}),
     "module": (lambda mp: primitive_char_sum(3, 15, [15], [1]),
                {"shape": (15,), "need": 3**15, "limit": ENUM_CAP}),
-    "twisted_product": (lambda mp: frobenius_product(WIDE, 14, (1,)),
+    "twisted_product": (lambda mp: frobenius_product(
+                            WIDE, 14, (1,), tower.build_ring(WIDE, 14)),
                         {"level": 14, "rep": (1,),
                          "need": 3 * 16 * 3**14 * 8,
                          "limit": MAX_PRODUCT_BYTES}),
@@ -92,6 +94,26 @@ def test_field_guard_trips_at_once_however_large_the_degree():
     start = time.perf_counter()
     assert main(["zeta", "motivating", "--level", "24"]) == 4
     assert time.perf_counter() - start < 1.0
+
+
+# a prime, so trial division would run up to sqrt(q), about 3.2e8 steps
+BIG_Q = 10**17 + 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "fermat", "--ell", "3", "--n", "1", "--q", str(BIG_Q)],
+    ["coleman", "jacobi", "--ell", "3", "--q", str(BIG_Q),
+     "--v1", "1", "--v2", "1"],
+])
+def test_q_past_the_field_guard_is_refused_before_factoring(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 4
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and f"q = {BIG_Q}" in err
+    with pytest.raises(GuardExceeded) as exc:
+        prime_power_split(BIG_Q)
+    assert exc.value.context == {"q": BIG_Q, "limit": FIELD_CAP}
 
 
 @pytest.mark.parametrize("n, step, limit", [

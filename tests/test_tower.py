@@ -7,7 +7,6 @@ import random
 import pytest
 
 from towerlim import matrices, tower
-from towerlim.cyclo import CycloRing
 from towerlim.errors import CheckFailed, InputError
 from towerlim.tower import (
     OrbitParams,
@@ -21,6 +20,8 @@ from towerlim.tower import (
     r_poly,
     scalar_congruence_rows,
 )
+
+from oracles import aggregates
 
 F_LINEAR = [((0,), [[1]]), ((1,), [[1]])]
 F_TWO_VAR = [((0, 0), [[1]]), ((3, 1), [[1]])]
@@ -174,7 +175,7 @@ def test_p_poly_shape_and_galois_symmetry():
 
 
 def test_r_poly_base_case():
-    poly, meta = r_poly(_spec34(), 1)
+    poly, meta = r_poly(_spec34(), 1, {})
     assert poly == (1, 3**9 - 1, 1)  # 1 - y + y^2 mod 3^9
     assert meta == {
         "level": 1,
@@ -188,14 +189,14 @@ def test_r_poly_base_case():
 def test_r_poly_degree_counts_orbits():
     spec = _spec34()
     for n in (1, 2, 3):
-        poly, meta = r_poly(spec, n)
+        poly, meta = r_poly(spec, n, {})
         # One degree-r factor per orbit; orbit count * orbit size covers the
         # (l-1) l^(n-1) primitive residues.
         assert meta["degree"] == spec.r * meta["num_orbits"]
         assert meta["num_orbits"] * meta["k_n"] == 2 * 3 ** (n - 1)
         assert poly[0] == 1
         assert all(isinstance(c, int) for c in poly)
-    gen_poly, gen_meta = r_poly(_spec_general(), 2)
+    gen_poly, gen_meta = r_poly(_spec_general(), 2, {})
     assert gen_meta["degree"] == 24
     assert gen_meta["num_orbits"] == 24
     assert gen_meta["orbit_sizes"] == [3]
@@ -204,12 +205,13 @@ def test_r_poly_degree_counts_orbits():
 
 def test_r_poly_palindromic_normalization():
     # Aggregates of this family satisfy c_d = c_0 = 1 at the base level.
-    poly, _ = r_poly(_spec56(), 1)
+    poly, _ = r_poly(_spec56(), 1, {})
     assert poly[0] == 1 and poly[-1] == 1
 
 
 def test_scalar_rows_saturate_for_stable_family():
-    rows = scalar_congruence_rows(_spec34())
+    spec = _spec34()
+    rows = scalar_congruence_rows(spec, orbit_params(spec), {})
     assert [
         (r.n, r.rep, r.k_lo, r.k_hi, r.required, r.status) for r in rows
     ] == [
@@ -223,11 +225,13 @@ def test_scalar_rows_saturate_for_stable_family():
 
 def test_scalar_rows_reject_nonscalar_spec():
     with pytest.raises(InputError):
-        scalar_congruence_rows(_spec_general())
+        spec = _spec_general()
+        scalar_congruence_rows(spec, orbit_params(spec), {})
 
 
 def test_general_rows_measured_valuations():
-    rows = general_congruence_rows(_spec_general())
+    spec = _spec_general()
+    rows = general_congruence_rows(spec, orbit_params(spec), aggregates(spec))
     assert [(r.n, r.required, r.measured, r.status) for r in rows] == [
         (1, 1, 3, "pass"),
         (2, 2, 6, "pass"),
@@ -238,7 +242,8 @@ def test_general_rows_measured_valuations():
 def test_general_rows_below_threshold_band():
     # With a scalar matrix congruent to I mod l^2 the guarantee only starts
     # at level 2; the level-1 row reports its sub-threshold measurement.
-    rows = general_congruence_rows(_spec_scalar10())
+    spec = _spec_scalar10()
+    rows = general_congruence_rows(spec, orbit_params(spec), aggregates(spec))
     assert [(r.n, r.required, r.measured, r.status) for r in rows] == [
         (1, 2, 0, "below-threshold"),
         (2, 4, 6, "pass"),
@@ -251,13 +256,15 @@ def test_general_rows_below_threshold_band():
 def test_rows_honor_parameter_override():
     # Raising the threshold turns would-be failures into below-threshold rows.
     override = OrbitParams(alpha=2, beta0=0, n0=99, verified_level=None)
-    rows = general_congruence_rows(_spec_scalar10(), params=override)
+    spec = _spec_scalar10()
+    rows = general_congruence_rows(spec, override, aggregates(spec))
     assert all(r.status != "fail" for r in rows)
 
 
 def test_rows_range_selection():
     # Rows span every level n = 1..n_max-1; row n compares levels n, n+1.
-    rows = general_congruence_rows(_spec_general())
+    spec = _spec_general()
+    rows = general_congruence_rows(spec, orbit_params(spec), aggregates(spec))
     assert [r.n for r in rows] == [1, 2]
     row = rows[1]
     assert (row.k_lo, row.k_hi, row.required, row.status) == (3, 9, 2, "pass")
@@ -265,8 +272,8 @@ def test_rows_range_selection():
 
 def test_general_rows_accept_prebuilt_polynomials():
     spec = _spec_general()
-    polys = {n: r_poly(spec, n) for n in range(1, 4)}
-    rows = general_congruence_rows(spec, r_cache=polys)
+    polys = {n: r_poly(spec, n, {}) for n in range(1, 4)}
+    rows = general_congruence_rows(spec, orbit_params(spec), polys)
     assert [(r.n, r.measured) for r in rows] == [(1, 3), (2, 6)]
 
 
@@ -298,9 +305,3 @@ def test_qsum_input_checks():
     with pytest.raises(InputError):
         qsum_rows(two, [1], [1], 1, 2, emit_products=True)
 
-
-def test_p_poly_accepts_explicit_ring():
-    spec = _spec34()
-    ring = CycloRing(3, 2, prec=spec.prec)
-    poly = p_poly(spec, 2, (1,), ring=ring)
-    assert poly == p_poly(spec, 2, (1,))

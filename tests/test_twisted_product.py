@@ -21,6 +21,7 @@ from towerlim.tower import (
     frobenius_product,
     make_tower_spec,
     orbit_order,
+    orbit_params,
     r_poly,
     scalar_congruence_rows,
 )
@@ -142,13 +143,13 @@ def test_memory_guard_names_level_rep_and_estimate():
     spec = make_tower_spec(3, 1, 4, [[4]], [((0,), eye), ((1,), eye)], 14)
     assert 3**14 <= tower.ORBIT_CAP
     with pytest.raises(GuardExceeded) as err:
-        frobenius_product(spec, 14, (1,))
+        frobenius_product(spec, 14, (1,), build_ring(spec, 14))
     msg = str(err.value)
     assert "level 14" in msg and "rep (1,)" in msg
     assert str(3 * 16 * 3**14 * 8) in msg
     # one level down the same product fits
-    assert frobenius_product(spec, 1, (1,))[0][0] == build_ring(spec, 1).elem(
-        [1, 1])
+    ring = build_ring(spec, 1)
+    assert frobenius_product(spec, 1, (1,), ring)[0][0] == ring.elem([1, 1])
 
 
 # -- one charpoly per (level, rep) -----------------------------------------
@@ -164,18 +165,19 @@ def _count_p_poly(monkeypatch):
     calls = []
     real = tower.p_poly
 
-    def counting(spec, n, v, ring=None):
+    def counting(spec, n, v):
         calls.append((n, tuple(v)))
-        return real(spec, n, v, ring)
+        return real(spec, n, v)
 
     monkeypatch.setattr(tower, "p_poly", counting)
     return calls
 
 
 def test_scalar_rows_compute_each_charpoly_once(monkeypatch):
-    want = scalar_congruence_rows(SCALAR_R2)
+    params = orbit_params(SCALAR_R2)
+    want = scalar_congruence_rows(SCALAR_R2, params, {})
     calls = _count_p_poly(monkeypatch)
-    assert scalar_congruence_rows(SCALAR_R2) == want
+    assert scalar_congruence_rows(SCALAR_R2, params, {}) == want
     assert len(calls) == len(set(calls)) == 12
 
 
@@ -184,10 +186,10 @@ def test_converge_shares_charpolys_between_aggregates_and_rows(
     monkeypatch.delenv("TOWERLIM_CACHE", raising=False)
     pieces = {}
     for n in (1, 2, 3):
-        r_poly(SCALAR_R2, n, pieces=pieces)
+        r_poly(SCALAR_R2, n, pieces)
     assert len(pieces) == 12
     calls = _count_p_poly(monkeypatch)
-    assert scalar_congruence_rows(SCALAR_R2, pieces=pieces)
+    assert scalar_congruence_rows(SCALAR_R2, orbit_params(SCALAR_R2), pieces)
     assert calls == []
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
