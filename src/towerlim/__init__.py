@@ -9,11 +9,9 @@ geometrically through curve towers.
 from .cache import cache_get, cache_put, cached_r_poly, resolve_cache_dir
 from .charsums import (
     artin_schreier_enum_count,
-    artin_schreier_point_count,
     coleman_gauss_check,
     coleman_jacobi_check,
     fermat_enum_count,
-    fermat_point_count,
     gauss_sum,
     h_poly_tower,
     jacobi_sum,

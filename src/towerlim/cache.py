@@ -102,12 +102,18 @@ def _poly_payload(spec: TowerSpec, coeffs: tuple[int, ...],
 
 def _poly_from_payload(payload: dict, spec: TowerSpec
                        ) -> Optional[tuple[tuple[int, ...], dict]]:
+    """(coeffs, meta) of an entry for `spec`, else None (a miss).  The
+    report prints meta's k_n, num_orbits and degree, so each must be an
+    int, and the degree must be that of the coefficients."""
     try:
         if payload["ell"] != spec.ell or payload["prec"] != spec.prec:
             return None
         coeffs = tuple(int(s) for s in payload["coeffs"])
         meta = dict(payload["meta"])
-        int(meta["k_n"])
+        if (any(type(meta[k]) is not int
+                for k in ("k_n", "num_orbits", "degree"))
+                or meta["degree"] != len(coeffs) - 1):
+            return None
     except (KeyError, TypeError, ValueError):
         return None
     return coeffs, meta

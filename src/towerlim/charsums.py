@@ -11,9 +11,12 @@ Conventions, fixed once for the whole package:
   (exact integer bicyclotomic elements); Jacobi sums J(chi_v1, chi_v2) =
   sum over all x of chi_v1(x) chi_v2(1-x) live in Z[zeta_{l^n}].
 
-Every point count is produced twice, by plain enumeration and through
-character sums, and a mismatch is a hard error: the two routes share no
-code beyond the field tables and their digit codec.
+Every point count `zeta fermat|as` checks is produced twice: by plain
+enumeration (`fermat_enum_count`, `artin_schreier_enum_count`), and by
+`predicted_counts` from the zeta numerator that `h_poly_tower` builds out
+of Jacobi/Gauss sums.  The two routes share no code beyond the field tables
+and their digit codec; the CLI reports a count on which they disagree as a
+`fail` row (exit 2).
 """
 
 from __future__ import annotations
@@ -26,7 +29,13 @@ import numpy as np
 
 from .cyclo import BiCycloElem, BiCycloRing, CycloElem, CycloRing, convolve
 from .errors import CheckFailed, GuardExceeded, InputError
-from .fields import FIELD_CAP, FqField, check_field_size, field_build
+from .fields import (
+    FIELD_CAP,
+    FqField,
+    check_field_size,
+    field_build,
+    prime_factors,
+)
 from .matfermat import det_from_traces, traces_from_det
 from .matrices import orbit, orbit_reps
 from .padic import check_odd_prime, int_val, min_val
@@ -50,19 +59,10 @@ def prime_power_split(q: int) -> tuple[int, int]:
             f"q = {q} exceeds the table guard of {FIELD_CAP} elements",
             q=q, limit=FIELD_CAP,
         )
-    for p in range(2, q + 1):
-        if p * p > q:
-            break
-        if q % p == 0:
-            f = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                f += 1
-            if t != 1:
-                raise InputError(f"{q} is not a prime power")
-            return p, f
-    return q, 1
+    primes = prime_factors(q)
+    if len(primes) != 1:
+        raise InputError(f"{q} is not a prime power")
+    return primes[0], int_val(primes[0], q)
 
 
 def _char_level_check(field: FqField, ell: int, level: int) -> int:
@@ -243,124 +243,6 @@ def primitive_char_sum(ell: int, n: int, shape: Sequence[int],
     }
 
 
-# -- point counts, two independent routes each ----------------------------
-
-
-def _elem_int(coeffs: Sequence[int], what: str, **context) -> int:
-    """The constant term; CheckFailed naming any other nonzero one."""
-    for i, c in enumerate(coeffs):
-        if i and c:
-            raise CheckFailed(
-                f"{what} is not a rational integer "
-                f"(basis coefficient {i} is {c})",
-                coefficient=i, value=c, **context,
-            )
-    return coeffs[0]
-
-
-def fermat_point_count(ell: int, n: int, q: int) -> dict:
-    """Projective points of x^d + y^d + z^d = 0 over F_q, d = l^n.
-
-    Route one is plain enumeration: tabulate the d-th power map, count
-    y-solutions per x through a value-count table, add the points at
-    infinity.  Route two assembles the count from Jacobi sums:
-
-        N = q + d + sum over nontrivial (j1, j2) of J(chi^j1, chi^j2),
-
-    where pairs with chi^j1 chi^j2 trivial contribute -1.  Any mismatch is
-    a hard error.
-    """
-    p, f = prime_power_split(q)
-    field = field_build(p, f)
-    d = _char_level_check(field, ell, n)
-    enum = fermat_enum_count(q, d, field=field)
-    n_enum = enum["count"]
-    ring = CycloRing(ell, n, None)
-    total = ring.from_int(q + d)
-    for j1 in range(1, d):
-        for j2 in range(1, d):
-            if (j1 + j2) % d == 0:
-                total = total + ring.from_int(-1)
-            else:
-                total = total + jacobi_sum(field, ell, n, j1, j2)
-    n_char = _elem_int(total.coeffs, "Jacobi-sum point count",
-                       family="fermat", q=q, m=1, d=d)
-    if n_enum != n_char:
-        raise CheckFailed(
-            f"Fermat counts disagree: enumeration {n_enum} vs "
-            f"character sums {n_char} (q = {q}, d = {d})",
-            family="fermat", q=q, m=1, d=d,
-            enumeration=n_enum, character_sums=n_char,
-        )
-    return {
-        "curve": f"x^{d} + y^{d} + z^{d} = 0",
-        "q": q,
-        "d": d,
-        "count": n_enum,
-        "affine": enum["affine"],
-        "at_infinity": enum["at_infinity"],
-        "routes_agree": True,
-    }
-
-
-def artin_schreier_point_count(ell: int, n: int, q: int, m: int) -> dict:
-    """Points of y^q - y = x^d (d = l^n) over F_{q^m}, plus one at infinity.
-
-    Route one is the additive criterion: y^q - y = c is solvable in K iff
-    Tr_{K/F_q}(c) = 0, contributing q solutions, so the affine count is
-    q * #{x in K : Tr_{K/F_q}(x^d) = 0}.  Route two expands the count in
-    Gauss sums over K:
-
-        N = q^m + 1 + sum_{a in F_q^*} sum_{j=1..d-1} g(psi_a o Tr, chi^j).
-
-    Any mismatch is a hard error.
-    """
-    p, f = prime_power_split(q)
-    if m < 1:
-        raise InputError("extension degree m must be >= 1")
-    big = field_build(p, f * m)
-    d = _char_level_check(big, ell, n)
-    enum = artin_schreier_enum_count(q, m, d, field=big)
-    n_enum = enum["count"]
-    nq = big.q - 1
-    ks = np.arange(nq, dtype=np.int64)
-    step = nq // (q - 1)
-    traces = big.tr_abs_batch(big.exp_table)
-    kd = ks % d
-    pairs: dict[tuple[int, int], int] = {}
-    for t in range(q - 1):
-        ka = t * step
-        shifted = traces[(ks + ka) % nq]
-        counts = np.zeros((p, d), dtype=np.int64)
-        np.add.at(counts, (shifted, kd), 1)
-        nz_t, nz_e = np.nonzero(counts)
-        for tt, ee, cc in zip(nz_t, nz_e, counts[nz_t, nz_e]):
-            for j in range(1, d):
-                key = (int(tt), int(j * ee % d))
-                pairs[key] = pairs.get(key, 0) + int(cc)
-    ring = BiCycloRing(p, ell, n)
-    total = ring.from_exponent_counts(pairs)
-    n_char = q**m + 1 + _elem_int(
-        [c for row in total.mat for c in row], "Gauss-sum point count",
-        family="artin-schreier", q=q, m=m, d=d)
-    if n_enum != n_char:
-        raise CheckFailed(
-            f"Artin-Schreier counts disagree: trace criterion {n_enum} vs "
-            f"Gauss sums {n_char} (q = {q}, m = {m}, d = {d})",
-            family="artin-schreier", q=q, m=m, d=d,
-            enumeration=n_enum, character_sums=n_char,
-        )
-    return {
-        "curve": f"y^{q} - y = x^{d}",
-        "q": q,
-        "m": m,
-        "d": d,
-        "count": n_enum,
-        "affine": enum["affine"],
-        "routes_agree": True,
-    }
-
-
 # -- Weil polynomials from counts -----------------------------------------
 
 
@@ -414,8 +296,7 @@ def predicted_counts(coeffs: Sequence[int], q: int, m_max: int) -> list[int]:
 # -- the motivating hyperelliptic family (the one 2-power case) -----------
 
 
-def motivating_curve_counts(tower_level: int = 3,
-                            m_max: Optional[int] = None) -> dict:
+def motivating_curve_counts(tower_level: int) -> dict:
     """Counts for y^2 = x^(2^t) + 1 over F_5 extensions, by enumeration.
 
     The quadratic character does the y-counting: x contributes
@@ -423,19 +304,17 @@ def motivating_curve_counts(tower_level: int = 3,
     rational points at infinity of the smooth model (d is even and the
     leading coefficient is a square).  This family is the package's one
     l = 2 pipeline and deliberately bypasses the cyclotomic machinery.
-    The largest field, F_(5^m_max), is checked against the field guard
-    before any table is built.
+    Counts run over m = 1..2g; the largest field, F_(5^2g), is checked
+    against the field guard before any table is built.
     """
     t = tower_level
     if t < 2:
         raise InputError("tower level must be >= 2 (genus would vanish)")
     d = 2**t
     genus = 2 ** (t - 1) - 1
-    if m_max is None:
-        m_max = 2 * genus
-    check_field_size(5, m_max)
+    check_field_size(5, 2 * genus)
     counts = []
-    for m in range(1, m_max + 1):
+    for m in range(1, 2 * genus + 1):
         field = field_build(5, m)
         nq = field.q - 1
         ks = np.arange(nq, dtype=np.int64)
@@ -454,7 +333,7 @@ def motivating_curve_counts(tower_level: int = 3,
     }
 
 
-def motivating_reference_poly(tower_level: int = 3) -> list[int]:
+def motivating_reference_poly(tower_level: int) -> list[int]:
     """The closed-form zeta numerator of the motivating family:
 
         (1 - 2x + 5x^2) * prod_{i=1..t-2} (1 + 5^(2^(i-1)) x^(2^i))^2.
@@ -469,7 +348,7 @@ def motivating_reference_poly(tower_level: int = 3) -> list[int]:
     return poly
 
 
-def motivating_zeta_check(tower_level: int = 3) -> dict:
+def motivating_zeta_check(tower_level: int) -> dict:
     """Counts -> zeta numerator, compared against the closed form."""
     data = motivating_curve_counts(tower_level)
     z = zeta_from_counts(5, data["genus"], data["counts"])
@@ -484,27 +363,16 @@ def motivating_zeta_check(tower_level: int = 3) -> dict:
     }
 
 
-def _enum_field(p: int, f: int, field: Optional[FqField]) -> FqField:
-    """F_{p^f}, or `field` when the caller has already built it."""
-    if field is None:
-        return field_build(p, f)
-    if field.q != p**f:
-        raise InputError(f"expected the field of size {p**f}, got {field.q}")
-    return field
-
-
-def fermat_enum_count(q: int, d: int, *,
-                      field: Optional[FqField] = None) -> dict:
+def fermat_enum_count(q: int, d: int) -> dict:
     """Projective count of x^d + y^d + z^d = 0 over F_q by enumeration only.
 
     Works for any exponent d >= 1 (no character-level requirement), so it
     also serves extensions where d does not divide q - 1.  The targets
-    -(x^d + 1) go through the digit codec AS_CHUNK at a time.  A caller
-    that already holds F_q passes it as `field`.
+    -(x^d + 1) go through the digit codec AS_CHUNK at a time.
     """
     if d < 1:
         raise InputError("exponent d must be >= 1")
-    field = _enum_field(*prime_power_split(q), field)
+    field = field_build(*prime_power_split(q))
     nq = field.q - 1
     ks = np.arange(nq, dtype=np.int64)
     pows = np.zeros(field.q, dtype=np.int64)
@@ -520,8 +388,7 @@ def fermat_enum_count(q: int, d: int, *,
             "affine": n_aff, "at_infinity": n_inf}
 
 
-def artin_schreier_enum_count(q: int, m: int, d: int, *,
-                              field: Optional[FqField] = None) -> dict:
+def artin_schreier_enum_count(q: int, m: int, d: int) -> dict:
     """Count of y^q - y = x^d over F_{q^m} (plus the point at infinity)
     by the trace criterion alone: x contributes q points iff
     Tr_{K/F_q}(x^d) = 0.
@@ -530,12 +397,12 @@ def artin_schreier_enum_count(q: int, m: int, d: int, *,
     q^m - 1), hitting each g times, so the affine count is
     q * (1 + g * #{g-th powers y : T y = 0}) with T = the relative trace
     matrix `FqField.trace_matrix`.  The powers are tested AS_CHUNK at a
-    time.  A caller that already holds F_{q^m} passes it as `field`.
+    time.
     """
     if d < 1 or m < 1:
         raise InputError("need d >= 1 and m >= 1")
     p, f = prime_power_split(q)
-    big = _enum_field(p, f * m, field)
+    big = field_build(p, f * m)
     trace = big.trace_matrix(q, m)
     trace = trace[trace.any(axis=1)].T  # zero rows test nothing
     g = math.gcd(d, big.q - 1)

@@ -29,8 +29,9 @@ FIELD_CAP = 10**7
 _BLOCK = 4096
 
 
-def _factorize(m: int) -> list[int]:
-    """Distinct prime factors by trial division (m <= 10^7 here)."""
+def prime_factors(m: int) -> list[int]:
+    """Distinct prime factors of m, ascending, by trial division: the
+    package's one factorization (every caller keeps m <= FIELD_CAP)."""
     out = []
     d = 2
     while d * d <= m:
@@ -121,7 +122,7 @@ def _is_irreducible(mod_poly: list[int], p: int) -> bool:
     x = [0, 1] + [0] * (f - 2)
     if _poly_pow_mod(x, p**f, mod_poly, p) != x:
         return False
-    for d in _factorize(f):
+    for d in prime_factors(f):
         sub = _poly_pow_mod(x, p ** (f // d), mod_poly, p)
         diff = [(a - b) % p for a, b in zip(sub, x)]
         if _poly_deg(_poly_gcd(diff, list(mod_poly), p)) != 0:
@@ -176,7 +177,7 @@ class FqField:
 
     def _find_generator(self) -> int:
         order = self.q - 1
-        prime_divs = _factorize(order)
+        prime_divs = prime_factors(order)
         for enc in range(1, self.q):  # 1 generates F_2^* and no other
             ok = True
             for d in prime_divs:

@@ -145,7 +145,7 @@ def make_tower_spec(
     terms = []
     seen_exps = set()
     for idx, (exps, mat) in enumerate(f_terms):
-        e = tuple(int(x) for x in exps)
+        e = _check_ints(exps, f"F[{idx}].exponents")
         if len(e) != b:
             raise InputError(f"F[{idx}].exponents must have length b = {b}")
         if any(x < 0 for x in e):
@@ -182,11 +182,18 @@ def _check_int_matrix(m, size: int, label: str) -> tuple[tuple[int, ...], ...]:
             raise InputError(
                 f"{label}[{i}] must have {size} entries, got {len(row)}"
             )
-        for j, x in enumerate(row):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InputError(f"{label}[{i}][{j}] must be an integer")
-        out.append(tuple(row))
+        out.append(_check_ints(row, f"{label}[{i}]"))
     return tuple(out)
+
+
+def _check_ints(xs, label: str) -> tuple[int, ...]:
+    """xs as a tuple; InputError naming `label` and the index of the first
+    entry that is not an int (a bool is not one)."""
+    out = tuple(xs)
+    for j, x in enumerate(out):
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise InputError(f"{label}[{j}] must be an integer")
+    return out
 
 
 # -- orbit structure ------------------------------------------------------
@@ -676,9 +683,11 @@ def qsum_rows(
 
     Uses exact integer cyclotomic arithmetic (no precision cap), reporting
     the coefficient-wise l-divisibility of each sum; an exactly-zero sum is
-    reported as such.  With `emit_products` (r = 1 only), also emits the
-    twisted products A_n(v) themselves and the valuation of consecutive
-    differences A_{n+1} - embed(A_n).
+    reported as such.  Each level's work and memory grow like l^n, so a
+    range reaching l^n > ORBIT_CAP is refused before any level runs.  With
+    `emit_products` (r = 1 only), also emits the twisted products A_n(v)
+    themselves and the valuation of consecutive differences
+    A_{n+1} - embed(A_n).
     """
     if len(lam) != spec.b or len(v) != spec.b:
         raise InputError("lambda and v must each have length b")
@@ -686,6 +695,16 @@ def qsum_rows(
         raise InputError("need 1 <= n_lo <= n_hi")
     if emit_products and spec.r != 1:
         raise InputError("product emission requires r = 1")
+    size = 1  # l^n, formed only until it passes the cap
+    for n in range(1, n_hi + 1):
+        size *= spec.ell
+        if size > ORBIT_CAP:
+            level = max(n, n_lo)
+            raise GuardExceeded(
+                f"level {level} needs {spec.ell}^{level} exponents > orbit "
+                f"cap {ORBIT_CAP}",
+                level=level, limit=ORBIT_CAP,
+            )
     rows = []
     products = []
     prev_prod = None

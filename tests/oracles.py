@@ -5,8 +5,16 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
-from towerlim.cyclo import CycloElem
-from towerlim.fields import _poly_mul_mod
+from towerlim.charsums import (
+    gauss_sum,
+    h_poly_tower,
+    jacobi_sum,
+    predicted_counts,
+    prime_power_split,
+)
+from towerlim.cyclo import BiCycloRing, CycloElem, CycloRing
+from towerlim.errors import CheckFailed
+from towerlim.fields import _poly_mul_mod, field_build
 from towerlim.tower import r_poly
 
 
@@ -98,6 +106,69 @@ def complex_value(x):
     zl = cmath.exp(2j * cmath.pi / max(br.cyclo.order, 1))
     return sum(c * zp**a * zl**j
                for a, row in enumerate(x.mat) for j, c in enumerate(row) if c)
+
+
+def rational_int(x):
+    """The rational integer a CycloElem or BiCycloElem equals: its constant
+    basis coefficient.  CheckFailed naming any other nonzero one."""
+    coeffs = (x.coeffs if isinstance(x, CycloElem)
+              else [c for row in x.mat for c in row])
+    for i, c in enumerate(coeffs):
+        if i and c:
+            raise CheckFailed(
+                f"not a rational integer (basis coefficient {i} is {c})",
+                coefficient=i, value=c,
+            )
+    return coeffs[0]
+
+
+# -- point counts from every character ----------------------------------
+#
+# The all-character expansions of the two curve counts, written on the
+# public sums: the references the enumerations and the `zeta` pipeline
+# (one sum per Galois orbit, through the zeta numerator) are checked
+# against.
+
+
+def fermat_count(ell, n, q):
+    """Projective points of x^d + y^d + z^d = 0 over F_q, d = l^n | q - 1:
+
+        N = q + d + sum_{j1, j2 = 1..d-1} J(chi^j1, chi^j2),
+
+    where a pair with chi^j1 chi^j2 trivial gives J = -chi^j1(-1) = -1
+    (d is odd)."""
+    field = field_build(*prime_power_split(q))
+    d = ell**n
+    total = CycloRing(ell, n, None).from_int(q + d)
+    for j1 in range(1, d):
+        for j2 in range(1, d):
+            total = total + jacobi_sum(field, ell, n, j1, j2)
+    return rational_int(total)
+
+
+def artin_schreier_count(ell, n, q, m):
+    """Points of y^q - y = x^d (d = l^n | q^m - 1) over K = F_{q^m}, the
+    point at infinity included:
+
+        N = q^m + 1 + sum_{a in F_q^*} sum_{j=1..d-1} g(psi_a o Tr, chi^j),
+
+    with psi_a o Tr_{K/F_q} = psi(a x) on K, the twist a taken in the
+    subfield F_q^* = <G^((q^m - 1)/(q - 1))> of K."""
+    p, f = prime_power_split(q)
+    big = field_build(p, f * m)
+    step = (big.q - 1) // (q - 1)
+    total = BiCycloRing(p, ell, n).from_int(q**m + 1)
+    for t in range(q - 1):
+        a = int(big.exp_table[t * step])
+        for j in range(1, ell**n):
+            total = total + gauss_sum(big, ell, n, j, a=a)
+    return rational_int(total)
+
+
+def pipeline_count(family, ell, n, q, m):
+    """N_m as `zeta` predicts it: from the level-n numerator that
+    `h_poly_tower` builds, through `predicted_counts`."""
+    return predicted_counts(h_poly_tower(family, ell, q, n)["f"], q, m)[m - 1]
 
 
 # -- scalar finite-field references -------------------------------------

@@ -12,11 +12,9 @@ import time
 
 from towerlim.charsums import (
     artin_schreier_enum_count,
-    artin_schreier_point_count,
     coleman_gauss_check,
     coleman_jacobi_check,
     fermat_enum_count,
-    fermat_point_count,
     h_poly_tower,
     motivating_zeta_check,
     mult_order,
@@ -39,7 +37,13 @@ from towerlim.tower import (
     scalar_congruence_rows,
 )
 
-from oracles import aggregates, mat_pow_mod
+from oracles import (
+    aggregates,
+    artin_schreier_count,
+    fermat_count,
+    mat_pow_mod,
+    pipeline_count,
+)
 
 F_LINEAR = [((0,), [[1]]), ((1,), [[1]])]
 F_TWO_VAR = [((0, 0), [[1]]), ((3, 1), [[1]])]
@@ -311,11 +315,16 @@ def test_criterion_8_property_suites():
                 [k * x % mod for x in row] for row in log_q
             ]
 
-        # Character-sum point counts agree with brute-force enumeration.
+        # Each point count three ways: the zeta pipeline (one character sum
+        # per Galois orbit), brute-force enumeration, and the sum over
+        # every character.
         for ell, level, q in [(3, 1, 7), (3, 1, 13), (5, 1, 11), (3, 1, 4)]:
-            assert fermat_point_count(ell, level, q)["routes_agree"] is True
-        for m in (1, 2):
-            assert artin_schreier_point_count(3, 1, 7, m)["routes_agree"] is True
-        assert artin_schreier_point_count(3, 1, 4, 1)["routes_agree"] is True
+            want = fermat_enum_count(q, ell**level)["count"]
+            assert pipeline_count("fermat", ell, level, q, 1) == want
+            assert fermat_count(ell, level, q) == want
+        for q, m in [(7, 1), (7, 2), (4, 1)]:
+            want = artin_schreier_enum_count(q, m, 3)["count"]
+            assert pipeline_count("artin-schreier", 3, 1, q, m) == want
+            assert artin_schreier_count(3, 1, q, m) == want
 
     _criterion(8, "structural property suites", None, body)

@@ -17,7 +17,7 @@ from towerlim.cache import (
 )
 from towerlim.cli import main
 from towerlim.config import load_config
-from towerlim.tower import make_tower_spec, r_poly
+from towerlim.tower import json_digest, make_tower_spec, r_poly
 
 SCALAR_CONFIG = {
     "name": "scalar-demo",
@@ -165,6 +165,35 @@ def test_converge_recomputes_tampered_cache_entry(tmp_path, capsys,
     warm.pop("timings")
     assert warm == cold
     assert json.loads(entry.read_text())["payload"]["coeffs"][1] == good
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda meta: meta.pop("degree"),
+    lambda meta: meta.update(degree=meta["degree"] + 1),
+    lambda meta: meta.update(num_orbits=str(meta["num_orbits"])),
+    lambda meta: meta.update(k_n=True),
+], ids=["no_degree", "degree_off", "num_orbits_text", "k_n_bool"])
+def test_converge_recomputes_an_entry_the_report_cannot_read(
+        tmp_path, capsys, monkeypatch, tamper):
+    # The entry's hash is recomputed after the edit, so it checks out: only
+    # reading the metadata the report prints can tell it is unusable.
+    monkeypatch.setenv("TOWERLIM_CACHE", str(tmp_path / "cache"))
+    cfg = _write_config(tmp_path, SCALAR_CONFIG)
+    argv = ["converge", "--config", cfg, "--mode", "scalar"]
+    assert main(argv) == 0
+    cold = json.loads(capsys.readouterr().out)
+    [entry] = (tmp_path / "cache").glob("*-n2.json")
+    original = entry.read_bytes()
+    data = json.loads(original)
+    tamper(data["payload"]["meta"])
+    data["sha256"] = json_digest(data["payload"])
+    entry.write_text(json.dumps(data))
+    assert main(argv) == 0
+    warm = json.loads(capsys.readouterr().out)
+    cold.pop("timings")
+    warm.pop("timings")
+    assert warm == cold
+    assert entry.read_bytes() == original  # recomputed and rewritten
 
 
 def test_converge_reuses_cached_levels_across_n_max(tmp_path, capsys,

@@ -9,11 +9,9 @@ import pytest
 from towerlim import charsums
 from towerlim.charsums import (
     artin_schreier_enum_count,
-    artin_schreier_point_count,
     coleman_gauss_check,
     coleman_jacobi_check,
     fermat_enum_count,
-    fermat_point_count,
     gauss_sum,
     h_poly_tower,
     jacobi_sum,
@@ -27,11 +25,17 @@ from towerlim.charsums import (
     s_rho_n,
     zeta_from_counts,
 )
-from towerlim.cyclo import BiCycloRing, CycloRing
+from towerlim.cyclo import BiCycloRing
 from towerlim.errors import CheckFailed, InputError
 from towerlim.fields import field_build
 
-from oracles import complex_value, conjugate
+from oracles import (
+    artin_schreier_count,
+    complex_value,
+    conjugate,
+    fermat_count,
+    pipeline_count,
+)
 
 # Small (ell, level, q) combinations with ell^level | q - 1.
 CHAR_GRID = [(3, 1, 7), (3, 1, 13), (3, 2, 19), (5, 1, 11), (7, 1, 29), (3, 1, 4)]
@@ -228,35 +232,35 @@ def test_primitive_char_sum_input_checks():
 
 
 def test_fermat_counts_cubic_levels():
-    rec = fermat_point_count(3, 1, 7)
-    assert rec["count"] == 9
-    assert rec["routes_agree"] is True
-    assert rec["affine"] + rec["at_infinity"] == rec["count"]
+    assert fermat_count(3, 1, 7) == 9
+    assert pipeline_count("fermat", 3, 1, 7, 1) == 9
+    rec = fermat_enum_count(7, 3)
+    assert rec["affine"] + rec["at_infinity"] == rec["count"] == 9
     # The same cubic over the quadratic extension F_49.
-    rec = fermat_point_count(3, 1, 49)
-    assert rec["count"] == 63
-    assert rec["routes_agree"] is True
+    assert fermat_count(3, 1, 49) == 63
+    assert pipeline_count("fermat", 3, 1, 49, 1) == 63
 
 
 def test_fermat_counts_more_fields():
     for ell, level, q in [(5, 1, 11), (3, 1, 13), (3, 1, 4), (7, 1, 29)]:
-        rec = fermat_point_count(ell, level, q)
-        assert rec["routes_agree"] is True
-        assert rec["count"] == fermat_enum_count(q, ell**level)["count"]
+        want = fermat_enum_count(q, ell**level)["count"]
+        assert fermat_count(ell, level, q) == want
+        assert pipeline_count("fermat", ell, level, q, 1) == want
 
 
 def test_fermat_requires_char_level():
     with pytest.raises(InputError):
-        fermat_point_count(3, 1, 8)  # 3 does not divide 7
+        fermat_count(3, 1, 8)  # 3 does not divide 7
     with pytest.raises(InputError):
-        fermat_point_count(3, 2, 7)  # 9 does not divide 6
+        pipeline_count("fermat", 3, 1, 8, 1)
+    with pytest.raises(InputError):
+        fermat_count(3, 2, 7)  # 9 does not divide 6
 
 
 def test_artin_schreier_counts_cubic():
     for m, expected in zip(range(1, 4), CUBIC_AS_COUNTS):
-        rec = artin_schreier_point_count(3, 1, 7, m)
-        assert rec["count"] == expected
-        assert rec["routes_agree"] is True
+        assert artin_schreier_count(3, 1, 7, m) == expected
+        assert pipeline_count("artin-schreier", 3, 1, 7, m) == expected
     # The remaining levels are enumeration-only (the fields get large).
     for m in (4, 5, 6):
         rec = artin_schreier_enum_count(7, m, 3)
@@ -264,12 +268,9 @@ def test_artin_schreier_counts_cubic():
 
 
 def test_artin_schreier_even_characteristic():
-    rec = artin_schreier_point_count(3, 1, 4, 1)
-    assert rec["count"] == 5
-    assert rec["routes_agree"] is True
-    rec = artin_schreier_point_count(3, 1, 4, 2)
-    assert rec["count"] == 17
-    assert rec["routes_agree"] is True
+    for m, expected in [(1, 5), (2, 17)]:
+        assert artin_schreier_count(3, 1, 4, m) == expected
+        assert pipeline_count("artin-schreier", 3, 1, 4, m) == expected
 
 
 def test_enumeration_counts_standalone():
@@ -396,9 +397,9 @@ def test_descent_gauss_identity_deeper_base():
 
 
 def test_hyperelliptic_family_counts():
-    rec = motivating_curve_counts(3, m_max=3)
-    assert rec["counts"] == DEGREE_EIGHT_COUNTS[:3]
-    rec = motivating_curve_counts(2, m_max=2)
+    rec = motivating_curve_counts(3)
+    assert rec["counts"] == DEGREE_EIGHT_COUNTS
+    rec = motivating_curve_counts(2)
     assert rec["counts"] == [4, 32]
 
 
@@ -433,31 +434,6 @@ def test_orbit_and_primitive_sum_failures_name_level_and_valuation(
     with pytest.raises(CheckFailed) as exc:
         primitive_char_sum(3, 2, (2, 2), (1, 1))
     assert exc.value.context == want
-
-
-def test_fermat_count_off_the_integers_names_the_coefficient(monkeypatch):
-    monkeypatch.setattr(charsums, "jacobi_sum",
-                        lambda field, ell, level, v1, v2:
-                        CycloRing(ell, level, None).zeta(1))
-    with pytest.raises(CheckFailed) as exc:
-        fermat_point_count(3, 1, 7)
-    assert exc.value.context == {"family": "fermat", "q": 7, "m": 1, "d": 3,
-                                 "coefficient": 1, "value": 2}
-
-
-def test_artin_schreier_count_off_the_integers_is_a_failed_check(
-        monkeypatch):
-    # one stray zeta_p in the Gauss-sum total: a broken identity (exit 2),
-    # not invalid input
-    real = BiCycloRing.from_exponent_counts
-    monkeypatch.setattr(
-        BiCycloRing, "from_exponent_counts",
-        lambda self, counts: real(
-            self, {**counts, (1, 0): counts.get((1, 0), 0) + 1}))
-    with pytest.raises(CheckFailed) as exc:
-        artin_schreier_point_count(3, 1, 7, 1)
-    assert exc.value.context == {"family": "artin-schreier", "q": 7, "m": 1,
-                                 "d": 3, "coefficient": 2, "value": 1}
 
 
 def test_zeta_from_counts_failures_name_the_index_and_values():

@@ -8,21 +8,21 @@ Frobenius lookups and `add_batch` calls over every element of K.
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from towerlim import charsums, fields
+from towerlim import charsums, cli, fields
 from towerlim.charsums import (
     artin_schreier_enum_count,
-    artin_schreier_point_count,
     fermat_enum_count,
-    fermat_point_count,
     prime_power_split,
 )
-from towerlim.errors import CheckFailed, InputError
+from towerlim.cli import main
+from towerlim.errors import CheckFailed
 from towerlim.fields import field_build
 
 from oracles import fq_add, fq_pow
@@ -145,11 +145,21 @@ def test_fermat_chunks_match_the_whole_field_count(monkeypatch, chunk):
             == [fermat_oracle(q, d) for q, d in FERMAT_CASES])
 
 
-def test_fermat_memory_stays_bounded_at_7_to_the_7():
-    field = field_build(7, 7)
+def _hand_in(monkeypatch, field):
+    """Make `field` the one the enumerations build, so the test controls
+    when (and how) its tables are made."""
+    def prebuilt(p, f):
+        assert p**f == field.q
+        return field
+
+    monkeypatch.setattr(charsums, "field_build", prebuilt)
+
+
+def test_fermat_memory_stays_bounded_at_7_to_the_7(monkeypatch):
+    _hand_in(monkeypatch, field_build(7, 7))
     tracemalloc.start()
     try:
-        rec = fermat_enum_count(7**7, 3, field=field)
+        rec = fermat_enum_count(7**7, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -157,61 +167,42 @@ def test_fermat_memory_stays_bounded_at_7_to_the_7():
     assert peak < 48 * 2**20
 
 
-def test_each_point_count_builds_its_field_once(monkeypatch):
-    builds = []
+def test_disagreeing_counts_name_family_sizes_and_both_counts(monkeypatch,
+                                                             capsys):
+    # A skewed enumeration is a `fail` row naming both counts, and exit 2.
+    def skewed(real, extra):
+        def count(*args):
+            rec = dict(real(*args))
+            rec["count"] += extra
+            return rec
+        return count
 
-    def counting_build(*args, **kwargs):
-        builds.append(args)
-        return field_build(*args, **kwargs)
-
-    monkeypatch.setattr(charsums, "field_build", counting_build)
-    assert artin_schreier_point_count(3, 1, 7, 2)["routes_agree"] is True
-    assert builds == [(7, 2)]
-    builds.clear()
-    assert fermat_point_count(3, 1, 7)["routes_agree"] is True
-    assert builds == [(7, 1)]
-
-
-def test_a_field_of_the_wrong_size_is_refused():
-    with pytest.raises(InputError):
-        artin_schreier_enum_count(7, 2, 3, field=field_build(7, 3))
-    with pytest.raises(InputError):
-        fermat_enum_count(7, 3, field=field_build(7, 2))
-
-
-def test_disagreeing_counts_name_family_sizes_and_both_counts(monkeypatch):
-    real_as = charsums.artin_schreier_enum_count
-    real_fermat = charsums.fermat_enum_count
-
-    def off_by_q(*args, **kwargs):
-        rec = dict(real_as(*args, **kwargs))
-        rec["count"] += 7
-        return rec
-
-    def off_by_one(*args, **kwargs):
-        rec = dict(real_fermat(*args, **kwargs))
-        rec["count"] += 1
-        return rec
-
-    monkeypatch.setattr(charsums, "artin_schreier_enum_count", off_by_q)
-    monkeypatch.setattr(charsums, "fermat_enum_count", off_by_one)
-    with pytest.raises(CheckFailed) as exc:
-        artin_schreier_point_count(3, 1, 7, 2)
-    good = real_as(7, 2, 3)["count"]
-    assert exc.value.context == {
-        "family": "artin-schreier", "q": 7, "m": 2, "d": 3,
-        "enumeration": good + 7, "character_sums": good,
-    }
-    with pytest.raises(CheckFailed) as exc:
-        fermat_point_count(3, 1, 7)
-    assert exc.value.context == {
-        "family": "fermat", "q": 7, "m": 1, "d": 3,
-        "enumeration": 10, "character_sums": 9,
-    }
+    monkeypatch.setattr(cli, "artin_schreier_enum_count",
+                        skewed(artin_schreier_enum_count, 7))
+    monkeypatch.setattr(cli, "fermat_enum_count", skewed(fermat_enum_count, 1))
+    assert main(["zeta", "as", "--ell", "3", "--q", "7", "--n", "1",
+                 "--m-max", "2"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["family"], rep["ell"], rep["q"], rep["n"]) == (
+        "artin-schreier", 3, 7, 1)
+    assert rep["counts"] == [
+        {"m": m, "measured": str(good + 7), "predicted": str(good),
+         "status": "fail"}
+        for m, good in [(1, 8), (2, 50)]
+    ]
+    assert rep["status"] == "fail"
+    assert main(["zeta", "fermat", "--ell", "3", "--q", "7", "--n", "1",
+                 "--m-max", "1"]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["family"], rep["ell"], rep["q"], rep["n"]) == (
+        "fermat", 3, 7, 1)
+    assert rep["counts"] == [
+        {"m": 1, "measured": "10", "predicted": "9", "status": "fail"}]
+    assert rep["status"] == "fail"
 
 
 def test_a_broken_trace_matrix_is_a_check_failure(monkeypatch):
-    big = field_build(7, 3)
+    _hand_in(monkeypatch, field_build(7, 3))
     real = fields._poly_pow_mod
 
     def skewed(a, e, mod_poly, p):
@@ -221,5 +212,5 @@ def test_a_broken_trace_matrix_is_a_check_failure(monkeypatch):
 
     monkeypatch.setattr(fields, "_poly_pow_mod", skewed)
     with pytest.raises(CheckFailed) as exc:
-        artin_schreier_enum_count(7, 3, 3, field=big)
+        artin_schreier_enum_count(7, 3, 3)
     assert exc.value.context == {"q": 7, "m": 3, "field_q": 343}

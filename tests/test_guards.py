@@ -3,6 +3,7 @@ tripped, on real inputs above the constants."""
 
 from __future__ import annotations
 
+import json
 import math
 import time
 
@@ -30,6 +31,7 @@ from towerlim.tower import (
     make_tower_spec,
     orbit_params,
     primitive_orbit_reps,
+    qsum_rows,
     r_poly,
 )
 
@@ -114,6 +116,33 @@ def test_q_past_the_field_guard_is_refused_before_factoring(argv, capsys):
     with pytest.raises(GuardExceeded) as exc:
         prime_power_split(BIG_Q)
     assert exc.value.context == {"q": BIG_Q, "limit": FIELD_CAP}
+
+
+@pytest.mark.parametrize("n_range, level", [
+    ("1..30", 11),          # 5^11 > ORBIT_CAP >= 5^10
+    ("1..1000000000", 11),  # 5^(10^9) is never formed
+    ("20..25", 20),         # the first level in the range is named
+])
+def test_qsum_refuses_a_range_past_the_orbit_cap_before_any_level(
+        tmp_path, capsys, n_range, level):
+    # Each qsum level buffers and walks up to l^n exponents.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "ell": 5, "b": 1, "r": 1, "Q": [6], "n_max": 3,
+        "F": [{"exponents": [0], "matrix": [1]},
+              {"exponents": [1], "matrix": [1]}],
+    }))
+    start = time.perf_counter()
+    assert main(["qsum", "--config", str(cfg), "--lambda", "4", "--v", "1",
+                 "--n-range", n_range]) == 4
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and f"level {level}" in err
+    spec = make_tower_spec(5, 1, 1, [[6]], [((0,), [[1]]), ((1,), [[1]])], 3)
+    lo, hi = (int(x) for x in n_range.split(".."))
+    with pytest.raises(GuardExceeded) as exc:
+        qsum_rows(spec, [4], [1], lo, hi)
+    assert exc.value.context == {"level": level, "limit": ORBIT_CAP}
 
 
 @pytest.mark.parametrize("n, step, limit", [

@@ -33,8 +33,6 @@ KEEP = {
                             "(ROADMAP open item 2) reads it",
     "s_rho_n": "acceptance criterion 5",
     "primitive_char_sum": "acceptance criterion 5",
-    "fermat_point_count": "acceptance criterion 8",
-    "artin_schreier_point_count": "acceptance criterion 8",
 }
 
 

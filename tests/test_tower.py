@@ -58,6 +58,17 @@ def test_spec_validation():
         make_tower_spec(3, 1, 2, [[4]], F_LINEAR, 2)  # coefficient shape vs r
 
 
+@pytest.mark.parametrize("exps, bad", [
+    ([(0.7,), (True,)], "F[0].exponents[0]"),  # once read as F = 1 + t
+    ([(0,), (True,)], "F[1].exponents[0]"),
+    ([(0,), ("1",)], "F[1].exponents[0]"),
+])
+def test_spec_refuses_exponents_that_are_not_integers(exps, bad):
+    with pytest.raises(InputError) as err:
+        make_tower_spec(3, 1, 1, [[4]], [(e, [[1]]) for e in exps], 2)
+    assert f"{bad} must be an integer" in str(err.value)
+
+
 def test_spec_rejects_precision_below_scalar_bound():
     # scalar Q, b = 2, n_max = 4: the n = 3 general row requires depth 6
     with pytest.raises(InputError) as err:
