@@ -123,7 +123,8 @@ def cached_r_poly(spec: TowerSpec, level: int, dirpath: Optional[str],
                   pieces: dict) -> tuple[tuple[int, ...], dict]:
     """r_poly with read-through caching keyed by (level digest, level).
 
-    `pieces` is passed on to r_poly on a miss (the per-run p_{n,v} memo).
+    `pieces` is passed on to r_poly on a miss (the run's memo of each
+    level's p_{n,v}).
     """
     digest = spec.level_digest()
     payload = cache_get(dirpath, digest, level)

@@ -38,7 +38,7 @@ from .fields import (
 )
 from .matfermat import det_from_traces, traces_from_det
 from .matrices import orbit, orbit_reps
-from .padic import check_odd_prime, int_val, min_val
+from .padic import check_odd_prime, int_val, min_val, primitive_root
 
 ENUM_CAP = 10**7
 # Elements per digit-codec batch in the two enumerations (d-th powers per
@@ -46,6 +46,9 @@ ENUM_CAP = 10**7
 # rows alive at once to O(AS_CHUNK * f) integers, f the degree over F_p of
 # the field enumerated, whatever its size.
 AS_CHUNK = 1 << 16
+# Coefficient bits the exact powers in `_h_from_traces` may produce at one
+# level, estimated before the first power is taken (see `h_poly_tower`).
+TRACE_WORK_CAP = 10**8
 
 
 def prime_power_split(q: int) -> tuple[int, int]:
@@ -603,13 +606,6 @@ def _fresh_orbits(family: str, ell: int, m: int,
     return orbit_reps([[mult]], d, 1, lambda v: v[0] % ell)
 
 
-def _primitive_root(ell: int, m: int) -> int:
-    """The least generator of the cyclic group (Z/l^m)^*."""
-    d = ell**m
-    phi = d - d // ell
-    return next(g for g in range(2, d + 1) if mult_order(g, d) == phi)
-
-
 def _h_from_traces(family: str, m: int, k_m: int, gens: Sequence,
                    degree: int) -> list[int]:
     """h_m(y) = prod (1 + S y) over the Frobenius-orbit sums S of level m.
@@ -695,7 +691,7 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
         k_m = mult_order(q, d)
         big = get_field(k_m)
         orbits = _fresh_orbits(family, ell, m, q)
-        units = _fresh_orbits(family, ell, m, _primitive_root(ell, m))
+        units = _fresh_orbits(family, ell, m, primitive_root(ell, m))
         if family == "fermat":
             twists = 1
             want_fresh = (d - 1) * (d - 2)
@@ -729,7 +725,21 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
                 family=family, level=m, expected=phi,
                 measured=sorted(unit_sizes),
             )
-        h_int = _h_from_traces(family, m, k_m, gens, twists * len(orbits))
+        degree = twists * len(orbits)
+        # S^k has conjugates of size q^(k k_m / 2) at most, so coefficients
+        # of about k k_m log2(q) / 2 bits: the powers up to the degree carry
+        # that many bits per basis coefficient, summed over k
+        dim = phi if family == "fermat" else (p - 1) * phi
+        need = (len(gens) * dim * k_m * q.bit_length()
+                * degree * (degree + 1) // 4)
+        if need > TRACE_WORK_CAP:
+            raise GuardExceeded(
+                f"{family} level {m}: the exact powers of {len(gens)} "
+                f"generators up to degree {degree} need about {need} "
+                f"coefficient bits > {TRACE_WORK_CAP}",
+                family=family, level=m, need=need, limit=TRACE_WORK_CAP,
+            )
+        h_int = _h_from_traces(family, m, k_m, gens, degree)
         if (len(h_int) - 1) * k_m != fresh:
             raise CheckFailed(
                 f"level-{m} degree bookkeeping failed",

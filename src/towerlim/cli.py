@@ -113,7 +113,7 @@ def cmd_converge(args) -> int:
     cachedir = resolve_cache_dir(exp.cache_dir)
     params = orbit_params(spec)
     timer.mark("orbit_params")
-    pieces = {}  # each p_{n,v} by (level, rep), for the scalar rows too
+    pieces = {}  # every p_{n,v} of a level by level, for the scalar rows too
     polys = {
         level: cached_r_poly(spec, level, cachedir, pieces)
         for level in range(1, spec.n_max + 1)
@@ -149,6 +149,13 @@ def cmd_converge(args) -> int:
         "rows": [r.as_record() for r in rows],
     }
     report = make_report("converge", body, digest=spec.digest(), timer=timer)
+    # the work each level took in this run; a level read from the cache
+    # whose charpolys no row needed took none
+    idle = {"reps": 0, "classes": 0, "direct_charpolys": 0}
+    report["timings"]["levels"] = [
+        {"n": level, **(pieces[level].work() if level in pieces else idle)}
+        for level in sorted(polys)
+    ]
     _emit(report, args)
     if any(r.status == "fail" for r in rows):
         return EXIT_CHECK_FAILED

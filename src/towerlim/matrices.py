@@ -6,11 +6,12 @@
   characteristic polynomial uses the Berkowitz algorithm, which is
   division-free and therefore valid verbatim over these rings.
 * Orbits of (Z/M)^b under an integer matrix: `orbit` is the one orbit
-  walker.
+  walker, and the scan `orbit_reps` keeps which orbit each point fell in.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import product
 from typing import Callable, Sequence
 
@@ -135,30 +136,54 @@ def orbit(step: Matrix, v: Sequence[int], mod: int,
     return members
 
 
+class Orbits(list):
+    """What `orbit_reps` returns: the (lex-least member, size) pairs of the
+    orbits in scan order, plus the scan's record of the orbit each kept
+    point fell in, so `orbit_of` finds a point's orbit without a walk."""
+
+    __slots__ = ("_labels", "_mod")
+
+    def __init__(self, reps, labels, mod: int):
+        super().__init__(reps)
+        self._labels = labels
+        self._mod = mod
+
+    def orbit_of(self, w: Sequence[int]) -> int:
+        """Position in the list of the orbit holding the kept point w,
+        entries in [0, mod)."""
+        return self._labels[_point_index(w, self._mod)] - 1
+
+
+def _point_index(w: Sequence[int], mod: int) -> int:
+    """Position in the lex scan of w, entries in [0, mod)."""
+    idx = 0
+    for x in w:
+        idx = idx * mod + x
+    return idx
+
+
 def orbit_reps(
     step: Matrix,
     mod: int,
     b: int,
     keep: Callable[[tuple[int, ...]], bool],
-) -> list[tuple[tuple[int, ...], int]]:
+) -> Orbits:
     """Orbits of v -> step*v on (Z/mod)^b: lex-least members with sizes.
 
     Points are scanned in ascending lex order.  Each unseen point passing
-    `keep` starts a walk that marks its whole orbit in a dense seen-set of
-    mod^b bytes, so the point is its orbit's lex-least member.  `step` must
-    be invertible mod `mod` and `keep` invariant under it; callers bound
-    mod^b before calling.
+    `keep` starts a walk that labels its whole orbit in a dense array of
+    mod^b 4-byte orbit numbers (0 for unseen), so the point is its orbit's
+    lex-least member, and the labels answer `Orbits.orbit_of` later.
+    `step` must be invertible mod `mod` and `keep` invariant under it;
+    callers bound mod^b before calling.
     """
-    seen = bytearray(mod**b)
+    labels = array("i", [0]) * mod**b
     reps = []
     for idx, v in enumerate(product(range(mod), repeat=b)):
-        if seen[idx] or not keep(v):
+        if labels[idx] or not keep(v):
             continue
         members = orbit(step, v, mod)
-        for w in members:
-            widx = 0
-            for x in w:
-                widx = widx * mod + x
-            seen[widx] = 1
         reps.append((v, len(members)))
-    return reps
+        for w in members:
+            labels[_point_index(w, mod)] = len(reps)
+    return Orbits(reps, labels, mod)

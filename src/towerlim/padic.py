@@ -4,6 +4,8 @@
 throughout; nothing downstream needs the 2-adic case).  `int_val` is the
 valuation of one integer and `min_val` the least valuation over a sequence,
 the one valuation of an exact ring element or coefficient list.
+`primitive_root` is the one generator of the cyclic group (Z/l^m)^* that
+both the tower engine and the curve pipelines walk the Galois action with.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import InputError
+from .matrices import orbit
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -45,6 +48,15 @@ def check_odd_prime(ell: int) -> int:
     if ell == 2:
         raise InputError("l = 2 is not supported here")
     return ell
+
+
+def primitive_root(ell: int, m: int) -> int:
+    """The least generator of the cyclic group (Z/l^m)^*, l an odd prime:
+    the least unit g whose orbit of 1 under x -> g*x has phi(l^m) members."""
+    d = ell**m
+    phi = d - d // ell
+    return next(g for g in range(2, d + 1)
+                if g % ell and len(orbit([[g]], (1,), d)) == phi)
 
 
 def int_val(ell: int, m: int) -> int:

@@ -36,6 +36,7 @@ from .cyclo import CycloElem, CycloRing, convolve
 from .errors import CheckFailed, GuardExceeded, InputError
 from .matfermat import poly_diff_val
 from .matrices import (
+    Orbits,
     det_one_minus_y,
     mat_identity,
     mat_mul,
@@ -43,7 +44,7 @@ from .matrices import (
     orbit,
     orbit_reps,
 )
-from .padic import check_odd_prime, int_val, min_val
+from .padic import check_odd_prime, int_val, min_val, primitive_root
 
 # Residue vectors an orbit scan or the beta0 enumeration may visit.
 ORBIT_CAP = 10**7
@@ -452,15 +453,6 @@ def frobenius_product(spec: TowerSpec, n: int, v: Sequence[int],
     ]
 
 
-def _memo_p_poly(pieces: dict, spec: TowerSpec, n: int,
-                 v: tuple) -> tuple[CycloElem, ...]:
-    """p_poly through a per-run memo keyed by (level, rep)."""
-    p = pieces.get((n, v))
-    if p is None:
-        p = pieces[(n, v)] = p_poly(spec, n, v)
-    return p
-
-
 def p_poly(spec: TowerSpec, n: int,
            v: Sequence[int]) -> tuple[CycloElem, ...]:
     """Ascending coefficients of p_{n,v}(y) = det(I - y A_n(v)) over
@@ -471,14 +463,106 @@ def p_poly(spec: TowerSpec, n: int,
     return tuple(det_one_minus_y(a, ring.one(), ring.zero()))
 
 
+@dataclass(frozen=True)
+class LevelPieces:
+    """Every p_{n,v} of one level by primitive orbit rep, and the work that
+    filled them: the unit classes, and the charpolys computed directly
+    (one per class, one more per class with two or more orbits)."""
+
+    polys: dict
+    classes: int
+    direct_charpolys: int
+
+    def work(self) -> dict:
+        return {"reps": len(self.polys), "classes": self.classes,
+                "direct_charpolys": self.direct_charpolys}
+
+
+def _galois(p: tuple[CycloElem, ...], a: int) -> tuple[CycloElem, ...]:
+    return tuple(c.galois_act(a) for c in p)
+
+
+def _check_transport(n: int, rep: tuple, member: tuple, unit: int,
+                     want: tuple, got: tuple, what: str) -> None:
+    """CheckFailed at the first coefficient where got differs from want."""
+    for j, (x, y) in enumerate(zip(want, got)):
+        if x != y:
+            raise CheckFailed(
+                f"{what} at level {n}, rep {rep}, member {member}, unit "
+                f"{unit}: coefficient {j} differs; Galois transport violated",
+                level=n, rep=rep, member=member, unit=unit, coefficient=j,
+            )
+
+
+def level_pieces(spec: TowerSpec, n: int, reps: Orbits) -> LevelPieces:
+    """Every p_{n,v} of level n by Galois transport, with a direct check
+    per class.
+
+    `reps` is `primitive_orbit_reps(spec, n)`.  The units a mod l^n act on
+    primitive vectors and commute with Q, so they permute the <Q>-orbits,
+    and A_n(a v) = sigma_a(A_n(v)) because F has integer coefficients: the
+    orbit of a v is a times the orbit of v, and a cyclic rotation of the
+    product leaves its charpoly unchanged.  So p_{n,u} = sigma_a(p_{n,v})
+    exactly whenever u's orbit is a v's.  With g the least primitive root
+    mod l^n, a class walks g^i v by `orbit` from its lex-least rep v and
+    looks each point's orbit up in the scan's labels, until g^c v is back
+    in the orbit of v: its c orbits are those of v, g v, ..., g^(c-1) v.
+    p_{n,v} is computed directly and the other members transported.
+
+    Two checks per class, always on; a mismatch is a CheckFailed naming
+    level, rep, member, unit and coefficient:
+
+    * stabiliser: g^c v lies in the orbit of v, so sigma_(g^c)(p_{n,v})
+      must equal p_{n,v} (no twisted product; it is also what puts the
+      class's product in the base ring);
+    * direct: with c >= 2, p at the rep u of g v is computed directly too
+      and must equal sigma_g(p_{n,v}).
+    """
+    mod = spec.ell**n
+    g = primitive_root(spec.ell, n)
+    g_mat = [[g if i == j else 0 for j in range(spec.b)]
+             for i in range(spec.b)]
+    polys = {}
+    classes = direct = 0
+    for v, _ in reps:
+        if v in polys:
+            continue
+        members = []  # (orbit rep, unit) of v, g v, ..., g^(c-1) v
+        unit = 1
+        for w in orbit(g_mat, v, mod, level=n):
+            u = reps[reps.orbit_of(w)][0]
+            if members and u == v:
+                break
+            members.append((u, unit))
+            unit = unit * g % mod
+        p = p_poly(spec, n, v)
+        classes += 1
+        direct += 1
+        _check_transport(n, v, v, unit, p, _galois(p, unit),
+                         "stabiliser check")
+        polys[v] = p
+        for u, a in members[1:]:
+            polys[u] = _galois(p, a)
+        if len(members) > 1:
+            u = members[1][0]
+            direct += 1
+            _check_transport(n, v, u, g, polys[u], p_poly(spec, n, u),
+                             "direct check")
+    return LevelPieces(polys, classes, direct)
+
+
 def r_poly(spec: TowerSpec, n: int,
            pieces: dict) -> tuple[tuple[int, ...], dict]:
     """The aggregate polynomial r_n(y) with base-ring coefficients.
 
     Multiplies p_{n,v}(y^(k_n(v)/k_n)) over primitive orbit reps v, where
     k_n is the smallest orbit size at level n, then demotes coefficients to
-    integers mod l^prec.  A non-rational coefficient means the Galois
-    stability that makes r_n well-defined has failed: hard error.
+    integers mod l^prec.  The p_{n,v} come from `level_pieces`: one twisted
+    product and charpoly per class of primitive vectors under the units
+    mod l^n and Q, sigma_a of it for every other rep of the class, and a
+    stabiliser and a direct check per class.  A non-rational coefficient
+    of the product means the Galois stability that makes r_n well-defined
+    has failed: hard error, whatever the class checks passed.
 
     The running product lives in the group ring (Z/l^prec)[C_{l^n}]:
     acc[i] holds the l^n exponent coefficients of y^i.  Multiplying by
@@ -490,24 +574,25 @@ def r_poly(spec: TowerSpec, n: int,
     the products.
 
     Returns (coefficients, meta) where meta records k_n, the rep count, and
-    per-rep orbit sizes.  `pieces` is the run's memo of p_{n,v} keyed by
-    (level, rep), read and filled here (scalar congruence rows reread it).
+    per-rep orbit sizes.  `pieces` is the run's memo of `LevelPieces` keyed
+    by level: a level already in it is read, not recomputed; otherwise it
+    is filled here (scalar congruence rows reread it).
     """
     reps = primitive_orbit_reps(spec, n)
     if not reps:
         raise InputError(f"no primitive orbits at level {n}")
     ring = build_ring(spec, n)
     k_n = min(s for _, s in reps)
-    factors = []
     for v, size in reps:
-        p = _memo_p_poly(pieces, spec, n, v)
-        s, rem = divmod(size, k_n)
-        if rem:
+        if size % k_n:
             raise CheckFailed(
                 f"orbit size {size} not divisible by k_n = {k_n} at level {n}",
                 level=n, rep=tuple(v), size=size,
             )
-        factors.append((p, s))
+    if n not in pieces:
+        pieces[n] = level_pieces(spec, n, reps)
+    polys = pieces[n].polys
+    factors = [(polys[v], size // k_n) for v, size in reps]
     degree = sum((len(c) - 1) * s for c, s in factors)
     dtype = _aggregate_dtype(spec, ring)
     need = _group_ring_bytes(ring, dtype, (degree + 1) * ring.order)
@@ -608,17 +693,22 @@ def scalar_congruence_rows(spec: TowerSpec, params: OrbitParams,
     guaranteed depth is v_l(k_{n+1}(v)) once n >= n0, and rows below the
     threshold are marked rather than judged.
 
-    `pieces` is the run's (level, rep) memo that `r_poly` fills; a
-    level-n rep is also a level-(n+1) rep, so it holds every p_{n,v} read
-    here unless an aggregate came from the cache.
+    `pieces` is the run's memo of `LevelPieces` by level that `r_poly`
+    fills; a level whose aggregate came from the cache is filled here.  A
+    level-n rep v is also a level-(n+1) rep: each member of its
+    level-(n+1) orbit is entrywise at least its reduction mod l^n, a
+    member of the level-n orbit, which is at least v in lex order.
     """
     check_scalar_twist(spec)
+    for n in range(1, spec.n_max + 1):
+        if n not in pieces:
+            pieces[n] = level_pieces(spec, n, primitive_orbit_reps(spec, n))
     rows = []
     for n in range(1, spec.n_max):
         for v, size in primitive_orbit_reps(spec, n):
             size_hi = orbit_order(spec, n + 1, v)
-            p_lo = _memo_p_poly(pieces, spec, n, v)
-            p_hi = _memo_p_poly(pieces, spec, n + 1, v)
+            p_lo = pieces[n].polys[v]
+            p_hi = pieces[n + 1].polys[v]
             required = int_val(spec.ell, size_hi) if size_hi > 1 else 0
             # both coefficient lists, spread over the ring basis
             measured, sat = poly_diff_val(

@@ -1,6 +1,7 @@
 """The group-ring aggregate r_n against the serial ring-element oracle, its
 int64/object choice, its working-set guard, the context its checks carry,
-and that it does no ring multiplies of its own."""
+and that it does no ring multiplies of its own; the Galois-transported
+p_{n,v} it multiplies against p_poly at every rep, and the class checks."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from towerlim import tower
 from towerlim.cli import main
 from towerlim.cyclo import CycloElem, CycloRing
 from towerlim.errors import CheckFailed, GuardExceeded
+from towerlim.matrices import orbit
 from towerlim.tower import (
     build_ring,
     make_tower_spec,
@@ -93,6 +95,32 @@ def towers(draw):
 def test_group_ring_aggregate_matches_oracle(case):
     spec, n = case
     assert_matches_oracle(spec, n)
+
+
+@PROPS
+@given(towers())
+def test_transported_memo_matches_p_poly_at_every_rep(case):
+    spec, n = case
+    pieces = {}
+    for m in range(1, n + 1):
+        reps = primitive_orbit_reps(spec, m)
+        r_poly(spec, m, pieces)
+        assert pieces[m].polys == {v: p_poly(spec, m, v) for v, _ in reps}
+
+
+def test_one_direct_charpoly_per_class_and_one_per_check(monkeypatch):
+    calls = []
+    real = tower.p_poly
+    monkeypatch.setattr(tower, "p_poly",
+                        lambda spec, n, v: calls.append(n) or real(spec, n, v))
+    pieces = {}
+    for n in (1, 2, 3, 4):
+        r_poly(GEN, n, pieces)
+    # every class of GEN has two or more orbits, so each gets its check
+    assert [pieces[n].work() for n in (1, 2, 3, 4)] == [
+        {"reps": r, "classes": c, "direct_charpolys": 2 * c}
+        for r, c in ((8, 4), (24, 6), (72, 12), (216, 18))]
+    assert [calls.count(n) for n in (1, 2, 3, 4)] == [8, 12, 24, 36]
 
 
 @pytest.mark.parametrize("q", [[[1, 3], [0, 1]], [[4, 3], [0, 1]]])
@@ -210,36 +238,110 @@ def test_size_check_names_level_rep_and_size(monkeypatch):
     assert err.value.context == {"level": 2, "rep": (1, 1), "size": 4}
 
 
-def _skew_one_rep(monkeypatch, level):
-    """p_poly returning zeta * p for the first rep at `level`."""
-    target = primitive_orbit_reps(GEN, level)[0][0]
+def _skewed(p):
+    """zeta * p, coefficient by coefficient: off the base ring already in
+    the constant coefficient 1."""
+    z = p[0].ring.zeta()
+    return tuple(z * c for c in p)
+
+
+def _skew_one_rep(monkeypatch, level, target):
+    """p_poly returning zeta * p at rep `target` of `level`."""
     real = tower.p_poly
 
     def skewed(spec, n, v):
         p = real(spec, n, v)
-        if n == level and tuple(v) == target:
-            z = p[0].ring.zeta()
-            p = tuple(z * c for c in p)
-        return p
+        return _skewed(p) if n == level and tuple(v) == target else p
 
     monkeypatch.setattr(tower, "p_poly", skewed)
 
 
-def test_stability_check_names_level_and_coefficient(monkeypatch):
-    _skew_one_rep(monkeypatch, 2)
-    assert r_poly(GEN, 1, {})[1]["degree"] == 8
+def _skew_the_memo(monkeypatch, level):
+    """level_pieces filling the memo with zeta * p at the first rep of
+    `level`, after its class checks passed: what reaches r_poly's own
+    base-ring check."""
+    real = tower.level_pieces
+
+    def skewed(spec, n, reps):
+        pieces = real(spec, n, reps)
+        if n == level:
+            v = reps[0][0]
+            pieces.polys[v] = _skewed(pieces.polys[v])
+        return pieces
+
+    monkeypatch.setattr(tower, "level_pieces", skewed)
+
+
+def _first_class(level):
+    """GEN's first rep v at `level`, the rep u of 2 v (2 is the least
+    primitive root mod 3^n) and h = 2^c, c the orbits in the class, found
+    by brute force: lex-least members of walked orbits."""
+    mod = 3**level
+
+    def rep_of(w):
+        return min(orbit(GEN.q_matrix, w, mod))
+
+    v = primitive_orbit_reps(GEN, level)[0][0]
+    c, h = 1, 2
+    while rep_of(tuple(h * x for x in v)) != v:
+        c, h = c + 1, h * 2 % mod
+    return v, rep_of(tuple(2 * x for x in v)), h
+
+
+def test_stability_check_names_level_and_coefficient():
+    # a level already in the memo is read, not recomputed, so a skewed
+    # entry there reaches the base-ring check past the class checks
+    pieces = {}
+    for n in (1, 2):
+        r_poly(GEN, n, pieces)
+    v = primitive_orbit_reps(GEN, 2)[0][0]
+    pieces[2].polys[v] = _skewed(pieces[2].polys[v])
+    assert r_poly(GEN, 1, pieces)[1]["degree"] == 8
     with pytest.raises(CheckFailed) as err:
-        r_poly(GEN, 2, {})
+        r_poly(GEN, 2, pieces)
     assert err.value.context == {"level": 2, "coefficient": 0}
     assert "Galois stability violated" in str(err.value)
+
+
+def test_stabiliser_check_names_level_rep_member_unit_and_coefficient(
+        monkeypatch):
+    v, _, h = _first_class(2)
+    assert h != 1  # sigma_h is not the identity: the check has force
+    _skew_one_rep(monkeypatch, 2, v)
+    with pytest.raises(CheckFailed) as err:
+        r_poly(GEN, 2, {})
+    assert err.value.context == {"level": 2, "rep": v, "member": v,
+                                 "unit": h, "coefficient": 0}
+    assert "stabiliser check" in str(err.value)
+
+
+def test_direct_check_names_level_rep_member_unit_and_coefficient(
+        monkeypatch):
+    v, u, _ = _first_class(2)
+    assert u != v
+    _skew_one_rep(monkeypatch, 2, u)
+    with pytest.raises(CheckFailed) as err:
+        r_poly(GEN, 2, {})
+    assert err.value.context == {"level": 2, "rep": v, "member": u,
+                                 "unit": 2, "coefficient": 0}
+    assert "direct check" in str(err.value)
 
 
 def test_converge_exits_2_on_an_unstable_aggregate(monkeypatch, tmp_path,
                                                    capsys):
     monkeypatch.delenv("TOWERLIM_CACHE", raising=False)
-    _skew_one_rep(monkeypatch, 2)
-    assert main(["converge", "--config", _write_gen(tmp_path),
-                 "--mode", "general"]) == 2
+    cfg = _write_gen(tmp_path)
+    with monkeypatch.context() as mp:
+        _skew_the_memo(mp, 2)
+        assert main(["converge", "--config", cfg, "--mode", "general"]) == 2
     out, err = capsys.readouterr()
     assert "pass" not in out
     assert "r_2 coefficient 0 is not in the base ring" in err
+    # skewed where it is computed, the class checks trip first
+    v, _, h = _first_class(2)
+    _skew_one_rep(monkeypatch, 2, v)
+    assert main(["converge", "--config", cfg, "--mode", "general"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (f"stabiliser check at level 2, rep {v}, member {v}, unit {h}: "
+            "coefficient 0 differs") in err

@@ -297,6 +297,25 @@ def test_converge_warm_cache_is_byte_identical(tmp_path, capsys, monkeypatch):
     assert cold == warm
 
 
+@pytest.mark.parametrize("mode, config, work, warm_work", [
+    ("general", GENERAL_CONFIG, [(8, 4, 8), (24, 6, 12), (72, 12, 24)],
+     [(0, 0, 0)] * 3),
+    # the scalar rows need every p_{n,v}, which the cache does not hold
+    ("scalar", SCALAR_CONFIG, [(4, 1, 2)] * 3, [(4, 1, 2)] * 3),
+])
+def test_converge_timings_count_each_levels_work(
+        tmp_path, capsys, monkeypatch, mode, config, work, warm_work):
+    monkeypatch.setenv("TOWERLIM_CACHE", str(tmp_path / "cache"))
+    argv = ["converge", "--config", _write_config(tmp_path, config),
+            "--mode", mode]
+    for want in (work, warm_work):
+        assert main(argv) == 0
+        levels = json.loads(capsys.readouterr().out)["timings"]["levels"]
+        assert levels == [
+            {"n": n, "reps": r, "classes": c, "direct_charpolys": d}
+            for n, (r, c, d) in enumerate(want, start=1)]
+
+
 def test_converge_fail_rows_exit_nonzero(tmp_path, capsys, monkeypatch):
     # Force a failing row through the summary path to pin the exit-code
     # contract; real rows only fail if a verified congruence breaks.

@@ -211,7 +211,7 @@ def test_bookkeeping_failures_name_family_level_and_values(monkeypatch):
         assert _bookkeeping_failure("fermat", 7, 1) == {
             "family": "fermat", "level": 1, "expected": 2, "measured": [1]}
     with monkeypatch.context() as mp:  # 1 taken for a primitive root
-        _lie_about(mp, "_primitive_root", lambda real, *a: 1)
+        _lie_about(mp, "primitive_root", lambda real, *a: 1)
         assert _bookkeeping_failure("artin-schreier", 7, 1) == {
             "family": "artin-schreier", "level": 1, "expected": 2,
             "measured": [1]}

@@ -12,6 +12,8 @@ import pytest
 from towerlim import tower
 from towerlim.charsums import (
     ENUM_CAP,
+    TRACE_WORK_CAP,
+    h_poly_tower,
     motivating_curve_counts,
     prime_power_split,
     primitive_char_sum,
@@ -72,6 +74,12 @@ CASES = {
                         {"level": 14, "rep": (1,),
                          "need": 3 * 16 * 3**14 * 8,
                          "limit": MAX_PRODUCT_BYTES}),
+    # level 3 over F_487: 33 unit-orbit Jacobi sums in Z[zeta_27] (phi 18),
+    # k_3 = 1, degree 594, 9-bit q
+    "trace_powers": (lambda mp: h_poly_tower("fermat", 3, 487, 3),
+                     {"family": "fermat", "level": 3,
+                      "need": 33 * 18 * 1 * 9 * 594 * 595 // 4,
+                      "limit": TRACE_WORK_CAP}),
     "aggregate": (_aggregate_at_1000_bytes,
                   {"level": 2, "degree": 24, "need": 3 * 25 * 9 * 8,
                    "limit": 1000}),
@@ -96,6 +104,17 @@ def test_field_guard_trips_at_once_however_large_the_degree():
     start = time.perf_counter()
     assert main(["zeta", "motivating", "--level", "24"]) == 4
     assert time.perf_counter() - start < 1.0
+
+
+def test_trace_power_guard_trips_before_the_first_power(capsys):
+    # level 3's powers would run for seconds; level 2 passes the guard
+    start = time.perf_counter()
+    assert main(["zeta", "fermat", "--ell", "3", "--q", "487", "--n", "3"]) == 4
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "fermat level 3" in err
+    assert main(["zeta", "fermat", "--ell", "3", "--q", "487", "--n", "2",
+                 "--m-max", "1"]) == 0
 
 
 # a prime, so trial division would run up to sqrt(q), about 3.2e8 steps

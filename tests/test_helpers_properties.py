@@ -140,7 +140,7 @@ def test_orbit_walk_partitions_kept_points(q, n):
 
     reps = orbit_reps(q, mod, b, keep)
     covered = []
-    for rep, size in reps:
+    for i, (rep, size) in enumerate(reps):
         walk = [rep]
         while True:
             nxt = mat_vec_mod(q, walk[-1], mod)
@@ -150,6 +150,7 @@ def test_orbit_walk_partitions_kept_points(q, n):
         assert len(walk) == size == orbit_order(spec, n, rep)
         assert rep == min(walk)
         assert orbit(q, rep, mod) == walk
+        assert {reps.orbit_of(w) for w in walk} == {i}
         covered.extend(walk)
     kept = [v for v in product(range(mod), repeat=b) if keep(v)]
     assert sorted(covered) == kept

@@ -29,8 +29,6 @@ SRC = Path(towerlim.__file__).parent
 # Library entry points tests/test_acceptance.py calls by criterion number.
 KEEP = {
     "_Parser.error": "argparse calls it on a parse error",
-    "CycloElem.galois_act": "the Galois transport of the tower engine "
-                            "(ROADMAP open item 2) reads it",
     "s_rho_n": "acceptance criterion 5",
     "primitive_char_sum": "acceptance criterion 5",
 }
