@@ -41,7 +41,6 @@ from .tower import (
     TowerSpec,
     general_congruence_rows,
     make_tower_spec,
-    orbit_order,
     orbit_params,
     p_poly,
     primitive_orbit_reps,

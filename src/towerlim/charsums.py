@@ -684,13 +684,14 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
         return fields[k]
 
     levels = []
+    frobenius = {}  # the Frobenius orbits of each level, for the rows below
     f_poly = [1]
     for m in range(1, n + 1):
         d = ell**m
         phi = d - d // ell
         k_m = mult_order(q, d)
         big = get_field(k_m)
-        orbits = _fresh_orbits(family, ell, m, q)
+        orbits = frobenius[m] = _fresh_orbits(family, ell, m, q)
         units = _fresh_orbits(family, ell, m, primitive_root(ell, m))
         if family == "fermat":
             twists = 1
@@ -777,7 +778,7 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
         rows = []
         if family == "fermat":
             d_lo = ell**m
-            for (w1, w2), _ in _fresh_orbits(family, ell, m + 1, q):
+            for (w1, w2), _ in frobenius[m + 1]:
                 if _degenerate_jacobi(w1, w2, d_lo):
                     rows.append({"w": [w1, w2], "passed": None,
                                  "note": "degenerate at the lower level"})
@@ -785,7 +786,7 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
                 rows.append(_coleman_jacobi_core(big, sub_q, ell, m, w1, w2))
             ok = all(r["passed"] for r in rows if r["passed"] is not None)
         else:
-            for (v,), _ in _fresh_orbits(family, ell, m + 1, q):
+            for (v,), _ in frobenius[m + 1]:
                 rows.append(_coleman_gauss_core(big, sub_q, ell, m, v))
             ok = _gauss_sign_status(rows)[0] == "pass"
         stab.append({

@@ -113,7 +113,7 @@ def cmd_converge(args) -> int:
     cachedir = resolve_cache_dir(exp.cache_dir)
     params = orbit_params(spec)
     timer.mark("orbit_params")
-    pieces = {}  # every p_{n,v} of a level by level, for the scalar rows too
+    pieces = {}  # each level's record by level, for the scalar rows too
     polys = {
         level: cached_r_poly(spec, level, cachedir, pieces)
         for level in range(1, spec.n_max + 1)

@@ -124,12 +124,12 @@ def make_tower_spec(
 ) -> TowerSpec:
     """Validate raw data and freeze it into a :class:`TowerSpec`."""
     check_odd_prime(ell)
-    if b < 1:
-        raise InputError(f"b must be >= 1, got {b}")
-    if r < 1:
-        raise InputError(f"r must be >= 1, got {r}")
-    if n_max < 1:
-        raise InputError(f"n_max must be >= 1, got {n_max}")
+    for field, x in (("b", b), ("r", r), ("n_max", n_max), ("prec", prec)):
+        if field == "prec" and x is None:
+            continue
+        if type(x) is not int or x < 1:  # a bool is not an int here
+            raise InputError(f"{field} must be an integer >= 1, got {x!r}",
+                             field=field)
     q = _check_int_matrix(q_matrix, b, "Q")
     for i in range(b):
         for j in range(b):
@@ -208,25 +208,7 @@ class OrbitParams:
     verified_level: Optional[int]  # level where sizes were cross-checked
 
 
-def orbit_order(spec: TowerSpec, n: int, v: Sequence[int]) -> int:
-    """Size of the orbit of v mod l^n under powers of Q, by `orbit`.
-
-    Q = I mod l makes it a power of l (the matrix Fermat theorem); any
-    other walked size is a CheckFailed naming level, rep and size.
-    """
-    members = orbit(spec.q_matrix, v, spec.ell**n, level=n)
-    size = len(members)
-    if spec.ell ** int_val(spec.ell, size) != size:
-        raise CheckFailed(
-            f"orbit size {size} at level {n} is not a power of {spec.ell}",
-            level=n, rep=members[0], size=size,
-        )
-    return size
-
-
-def primitive_orbit_reps(
-    spec: TowerSpec, n: int
-) -> list[tuple[tuple[int, ...], int]]:
+def primitive_orbit_reps(spec: TowerSpec, n: int) -> Orbits:
     """Lex-first representatives of primitive orbits mod l^n, with sizes.
 
     Primitive means not all coordinates divisible by l.  Scanning residue
@@ -354,7 +336,7 @@ def build_ring(spec: TowerSpec, n: int) -> CycloRing:
 
 
 # Working-set ceiling for one group-ring array computation: the twisted
-# product's or the aggregate's two arrays plus one temporary.  Past it the
+# product's or a class norm's two arrays plus one temporary.  Past it the
 # computation would thrash the host.
 MAX_PRODUCT_BYTES = 1 << 30
 
@@ -385,10 +367,9 @@ def _product_dtype(spec: TowerSpec, ring: CycloRing):
 
 
 def _aggregate_dtype(spec: TowerSpec, ring: CycloRing):
-    """The aggregate's dtype: an entry of r_n sums at most (r+1) * phi
-    products of two coefficients below l^prec."""
-    return _group_ring_dtype(
-        ring, (spec.r + 1) * ring.phi * ((ring.qmod or 1) - 1))
+    """The class norms' dtype: one step of a norm sums, per entry, at most
+    (r+1) * phi products of two coefficients below l^prec."""
+    return _group_ring_dtype(ring, (spec.r + 1) * ring.phi * (ring.qmod - 1))
 
 
 def _group_ring_bytes(ring: CycloRing, dtype, entries: int) -> int:
@@ -465,17 +446,21 @@ def p_poly(spec: TowerSpec, n: int,
 
 @dataclass(frozen=True)
 class LevelPieces:
-    """Every p_{n,v} of one level by primitive orbit rep, and the work that
-    filled them: the unit classes, and the charpolys computed directly
-    (one per class, one more per class with two or more orbits)."""
+    """What a run reads of one level, built once by `level_pieces`: its one
+    orbit scan (an `Orbits`), k_n, the unit classes (each a tuple of member
+    reps, its own rep first) and every p_{n,v} by rep."""
 
+    reps: Orbits
+    k_n: int
+    classes: tuple
     polys: dict
-    classes: int
-    direct_charpolys: int
 
     def work(self) -> dict:
-        return {"reps": len(self.polys), "classes": self.classes,
-                "direct_charpolys": self.direct_charpolys}
+        """Reps, classes, and the charpolys computed directly: one per
+        class, one more per class of two or more orbits."""
+        return {"reps": len(self.reps), "classes": len(self.classes),
+                "direct_charpolys": sum(1 + (len(c) > 1)
+                                        for c in self.classes)}
 
 
 def _galois(p: tuple[CycloElem, ...], a: int) -> tuple[CycloElem, ...]:
@@ -494,36 +479,50 @@ def _check_transport(n: int, rep: tuple, member: tuple, unit: int,
             )
 
 
-def level_pieces(spec: TowerSpec, n: int, reps: Orbits) -> LevelPieces:
-    """Every p_{n,v} of level n by Galois transport, with a direct check
-    per class.
+def level_pieces(spec: TowerSpec, n: int) -> LevelPieces:
+    """The record of level n: its one orbit scan, k_n, the unit classes and
+    every p_{n,v} by Galois transport, with a direct check per class.
 
-    `reps` is `primitive_orbit_reps(spec, n)`.  The units a mod l^n act on
-    primitive vectors and commute with Q, so they permute the <Q>-orbits,
-    and A_n(a v) = sigma_a(A_n(v)) because F has integer coefficients: the
-    orbit of a v is a times the orbit of v, and a cyclic rotation of the
-    product leaves its charpoly unchanged.  So p_{n,u} = sigma_a(p_{n,v})
-    exactly whenever u's orbit is a v's.  With g the least primitive root
-    mod l^n, a class walks g^i v by `orbit` from its lex-least rep v and
-    looks each point's orbit up in the scan's labels, until g^c v is back
-    in the orbit of v: its c orbits are those of v, g v, ..., g^(c-1) v.
-    p_{n,v} is computed directly and the other members transported.
+    The scan is `primitive_orbit_reps(spec, n)`; an empty one is an
+    InputError.  Q = I mod l makes every orbit size a power of l (the
+    matrix Fermat theorem), so k_n, the least, divides them all; any other
+    size is a CheckFailed naming level, rep and size, before any charpoly.
+
+    The units a mod l^n act on primitive vectors and commute with Q, so
+    they permute the <Q>-orbits, and A_n(a v) = sigma_a(A_n(v)) because F
+    has integer coefficients: the orbit of a v is a times the orbit of v,
+    and a cyclic rotation of the product leaves its charpoly unchanged.  So
+    p_{n,u} = sigma_a(p_{n,v}) exactly whenever u's orbit is a v's.  With
+    g the least primitive root mod l^n, a class walks g^i v by `orbit` from
+    its lex-least rep v and looks each point's orbit up in the scan's
+    labels, until g^c v is back in the orbit of v: its c orbits are those
+    of v, g v, ..., g^(c-1) v.  p_{n,v} is computed directly and the other
+    members transported.
 
     Two checks per class, always on; a mismatch is a CheckFailed naming
     level, rep, member, unit and coefficient:
 
     * stabiliser: g^c v lies in the orbit of v, so sigma_(g^c)(p_{n,v})
       must equal p_{n,v} (no twisted product; it is also what puts the
-      class's product in the base ring);
+      class norm in the base ring);
     * direct: with c >= 2, p at the rep u of g v is computed directly too
       and must equal sigma_g(p_{n,v}).
     """
+    reps = primitive_orbit_reps(spec, n)
+    if not reps:
+        raise InputError(f"no primitive orbits at level {n}")
+    for v, size in reps:
+        if spec.ell ** int_val(spec.ell, size) != size:
+            raise CheckFailed(
+                f"level {n} orbit size {size} is not a power of {spec.ell}",
+                level=n, rep=v, size=size,
+            )
     mod = spec.ell**n
     g = primitive_root(spec.ell, n)
     g_mat = [[g if i == j else 0 for j in range(spec.b)]
              for i in range(spec.b)]
     polys = {}
-    classes = direct = 0
+    classes = []
     for v, _ in reps:
         if v in polys:
             continue
@@ -536,8 +535,6 @@ def level_pieces(spec: TowerSpec, n: int, reps: Orbits) -> LevelPieces:
             members.append((u, unit))
             unit = unit * g % mod
         p = p_poly(spec, n, v)
-        classes += 1
-        direct += 1
         _check_transport(n, v, v, unit, p, _galois(p, unit),
                          "stabiliser check")
         polys[v] = p
@@ -545,95 +542,90 @@ def level_pieces(spec: TowerSpec, n: int, reps: Orbits) -> LevelPieces:
             polys[u] = _galois(p, a)
         if len(members) > 1:
             u = members[1][0]
-            direct += 1
             _check_transport(n, v, u, g, polys[u], p_poly(spec, n, u),
                              "direct check")
-    return LevelPieces(polys, classes, direct)
+        classes.append(tuple(u for u, _ in members))
+    return LevelPieces(reps, min(s for _, s in reps), tuple(classes), polys)
 
 
 def r_poly(spec: TowerSpec, n: int,
            pieces: dict) -> tuple[tuple[int, ...], dict]:
-    """The aggregate polynomial r_n(y) with base-ring coefficients.
+    """The aggregate r_n(y) = prod over primitive orbit reps v of
+    p_{n,v}(y^(k_n(v)/k_n)), as the product of its integer class norms.
 
-    Multiplies p_{n,v}(y^(k_n(v)/k_n)) over primitive orbit reps v, where
-    k_n is the smallest orbit size at level n, then demotes coefficients to
-    integers mod l^prec.  The p_{n,v} come from `level_pieces`: one twisted
-    product and charpoly per class of primitive vectors under the units
-    mod l^n and Q, sigma_a of it for every other rep of the class, and a
-    stabiliser and a direct check per class.  A non-rational coefficient
-    of the product means the Galois stability that makes r_n well-defined
-    has failed: hard error, whatever the class checks passed.
+    The c members of the unit class C of v share v's orbit size, so C
+    contributes N_C(y^s), s = k_n(v)/k_n, where N_C, the product of the
+    members' p_{n,u}, is prod_(i<c) sigma_(g^i)(p_{n,v}): the stabiliser
+    check makes sigma_g fix it, so it lies in the base ring.  N_C is formed
+    in the group ring (Z/l^prec)[C_{l^n}], acc[i] holding the l^n exponent
+    coefficients of y^i: each power-basis term x z^t of each coefficient
+    c_j of a member adds x times acc rolled by t into the rows from j on,
+    reduced mod l^prec once per member.  Each row is folded to the power
+    basis at the end (Z[x]/(x^(l^n) - 1) -> Z[z] is a ring map), demoted to
+    an integer, and N_C(y^s) multiplied into r_n by `convolve` mod l^prec.
+    A norm off the base ring is a CheckFailed naming level, the class rep
+    and the coefficient, whatever the class checks passed; a norm whose
+    c*r + 1 rows would pass MAX_PRODUCT_BYTES is a GuardExceeded naming
+    level, rep, degree, need and limit, before it is formed.
 
-    The running product lives in the group ring (Z/l^prec)[C_{l^n}]:
-    acc[i] holds the l^n exponent coefficients of y^i.  Multiplying by
-    p(y^s) adds, for each power-basis term x z^t of each coefficient c_j
-    of p, x times acc rolled by t into the rows from j*s on, then reduces
-    mod l^prec once.  The cost depends on the shapes and on the sparsity of
-    the p_{n,v} only.  Each row is folded to the power basis once, at the
-    end; Z[x]/(x^(l^n) - 1) -> Z[z] is a ring map, so that commutes with
-    the products.
-
-    Returns (coefficients, meta) where meta records k_n, the rep count, and
-    per-rep orbit sizes.  `pieces` is the run's memo of `LevelPieces` keyed
-    by level: a level already in it is read, not recomputed; otherwise it
-    is filled here (scalar congruence rows reread it).
+    Returns (coefficients, meta), meta recording k_n, the rep count and the
+    orbit sizes.  `pieces` is the run's memo of `LevelPieces` by level: a
+    level in it is read; otherwise `level_pieces` fills it here.
     """
-    reps = primitive_orbit_reps(spec, n)
-    if not reps:
-        raise InputError(f"no primitive orbits at level {n}")
-    ring = build_ring(spec, n)
-    k_n = min(s for _, s in reps)
-    for v, size in reps:
-        if size % k_n:
-            raise CheckFailed(
-                f"orbit size {size} not divisible by k_n = {k_n} at level {n}",
-                level=n, rep=tuple(v), size=size,
-            )
     if n not in pieces:
-        pieces[n] = level_pieces(spec, n, reps)
-    polys = pieces[n].polys
-    factors = [(polys[v], size // k_n) for v, size in reps]
-    degree = sum((len(c) - 1) * s for c, s in factors)
+        pieces[n] = level_pieces(spec, n)
+    level = pieces[n]
+    ring = build_ring(spec, n)
     dtype = _aggregate_dtype(spec, ring)
-    need = _group_ring_bytes(ring, dtype, (degree + 1) * ring.order)
-    if need > MAX_PRODUCT_BYTES:
-        raise GuardExceeded(
-            f"aggregate r_{n} at level {n} has degree {degree} and needs "
-            f"about {need} bytes > {MAX_PRODUCT_BYTES}",
-            level=n, degree=degree, need=need, limit=MAX_PRODUCT_BYTES,
-        )
     q = ring.qmod
-    acc = np.zeros((1, ring.order), dtype=dtype)
-    acc[0, 0] = 1
-    for coeffs, s in factors:
-        rows = acc.shape[0]
-        new = np.zeros((rows + (len(coeffs) - 1) * s, ring.order), dtype=dtype)
-        for j, c in enumerate(coeffs):
-            out = new[j * s: j * s + rows]
-            for t, x in enumerate(c.coeffs):
-                if x:
-                    _roll_add(out, x * acc, t)
-        if q is not None:
-            new %= q
-        acc = new
-    ints = []
-    for i, row in enumerate(acc):
-        c = ring._fold_top(row.tolist())
-        if any(c[1:]):
-            raise CheckFailed(
-                f"r_{n} coefficient {i} is not in the base ring; "
-                "Galois stability violated",
-                level=n, coefficient=i,
+    sizes = dict(level.reps)
+    r_n = [1]
+    for members in level.classes:
+        v = members[0]
+        degree = len(members) * spec.r
+        need = _group_ring_bytes(ring, dtype, (degree + 1) * ring.order)
+        if need > MAX_PRODUCT_BYTES:
+            raise GuardExceeded(
+                f"class norm of rep {v} at level {n} has degree {degree} "
+                f"and needs about {need} bytes > {MAX_PRODUCT_BYTES}",
+                level=n, rep=v, degree=degree, need=need,
+                limit=MAX_PRODUCT_BYTES,
             )
-        ints.append(c[0])
+        acc = np.zeros((1, ring.order), dtype=dtype)
+        acc[0, 0] = 1
+        for u in members:
+            coeffs = level.polys[u]
+            rows = acc.shape[0]
+            new = np.zeros((rows + len(coeffs) - 1, ring.order), dtype=dtype)
+            for j, c in enumerate(coeffs):
+                out = new[j: j + rows]
+                for t, x in enumerate(c.coeffs):
+                    if x:
+                        _roll_add(out, x * acc, t)
+            new %= q
+            acc = new
+        norm = []
+        for i, row in enumerate(acc):
+            c = ring._fold_top(row.tolist())
+            if any(c[1:]):
+                raise CheckFailed(
+                    f"class norm of rep {v} at level {n}: coefficient {i} "
+                    "is not in the base ring; Galois stability violated",
+                    level=n, rep=v, coefficient=i,
+                )
+            norm.append(c[0])
+        s = sizes[v] // level.k_n
+        stretched = [0] * ((len(norm) - 1) * s + 1)
+        stretched[::s] = norm  # N_C(y^s)
+        r_n = [x % q for x in convolve(r_n, stretched)]
     meta = {
         "level": n,
-        "k_n": k_n,
-        "num_orbits": len(reps),
-        "orbit_sizes": sorted({s for _, s in reps}),
-        "degree": len(ints) - 1,
+        "k_n": level.k_n,
+        "num_orbits": len(level.reps),
+        "orbit_sizes": sorted(set(sizes.values())),
+        "degree": len(r_n) - 1,
     }
-    return tuple(ints), meta
+    return tuple(r_n), meta
 
 
 # -- congruence reports ---------------------------------------------------
@@ -697,23 +689,23 @@ def scalar_congruence_rows(spec: TowerSpec, params: OrbitParams,
     fills; a level whose aggregate came from the cache is filled here.  A
     level-n rep v is also a level-(n+1) rep: each member of its
     level-(n+1) orbit is entrywise at least its reduction mod l^n, a
-    member of the level-n orbit, which is at least v in lex order.
+    member of the level-n orbit, which is at least v in lex order.  Its
+    level-(n+1) size is read from that level's scan.
     """
     check_scalar_twist(spec)
     for n in range(1, spec.n_max + 1):
         if n not in pieces:
-            pieces[n] = level_pieces(spec, n, primitive_orbit_reps(spec, n))
+            pieces[n] = level_pieces(spec, n)
     rows = []
     for n in range(1, spec.n_max):
-        for v, size in primitive_orbit_reps(spec, n):
-            size_hi = orbit_order(spec, n + 1, v)
-            p_lo = pieces[n].polys[v]
-            p_hi = pieces[n + 1].polys[v]
+        lo, hi = pieces[n], pieces[n + 1]
+        for v, size in lo.reps:
+            size_hi = hi.reps[hi.reps.orbit_of(v)][1]
             required = int_val(spec.ell, size_hi) if size_hi > 1 else 0
             # both coefficient lists, spread over the ring basis
             measured, sat = poly_diff_val(
-                [x for c in p_hi for x in c.coeffs],
-                [x for c in p_lo for x in c.embed_up().coeffs],
+                [x for c in hi.polys[v] for x in c.coeffs],
+                [x for c in lo.polys[v] for x in c.embed_up().coeffs],
                 spec.ell, spec.prec,
             )
             rows.append(

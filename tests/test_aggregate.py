@@ -1,7 +1,8 @@
-"""The group-ring aggregate r_n against the serial ring-element oracle, its
-int64/object choice, its working-set guard, the context its checks carry,
-and that it does no ring multiplies of its own; the Galois-transported
-p_{n,v} it multiplies against p_poly at every rep, and the class checks."""
+"""r_n as the product of its class norms against the serial ring-element
+oracle, the norms' int64/object choice, their working-set guard, the
+context their checks carry, and that r_poly does no ring multiplies of its
+own; the Galois-transported p_{n,v} it multiplies against p_poly at every
+rep, and the class checks."""
 
 from __future__ import annotations
 
@@ -196,14 +197,19 @@ def test_aggregate_does_no_ring_multiplies(monkeypatch):
 def test_aggregate_memory_guard_names_level_degree_and_estimate(monkeypatch):
     pieces = {}
     want, _ = r_poly(GEN, 3, pieces)
-    need = 3 * 73 * 27 * 8  # three int64 arrays of (72 + 1) x 3^3
+    # the largest class at level 3, of (1, 0), has 18 orbits: three int64
+    # arrays of (18 + 1) x 3^3
+    assert max(map(len, pieces[3].classes)) == 18
+    need = 3 * 19 * 27 * 8
     monkeypatch.setattr(tower, "MAX_PRODUCT_BYTES", need)
     assert r_poly(GEN, 3, pieces)[0] == want
     monkeypatch.setattr(tower, "MAX_PRODUCT_BYTES", need - 1)
     with pytest.raises(GuardExceeded) as err:
         r_poly(GEN, 3, pieces)
+    assert err.value.context == {"level": 3, "rep": (1, 0), "degree": 18,
+                                 "need": need, "limit": need - 1}
     msg = str(err.value)
-    assert "level 3" in msg and "degree 72" in msg and str(need) in msg
+    assert "level 3" in msg and "degree 18" in msg and str(need) in msg
 
 
 def _write_gen(tmp_path):
@@ -219,15 +225,16 @@ def _write_gen(tmp_path):
 
 def test_converge_exits_4_when_the_aggregate_would_not_fit(
         monkeypatch, tmp_path, capsys):
-    # level 1 needs 3 * 9 * 3 * 8 = 648 bytes, level 2 3 * 25 * 9 * 8 =
-    # 5400; every twisted product needs at most 3 * 9 * 8 = 216
+    # level 1's class norms need 3 * 3 * 3 * 8 = 216 bytes each, level 2's
+    # six-orbit class of (1, 0) 3 * 7 * 9 * 8 = 1512; every twisted product
+    # needs at most 3 * 9 * 8 = 216
     monkeypatch.delenv("TOWERLIM_CACHE", raising=False)
     monkeypatch.setattr(tower, "MAX_PRODUCT_BYTES", 1000)
     assert main(["converge", "--config", _write_gen(tmp_path),
                  "--mode", "general"]) == 4
     out, err = capsys.readouterr()
     assert out == ""
-    assert "aggregate r_2 at level 2 has degree 24" in err
+    assert "class norm of rep (1, 0) at level 2 has degree 6" in err
 
 
 def test_size_check_names_level_rep_and_size(monkeypatch):
@@ -259,13 +266,13 @@ def _skew_one_rep(monkeypatch, level, target):
 def _skew_the_memo(monkeypatch, level):
     """level_pieces filling the memo with zeta * p at the first rep of
     `level`, after its class checks passed: what reaches r_poly's own
-    base-ring check."""
+    base-ring check of that rep's class norm."""
     real = tower.level_pieces
 
-    def skewed(spec, n, reps):
-        pieces = real(spec, n, reps)
+    def skewed(spec, n):
+        pieces = real(spec, n)
         if n == level:
-            v = reps[0][0]
+            v = pieces.reps[0][0]
             pieces.polys[v] = _skewed(pieces.polys[v])
         return pieces
 
@@ -299,7 +306,7 @@ def test_stability_check_names_level_and_coefficient():
     assert r_poly(GEN, 1, pieces)[1]["degree"] == 8
     with pytest.raises(CheckFailed) as err:
         r_poly(GEN, 2, pieces)
-    assert err.value.context == {"level": 2, "coefficient": 0}
+    assert err.value.context == {"level": 2, "rep": v, "coefficient": 0}
     assert "Galois stability violated" in str(err.value)
 
 
@@ -336,7 +343,9 @@ def test_converge_exits_2_on_an_unstable_aggregate(monkeypatch, tmp_path,
         assert main(["converge", "--config", cfg, "--mode", "general"]) == 2
     out, err = capsys.readouterr()
     assert "pass" not in out
-    assert "r_2 coefficient 0 is not in the base ring" in err
+    v = primitive_orbit_reps(GEN, 2)[0][0]
+    assert (f"class norm of rep {v} at level 2: coefficient 0 is not in the "
+            "base ring") in err
     # skewed where it is computed, the class checks trip first
     v, _, h = _first_class(2)
     _skew_one_rep(monkeypatch, 2, v)

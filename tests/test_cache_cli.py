@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -314,6 +315,40 @@ def test_converge_timings_count_each_levels_work(
         assert levels == [
             {"n": n, "reps": r, "classes": c, "direct_charpolys": d}
             for n, (r, c, d) in enumerate(want, start=1)]
+
+
+# the benchmark's scalar-l7-wide config at seed 0
+SCALAR_L7_CONFIG = {
+    "name": "scalar-l7-wide",
+    "ell": 7, "b": 1, "r": 2, "Q": [8],
+    "F": [{"exponents": [0], "matrix": [[2, 2], [-4, 0]]},
+          {"exponents": [1], "matrix": [[4, 3], [2, 0]]},
+          {"exponents": [2], "matrix": [[3, 1], [-1, 4]]}],
+    "n_max": 3,
+}
+
+
+def test_one_orbit_scan_per_level_per_run(tmp_path, capsys, monkeypatch):
+    scans = []
+    real = tower.primitive_orbit_reps
+    monkeypatch.setattr(tower, "primitive_orbit_reps",
+                        lambda spec, n: scans.append(n) or real(spec, n))
+    monkeypatch.delenv("TOWERLIM_CACHE", raising=False)
+    # cold scalar run: orbit_params' verification scan at n0 = 1, then each
+    # level's record; the rows and r_poly scan nothing of their own
+    assert main(["converge", "--config",
+                 _write_config(tmp_path, SCALAR_L7_CONFIG, "l7.json"),
+                 "--mode", "scalar"]) == 0
+    assert Counter(scans) == {1: 2, 2: 1, 3: 1}
+    # warm general run: every level read from the cache, orbit_params only
+    monkeypatch.setenv("TOWERLIM_CACHE", str(tmp_path / "cache"))
+    argv = ["converge", "--config", _write_config(tmp_path, GENERAL_CONFIG),
+            "--mode", "general"]
+    assert main(argv) == 0
+    scans.clear()
+    assert main(argv) == 0
+    assert Counter(scans) == {1: 1}
+    capsys.readouterr()
 
 
 def test_converge_fail_rows_exit_nonzero(tmp_path, capsys, monkeypatch):

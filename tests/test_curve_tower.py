@@ -114,6 +114,22 @@ def test_artin_schreier_work_counts(monkeypatch):
     assert counts["gauss"] == 2
 
 
+def test_one_frobenius_scan_per_level(monkeypatch):
+    # the stabilization rows (m = 2 here, n1 = v_3(18)) read the level
+    # loop's Frobenius orbits of level m + 1 instead of scanning again
+    calls = []
+    real = charsums._fresh_orbits
+
+    def counting(family, ell, m, mult):
+        calls.append((m, mult))
+        return real(family, ell, m, mult)
+
+    monkeypatch.setattr(charsums, "_fresh_orbits", counting)
+    out = h_poly_tower("fermat", 3, 19, 3)
+    assert [s["m"] for s in out["stabilization"]] == [2]
+    assert sorted(m for m, mult in calls if mult == 19) == [1, 2, 3]
+
+
 def test_trace_route_failures_name_where_they_broke():
     ring = CycloRing(3, 2, None)
     with pytest.raises(CheckFailed) as exc:

@@ -80,9 +80,10 @@ CASES = {
                      {"family": "fermat", "level": 3,
                       "need": 33 * 18 * 1 * 9 * 594 * 595 // 4,
                       "limit": TRACE_WORK_CAP}),
+    # the class of (1, 0) at level 2 has six orbits: its norm has degree 6
     "aggregate": (_aggregate_at_1000_bytes,
-                  {"level": 2, "degree": 24, "need": 3 * 25 * 9 * 8,
-                   "limit": 1000}),
+                  {"level": 2, "rep": (1, 0), "degree": 6,
+                   "need": 3 * 7 * 9 * 8, "limit": 1000}),
 }
 
 

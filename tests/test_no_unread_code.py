@@ -1,6 +1,8 @@
-"""No function, class or method in the package goes unread.
+"""No function, class, method or module-level name in the package goes
+unread.
 
-Every module-level `def`/`class` and every non-dunder method of a module in
+Every module-level `def`/`class`, every name a module-level assignment binds
+(guard constants, type aliases) and every non-dunder method of a module in
 `src/towerlim` (the re-exporting `__init__.py` aside) must be read somewhere
 in the package, outside its own definition:
 
@@ -35,11 +37,18 @@ KEEP = {
 
 
 def _definitions(tree):
-    """(qualified name, node) of each module-level def/class and each
-    non-dunder method."""
+    """(qualified name, node) of each module-level def/class, each name a
+    module-level assignment binds, and each non-dunder method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if (isinstance(sub, ast.FunctionDef)
@@ -96,3 +105,10 @@ def test_every_kept_name_is_defined_and_unread():
     # A KEEP entry whose name is gone, or has gained a reader, is stale.
     unread = {q.split(".", 1)[1] for q in unread_definitions(SRC)}
     assert sorted(set(KEEP) - unread) == []
+
+
+def test_an_unread_module_constant_is_flagged(tmp_path):
+    (tmp_path / "guards.py").write_text(
+        "CAP = 1\nUSED: int = 2\n\n\ndef f():\n    return USED\n")
+    (tmp_path / "main.py").write_text("from .guards import f\n\nf()\n")
+    assert unread_definitions(tmp_path) == ["guards.CAP"]

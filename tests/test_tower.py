@@ -11,8 +11,8 @@ from towerlim.errors import CheckFailed, InputError
 from towerlim.tower import (
     OrbitParams,
     general_congruence_rows,
+    level_pieces,
     make_tower_spec,
-    orbit_order,
     orbit_params,
     p_poly,
     primitive_orbit_reps,
@@ -41,6 +41,11 @@ def _spec_general(n_max=3):
 
 def _spec_scalar10(n_max=3):
     return make_tower_spec(3, 2, 1, [[10, 0], [0, 10]], F_TWO_VAR, n_max)
+
+
+def orbit_order(spec, n, v):
+    """Size of the orbit of v mod l^n under Q, walked by `matrices.orbit`."""
+    return len(matrices.orbit(spec.q_matrix, v, spec.ell**n))
 
 
 def test_spec_validation():
@@ -88,6 +93,19 @@ def test_spec_digest_tracks_content():
     assert a.digest() != _spec56().digest()
     assert a.is_scalar_q() and _spec_scalar10().is_scalar_q()
     assert not _spec_general().is_scalar_q()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("b", 1.0), ("r", True), ("n_max", 2.0), ("n_max", True),
+    ("prec", 9.5), ("prec", "9"),
+])
+def test_spec_sizes_must_be_integers(field, value):
+    sizes = {"b": 1, "r": 1, "n_max": 2, "prec": None, field: value}
+    with pytest.raises(InputError) as exc:
+        make_tower_spec(3, sizes["b"], sizes["r"], [[4]], F_LINEAR,
+                        sizes["n_max"], sizes["prec"])
+    assert exc.value.context == {"field": field}
+    assert f"{field} must be an integer" in str(exc.value)
 
 
 def test_orbit_order_grows_by_ell_after_threshold():
@@ -148,17 +166,22 @@ def test_orbit_params_frozen_cases():
 
 def test_orbit_failures_name_level_and_representative(monkeypatch):
     spec = _spec34()
+    # the twisted product's walk of 13 = 4 mod 9 never returns
     with monkeypatch.context() as mp:
         mp.setattr(matrices, "mat_vec_mod", lambda *args: None)
         with pytest.raises(CheckFailed) as exc:
-            orbit_order(spec, 2, (13,))
+            p_poly(spec, 2, (13,))
     assert exc.value.context == {"level": 2, "rep": (4,)}
-    # a walk whose size is not a power of l breaks the matrix Fermat theorem
+    # a scanned size that is not a power of l breaks the matrix Fermat
+    # theorem: the level scan refuses it before any charpoly
+    real_orbit = matrices.orbit
     with monkeypatch.context() as mp:
-        mp.setattr(tower, "orbit", lambda step, v, mod, **ctx: [(4,), (7,)])
+        mp.setattr(matrices, "orbit",
+                   lambda step, v, mod, **ctx: real_orbit(step, v, mod)[:2])
+        mp.setattr(tower, "p_poly", None)
         with pytest.raises(CheckFailed) as exc:
-            orbit_order(spec, 2, (13,))
-    assert exc.value.context == {"level": 2, "rep": (4,), "size": 2}
+            level_pieces(spec, 2)
+    assert exc.value.context == {"level": 2, "rep": (1,), "size": 2}
     real_reps = tower.primitive_orbit_reps
     monkeypatch.setattr(tower, "primitive_orbit_reps", lambda spec, n: [
         (v, 3 * size) for v, size in real_reps(spec, n)])

@@ -15,12 +15,11 @@ from towerlim import tower
 from towerlim.cli import main
 from towerlim.cyclo import CycloRing
 from towerlim.errors import GuardExceeded
-from towerlim.matrices import mat_identity, mat_mul, mat_vec_mod
+from towerlim.matrices import mat_identity, mat_mul, mat_vec_mod, orbit
 from towerlim.tower import (
     build_ring,
     frobenius_product,
     make_tower_spec,
-    orbit_order,
     orbit_params,
     r_poly,
     scalar_congruence_rows,
@@ -60,7 +59,7 @@ def coeffs(mat):
 
 
 def assert_matches_oracle(spec, n, v, ring):
-    k = orbit_order(spec, n, v)
+    k = len(orbit(spec.q_matrix, v, spec.ell**n))
     assert (coeffs(frobenius_product(spec, n, v, ring))
             == coeffs(oracle_product(spec, n, v, ring, k)))
 
