@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cyclo import BiCycloElem, BiCycloRing, CycloElem, CycloRing, convolve
+from .cyclo import (BiCycloElem, BiCycloRing, CycloElem, CycloRing, convolve,
+                    demote, stretch)
 from .errors import CheckFailed, GuardExceeded, InputError
 from .fields import (
     FIELD_CAP,
@@ -46,9 +47,9 @@ ENUM_CAP = 10**7
 # rows alive at once to O(AS_CHUNK * f) integers, f the degree over F_p of
 # the field enumerated, whatever its size.
 AS_CHUNK = 1 << 16
-# Coefficient bits the exact powers in `_h_from_traces` may produce at one
-# level, estimated before the first power is taken (see `h_poly_tower`).
-TRACE_WORK_CAP = 10**8
+# Coefficient bits one level's generator norms and its product f_m may
+# process, estimated before the first product (see `h_poly_tower`).
+NORM_WORK_CAP = 3 * 10**7
 
 
 def prime_power_split(q: int) -> tuple[int, int]:
@@ -606,35 +607,29 @@ def _fresh_orbits(family: str, ell: int, m: int,
     return orbit_reps([[mult]], d, 1, lambda v: v[0] % ell)
 
 
-def _h_from_traces(family: str, m: int, k_m: int, gens: Sequence,
-                   degree: int) -> list[int]:
-    """h_m(y) = prod (1 + S y) over the Frobenius-orbit sums S of level m.
+def _generator_norm(family: str, m: int, gen: tuple, s, e: int,
+                    conj: Sequence[int]) -> list[int]:
+    """prod over u in `conj` of (1 + sigma_u(s^e) y), in integers, one
+    linear factor at a time: new[j] = old[j] + sigma_u(s^e) old[j - 1].
 
-    The S form the Galois orbits of `gens`, each member counted k_m times,
-    so the power sums are P_k = (1/k_m) sum_gen Tr(gen^k), k = 1..degree:
-    one ring multiply per power.  Newton's identities for the roots -S give
-    the coefficients.  A trace sum that k_m does not divide, or a
-    coefficient that is not an integer, is a hard error naming the family,
-    the level and the power or coefficient.
+    s is a Jacobi (e = 1) or Gauss sum at level m.  An s^e off
+    Z[zeta_{l^m}] or a norm coefficient off Z is a CheckFailed naming the
+    family, the level, the generator `gen` and the coefficient.
     """
-    sums = [0] * degree
-    for g in gens:
-        x = g
-        for k in range(degree):
-            if k:
-                x = x * g
-            sums[k] += x.trace()
-    traces = []
-    for k, s in enumerate(sums, start=1):
-        if s % k_m:
-            raise CheckFailed(
-                f"{family} level {m}: the trace sum of power {k} is not "
-                f"divisible by the orbit size {k_m}",
-                family=family, level=m, power=k,
-            )
-        traces.append(-(s // k_m) if k % 2 else s // k_m)
-    return det_from_traces(traces, f"{family} level-{m} h",
-                           family=family, level=m)
+    what = f"{family} level-{m} h"
+    x = s
+    for _ in range(e - 1):
+        x = x * s
+    if isinstance(x, BiCycloElem):  # the zeta_p rows 1..p-2 must vanish
+        x = CycloElem(x.ring.cyclo, tuple(demote(
+            zip(*x.mat), what, family=family, level=m, generator=gen)))
+    acc = [x.ring.one()]
+    for u in conj:
+        t = x.galois_act(u)
+        acc = [acc[0]] + [a + t * b for a, b in zip(acc[1:], acc)] \
+            + [t * acc[-1]]
+    return demote((a.coeffs for a in acc), what,
+                  family=family, level=m, generator=gen)
 
 
 def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
@@ -650,16 +645,19 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
     (resp. Gauss, one per additive twist a in F_q^*) sum over F_{q^(k_m)},
     k_m the orbit size; the numerator is f_n(y) = prod_m h_m(y^(k_m)).
 
-    The product is never formed.  The Galois group of Q(zeta_{l^m})
-    (resp. Q(zeta_p, zeta_{l^m})) permutes the sums freely: sigma_u maps
-    J(chi^v1, chi^v2) to J(chi^(u v1), chi^(u v2)), and sigma_(c,u) maps
-    g(psi_a, chi^v) to g(psi_(c a), chi^(u v)).  So one generator per orbit
-    of the units on the fresh characters suffices -- the Jacobi sum at each
-    unit-orbit representative, or the Gauss sum at v = 1 for each coset rep
-    a of F_q^* / F_p^* -- and h_m is rebuilt from exact traces of their
-    powers (`_h_from_traces`).  The fresh-character count, the orbit sizes
-    (k_m for Frobenius, phi(l^m) for the units) and every degree are
-    checked against the genus bookkeeping, else a hard error.
+    The product over all orbits is never formed.  Frobenius (x q) is a
+    unit of index c = phi(l^m)/k_m, so the Frobenius orbits in the unit
+    orbit of v are those of g^i v, i < c (g = primitive_root(l, m)), and
+    sigma_u maps J(chi^v1, chi^v2) to J(chi^(u v1), chi^(u v2)): each unit
+    orbit gives the integer norm prod_(i<c) (1 + sigma_(g^i)(S) y) of the
+    Jacobi sum S at its representative (`_generator_norm`).  A Gauss sum S
+    (one per unit orbit and coset a of F_q^* / F_p^*) has the F_p^*
+    conjugates g(psi_(c a), chi^v) = chi^v(c)^-1 S; with e the order of
+    chi^v on F_p^* their factors multiply to (1 + S^e y^e)^((p-1)/e), S^e in
+    Z[zeta_{l^m}].  The fresh-character count, the orbit sizes (k_m for
+    Frobenius, phi(l^m) for the units) and every degree are checked against
+    the genus bookkeeping, else a hard error; a level whose estimated work
+    passes NORM_WORK_CAP is refused before its first product.
 
     For levels m >= n1 = v_l(q - 1) the step from m to m + 1 is a
     degree-l field extension, and the per-orbit descent identities are
@@ -692,19 +690,27 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
         k_m = mult_order(q, d)
         big = get_field(k_m)
         orbits = frobenius[m] = _fresh_orbits(family, ell, m, q)
-        units = _fresh_orbits(family, ell, m, primitive_root(ell, m))
+        g = primitive_root(ell, m)
+        units = _fresh_orbits(family, ell, m, g)
         if family == "fermat":
-            twists = 1
+            twists, e, share = 1, 1, 1
             want_fresh = (d - 1) * (d - 2)
             if m > 1:
                 want_fresh -= (d // ell - 1) * (d // ell - 2)
-            gens = [jacobi_sum(big, ell, m, v1, v2) for (v1, v2), _ in units]
+            gens = len(units)
+            sums = ((v, jacobi_sum(big, ell, m, *v)) for v, _ in units)
         else:
             twists = q - 1  # each unit orbit once per additive twist a
             want_fresh = (q - 1) * phi
-            step = (big.q - 1) // (q - 1)
-            gens = [gauss_sum(big, ell, m, v, a=int(big.exp_table[t * step]))
-                    for t in range((q - 1) // (p - 1)) for (v,), _ in units]
+            step = (big.q - 1) // (q - 1)  # F_q^* = <G^step>
+            # one twist a per coset of F_q^* / F_p^*
+            cosets = big.exp_table[:(big.q - 1) // (p - 1):step].tolist()
+            gens = len(cosets) * len(units)
+            sums = (((a, *v), gauss_sum(big, ell, m, *v, a=a))
+                    for a in cosets for v, _ in units)
+            # the order of chi_v, v a unit, on F_p^*
+            e = d // math.gcd(d, (big.q - 1) // (p - 1))
+            share = (p - 1) // e
         fresh = twists * sum(size for _, size in orbits)
         if fresh != want_fresh:
             raise CheckFailed(
@@ -726,30 +732,38 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
                 family=family, level=m, expected=phi,
                 measured=sorted(unit_sizes),
             )
-        degree = twists * len(orbits)
-        # S^k has conjugates of size q^(k k_m / 2) at most, so coefficients
-        # of about k k_m log2(q) / 2 bits: the powers up to the degree carry
-        # that many bits per basis coefficient, summed over k
-        dim = phi if family == "fermat" else (p - 1) * phi
-        need = (len(gens) * dim * k_m * q.bit_length()
-                * degree * (degree + 1) // 4)
-        if need > TRACE_WORK_CAP:
+        # c(c+1)/2 multiplies of phi coefficients of c (b + 1) bits per
+        # generator's norm, its roots of size 2^b = q^(e k_m / 2); by that
+        # bound the product f_m of degree D packs D^2 (lg q / 2 + 1) bits
+        c, lg_q, deg_f = phi // k_m, q.bit_length(), len(f_poly) - 1 + fresh
+        need = (gens * c * (c + 1) // 2 * phi * c * (e * k_m * lg_q // 2 + 1)
+                + deg_f * deg_f * (lg_q // 2 + 1))
+        if need > NORM_WORK_CAP:
             raise GuardExceeded(
-                f"{family} level {m}: the exact powers of {len(gens)} "
-                f"generators up to degree {degree} need about {need} "
-                f"coefficient bits > {TRACE_WORK_CAP}",
-                family=family, level=m, need=need, limit=TRACE_WORK_CAP,
+                f"{family} level {m}: {gens} norms over {c} conjugates and "
+                f"f_{m} of degree {deg_f} need about {need} bits > "
+                f"{NORM_WORK_CAP}",
+                family=family, level=m, need=need, limit=NORM_WORK_CAP,
             )
-        h_int = _h_from_traces(family, m, k_m, gens, degree)
+        conj = [pow(g, i, d) for i in range(c)]
+        norms = [1]
+        for gen, s in sums:
+            norms = convolve(norms, _generator_norm(family, m, gen, s, e, conj))
+        h_int = [1]
+        while share:  # h_m(y^(1/e)) = norms^share, by squaring
+            if share & 1:
+                h_int = convolve(h_int, norms)
+            share >>= 1
+            if share:
+                norms = convolve(norms, norms)
+        h_int = stretch(h_int, e)
         if (len(h_int) - 1) * k_m != fresh:
             raise CheckFailed(
                 f"level-{m} degree bookkeeping failed",
                 family=family, level=m, expected=fresh,
                 measured=(len(h_int) - 1) * k_m,
             )
-        stretched = [0] * ((len(h_int) - 1) * k_m + 1)
-        stretched[::k_m] = h_int  # h_m(y^(k_m))
-        f_poly = convolve(f_poly, stretched)
+        f_poly = convolve(f_poly, stretch(h_int, k_m))
         levels.append({"m": m, "k": k_m, "field_q": big.q, "h": h_int})
 
     want_deg = (ell**n - 1) * (ell**n - 2) if family == "fermat" \

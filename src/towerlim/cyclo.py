@@ -15,7 +15,9 @@ substitution packs each operand into a single Python integer, so the
 coefficient product is one big-integer multiply whatever the modulus or
 degree, and the result is then wrapped mod l^n and folded as above.
 The integer polynomials of the package (zeta numerators, aggregate
-powers) are multiplied by the same :func:`convolve`.
+powers) are multiplied by the same :func:`convolve`, and every norm that
+Galois stability puts in the base ring comes down to integers through
+:func:`demote`.
 
 Level n = 0 is the degenerate ring Z (zeta = 1) and is fully supported so
 tower code can treat the base level uniformly.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import CheckFailed, InputError
 from .padic import check_odd_prime, is_prime
 
 
@@ -59,6 +61,27 @@ def _pack(xs: Sequence[int], width: int, signs: int) -> int:
     """sum x_i 2^(8 width i), from width-byte two's-complement slots."""
     raw = b"".join([x.to_bytes(width, "little", signed=True) for x in xs])
     return (int.from_bytes(raw, "little") ^ signs) - signs
+
+
+def stretch(poly: Sequence[int], s: int) -> list[int]:
+    """The coefficients of poly(y^s)."""
+    out = [0] * ((len(poly) - 1) * s + 1)
+    out[::s] = poly
+    return out
+
+
+def demote(rows: Iterable[Sequence[int]], what: str, **context) -> list[int]:
+    """row[0] of each row of basis coefficients, which Galois stability
+    puts in the base ring; the first row with a nonzero entry past row[0]
+    is a CheckFailed naming `what`, its index and `context`."""
+    out = []
+    for i, row in enumerate(rows):
+        if any(row[1:]):
+            raise CheckFailed(
+                f"{what}: coefficient {i} is not in the base ring; Galois "
+                "stability violated", **context, coefficient=i)
+        out.append(row[0])
+    return out
 
 
 class CycloRing:
@@ -214,18 +237,6 @@ class CycloElem:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "CycloElem":
-        if e < 0:
-            raise InputError("negative powers are not defined in the ring")
-        out = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         if isinstance(other, CycloElem):
             if not self.ring.same_ring(other.ring):
@@ -268,16 +279,6 @@ class CycloElem:
             if c:
                 buf[a * j % r.order] += c
         return CycloElem(r, tuple(r._fold_top(buf)))
-
-    def trace(self) -> int:
-        """Tr to Q (mod l^prec in a fixed-precision ring), a linear functional
-        on the power basis: Tr(1) = phi, Tr(zeta^j) = -l^(n-1) when zeta^j
-        is a primitive l-th root (j a nonzero multiple of l^(n-1)), else 0.
-        """
-        r = self.ring
-        c = self.coeffs
-        t = c[0] if r.level == 0 else r.phi * c[0] - r.m * sum(c[r.m :: r.m])
-        return t if r.qmod is None else t % r.qmod
 
 
 class BiCycloRing:
@@ -429,15 +430,6 @@ class BiCycloElem:
 
     def __hash__(self) -> int:
         return hash((self.ring.p, self.ring.cyclo.level, self.mat))
-
-    def trace(self) -> int:
-        """Tr to Q, through Q(zeta_{l^n}): summing the zeta_p rows with
-        Tr(zeta_p^a) = p - 1 for a = 0 and -1 otherwise gives the relative
-        trace, whose cyclotomic trace is the answer."""
-        p = self.ring.p
-        rel = tuple(p * c0 - sum(col)
-                    for c0, col in zip(self.mat[0], zip(*self.mat)))
-        return CycloElem(self.ring.cyclo, rel).trace()
 
     def embed_up(self) -> "BiCycloElem":
         """Raise the l-power level by one (zeta_p row structure unchanged)."""

@@ -124,8 +124,7 @@ def arnold_zarelua_check(a: IntMatrix, ell: int, n: int) -> TracePowerReport:
                             required, passed)
 
 
-def det_from_traces(traces: Sequence[int], what: str = "polynomial",
-                    **context) -> list[int]:
+def det_from_traces(traces: Sequence[int], what: str) -> list[int]:
     """Integer coefficients of det(1 - x*B) from the power traces tr(B^d).
 
     Newton's identities applied to exp(-sum tr(B^d) x^d / d), arranged
@@ -135,8 +134,8 @@ def det_from_traces(traces: Sequence[int], what: str = "polynomial",
 
     Input traces (tr B^1, ..., tr B^D) yield c_0..c_D.  They are integers
     whenever the traces come from an integer matrix; the first division
-    that leaves a remainder is a CheckFailed naming `what`, the coefficient
-    index and `context`.
+    that leaves a remainder is a CheckFailed naming `what` and the
+    coefficient index.
     """
     coeffs = [1]
     for k in range(1, len(traces) + 1):
@@ -146,7 +145,7 @@ def det_from_traces(traces: Sequence[int], what: str = "polynomial",
             g = math.gcd(num, k)
             raise CheckFailed(f"{what}: coefficient {k} is non-integral "
                               f"({num // g}/{k // g})",
-                              coefficient=k, **context)
+                              coefficient=k)
         coeffs.append(c)
     return coeffs
 

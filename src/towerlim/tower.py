@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cyclo import CycloElem, CycloRing, convolve
+from .cyclo import CycloElem, CycloRing, convolve, demote, stretch
 from .errors import CheckFailed, GuardExceeded, InputError
 from .matfermat import poly_diff_val
 from .matrices import (
@@ -604,20 +604,10 @@ def r_poly(spec: TowerSpec, n: int,
                         _roll_add(out, x * acc, t)
             new %= q
             acc = new
-        norm = []
-        for i, row in enumerate(acc):
-            c = ring._fold_top(row.tolist())
-            if any(c[1:]):
-                raise CheckFailed(
-                    f"class norm of rep {v} at level {n}: coefficient {i} "
-                    "is not in the base ring; Galois stability violated",
-                    level=n, rep=v, coefficient=i,
-                )
-            norm.append(c[0])
-        s = sizes[v] // level.k_n
-        stretched = [0] * ((len(norm) - 1) * s + 1)
-        stretched[::s] = norm  # N_C(y^s)
-        r_n = [x % q for x in convolve(r_n, stretched)]
+        norm = demote((ring._fold_top(row.tolist()) for row in acc),
+                      f"class norm of rep {v} at level {n}", level=n, rep=v)
+        r_n = [x % q for x in
+               convolve(r_n, stretch(norm, sizes[v] // level.k_n))]
     meta = {
         "level": n,
         "k_n": level.k_n,

@@ -1,10 +1,12 @@
-"""The curve-tower numerators h_m from traces, against the serial product.
+"""The curve-tower numerators h_m from generator norms, against the serial
+product.
 
 `serial_h` is the direct route: multiply out prod (1 + S y) over the
 Frobenius orbits of fresh characters, one linear factor at a time in the
 cyclotomic (Fermat) or bicyclotomic (Artin-Schreier) ring, and demote the
 coefficients to integers.  `h_poly_tower` must give the same h_m while
-forming only the powers of one generator per Galois orbit.
+forming, per orbit of the units, only the norm of one generator over its
+Galois conjugates in Z[zeta_(l^m)].
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import pytest
 import towerlim
 from towerlim import charsums
 from towerlim.charsums import (
-    _h_from_traces,
+    _generator_norm,
     gauss_sum,
     h_poly_tower,
     jacobi_sum,
@@ -28,7 +30,7 @@ from towerlim.charsums import (
     prime_power_split,
 )
 from towerlim.cli import main
-from towerlim.cyclo import BiCycloElem, CycloRing
+from towerlim.cyclo import BiCycloElem, BiCycloRing, CycloElem, CycloRing
 from towerlim.errors import CheckFailed, GuardExceeded
 from towerlim.fields import field_build
 
@@ -93,25 +95,29 @@ def test_h_matches_serial_product(family, ell, q, n):
 
 
 def test_artin_schreier_work_counts(monkeypatch):
-    counts = {"bimul": 0, "gauss": 0}
-    bimul = BiCycloElem.__mul__
+    counts = {"mul": 0, "bimul": 0, "gauss": 0}
+    mul, bimul = CycloElem.__mul__, BiCycloElem.__mul__
     gauss = charsums.gauss_sum
 
-    def counting_mul(self, other):
-        if not isinstance(other, int):
-            counts["bimul"] += 1
-        return bimul(self, other)
+    def counting(name, real):
+        def counted(self, other):
+            if not isinstance(other, int):
+                counts[name] += 1
+            return real(self, other)
+        return counted
 
     def counting_gauss(*args, **kwargs):
         counts["gauss"] += 1
         return gauss(*args, **kwargs)
 
-    monkeypatch.setattr(BiCycloElem, "__mul__", counting_mul)
+    monkeypatch.setattr(CycloElem, "__mul__", counting("mul", mul))
+    monkeypatch.setattr(BiCycloElem, "__mul__", counting("bimul", bimul))
     monkeypatch.setattr(charsums, "gauss_sum", counting_gauss)
     rec = h_poly_tower("artin-schreier", 3, 19, 2)
     assert [len(lv["h"]) - 1 for lv in rec["levels"]] == [36, 108]
-    assert counts["bimul"] <= 142
-    assert counts["gauss"] == 2
+    # one generator per level, S^e with e = 3, 9: e - 1 = 2 + 8 bicyclotomic
+    # multiplies; its norm over c = 2, 6 conjugates: c (c + 1) / 2 = 3 + 21
+    assert counts == {"mul": 24, "bimul": 10, "gauss": 2}
 
 
 def test_one_frobenius_scan_per_level(monkeypatch):
@@ -130,18 +136,41 @@ def test_one_frobenius_scan_per_level(monkeypatch):
     assert sorted(m for m, mult in calls if mult == 19) == [1, 2, 3]
 
 
-def test_trace_route_failures_name_where_they_broke():
+def test_norm_route_failures_name_where_they_broke():
     ring = CycloRing(3, 2, None)
+    units = [2**i % 9 for i in range(6)]  # 2 generates (Z/9)^*
+    # over all six conjugates of zeta_9: prod (1 + eta y) = 1 - y^3 + y^6
+    assert _generator_norm("fermat", 2, (1, 2), ring.zeta(1), 1, units) \
+        == [1, 0, 0, -1, 0, 0, 1]
+    # over half of them the norm leaves Z
     with pytest.raises(CheckFailed) as exc:
-        _h_from_traces("fermat", 2, 2, [ring.zeta(1)], 3)
-    assert exc.value.context == {"family": "fermat", "level": 2, "power": 3}
-    assert "power 3" in str(exc.value)
-    # Power sums 0, 0, -1 after dividing by 3: c_3 = -1/3.
-    with pytest.raises(CheckFailed) as exc:
-        _h_from_traces("fermat", 2, 3, [ring.zeta(1)], 3)
+        _generator_norm("fermat", 2, (1, 2), ring.zeta(1), 1, units[:3])
     assert exc.value.context == {"family": "fermat", "level": 2,
-                                 "coefficient": 3}
-    assert "fermat level-2" in str(exc.value)
+                                 "generator": (1, 2), "coefficient": 1}
+    assert str(exc.value).startswith("fermat level-2 h: coefficient 1 ")
+    # zeta_7^3 is no element of Z[zeta_3]: S^e fails before any norm
+    zeta_7 = BiCycloRing(7, 3, 1).from_exponent_counts({(1, 0): 1})
+    with pytest.raises(CheckFailed) as exc:
+        _generator_norm("artin-schreier", 1, (1, 1), zeta_7, 3, [1, 2])
+    assert exc.value.context == {"family": "artin-schreier", "level": 1,
+                                 "generator": (1, 1), "coefficient": 0}
+
+
+@pytest.mark.parametrize("q, level", [(19, 1), (19, 2), (25, 1)])
+def test_prime_field_twists_scale_a_gauss_sum_by_a_character_value(q, level):
+    # g(psi_(ca), chi_v) = chi_v-bar(c) g(psi_a, chi_v) for c in F_p^*, the
+    # identity that puts S^e in Z[zeta_(l^m)] (over F_25, chi_v is trivial
+    # on F_5^*: e = 1)
+    field = field_build(*prime_power_split(q))
+    ring = CycloRing(3, level, None)
+    for v in (1, 2, 3**level - 1):
+        for a in (1, int(field.exp_table[5])):
+            g = gauss_sum(field, 3, level, v, a=a)
+            for c in range(1, field.p):
+                ca = int(field.exp_table[(field.dlog(c) + field.dlog(a))
+                                         % (q - 1)])
+                assert gauss_sum(field, 3, level, v, a=ca) \
+                    == g * ring.zeta(-v * field.dlog(c))
 
 
 def test_perturbed_gauss_sum_fails_the_zeta_command(monkeypatch, capsys):
@@ -155,12 +184,12 @@ def test_perturbed_gauss_sum_fails_the_zeta_command(monkeypatch, capsys):
     with pytest.raises(CheckFailed) as exc:
         h_poly_tower("artin-schreier", 3, 7, 2)
     assert exc.value.context["family"] == "artin-schreier"
-    assert exc.value.context["level"] == 2
+    assert exc.value.context["level"] == 1
     assert "coefficient" in exc.value.context
     assert main(["zeta", "as", "--ell", "3", "--q", "7", "--n", "2"]) != 0
     out, err = capsys.readouterr()
     assert "pass" not in out
-    assert "artin-schreier level-2 h: coefficient" in err
+    assert "artin-schreier level-1 h: coefficient" in err
 
 
 def test_motivating_field_guard_builds_nothing(monkeypatch, capsys):
@@ -232,13 +261,19 @@ def test_bookkeeping_failures_name_family_level_and_values(monkeypatch):
             "family": "artin-schreier", "level": 1, "expected": 2,
             "measured": [1]}
     with monkeypatch.context() as mp:  # h_m one degree too high
-        _lie_about(mp, "_h_from_traces", lambda real, *a: real(*a) + [0])
+        _lie_about(mp, "_generator_norm", lambda real, *a: real(*a) + [0])
         assert _bookkeeping_failure("fermat", 7, 1) == {
             "family": "fermat", "level": 1, "expected": 2, "measured": 3}
-    with monkeypatch.context() as mp:  # f_n one degree too high per level
+    with monkeypatch.context() as mp:  # every product one degree too high
         _lie_about(mp, "convolve", lambda real, *a: real(*a) + [0])
+        # h_1 takes two: the norms' product and its power (p - 1)/e = 1
         assert _bookkeeping_failure("fermat", 7, 2) == {
-            "family": "fermat", "level": 2, "expected": 56, "measured": 58}
+            "family": "fermat", "level": 1, "expected": 2, "measured": 4}
+    with monkeypatch.context() as mp:  # h_2(y^3) one degree too high in f_2
+        _lie_about(mp, "stretch",
+                   lambda real, poly, s: real(poly, s) + [0] * (s > 1))
+        assert _bookkeeping_failure("fermat", 7, 2) == {
+            "family": "fermat", "level": 2, "expected": 56, "measured": 57}
     asked = set()
 
     def order_wrong_when_asked_again(real, g, d):

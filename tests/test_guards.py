@@ -3,16 +3,22 @@ tripped, on real inputs above the constants."""
 
 from __future__ import annotations
 
+import ast
+import importlib
+import itertools
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import pytest
 
-from towerlim import tower
+import towerlim
+from towerlim import charsums, tower
 from towerlim.charsums import (
     ENUM_CAP,
-    TRACE_WORK_CAP,
+    NORM_WORK_CAP,
     h_poly_tower,
     motivating_curve_counts,
     prime_power_split,
@@ -74,12 +80,20 @@ CASES = {
                         {"level": 14, "rep": (1,),
                          "need": 3 * 16 * 3**14 * 8,
                          "limit": MAX_PRODUCT_BYTES}),
-    # level 3 over F_487: 33 unit-orbit Jacobi sums in Z[zeta_27] (phi 18),
-    # k_3 = 1, degree 594, 9-bit q
-    "trace_powers": (lambda mp: h_poly_tower("fermat", 3, 487, 3),
-                     {"family": "fermat", "level": 3,
-                      "need": 33 * 18 * 1 * 9 * 594 * 595 // 4,
-                      "limit": TRACE_WORK_CAP}),
+    # level 2 over F_197 (l = 7): 53 unit-orbit Jacobi sums in Z[zeta_49]
+    # (phi 42), k_2 = 1, so c = 42 conjugates each; 8-bit q; f_2 of degree
+    # 48 * 47
+    "norm_products": (lambda mp: h_poly_tower("fermat", 7, 197, 2),
+                      {"family": "fermat", "level": 2,
+                       "need": 53 * (42 * 43 // 2) * 42 * 42 * (8 // 2 + 1)
+                       + 2256 * 2256 * (8 // 2 + 1),
+                       "limit": NORM_WORK_CAP}),
+    # level 2 over F_487: one Gauss sum, e = 9, c = 6; f_2 of degree 486 * 8
+    "norm_products_as": (lambda mp: h_poly_tower("artin-schreier", 3, 487, 2),
+                         {"family": "artin-schreier", "level": 2,
+                          "need": 1 * (6 * 7 // 2) * 6 * 6 * (9 * 9 // 2 + 1)
+                          + 3888 * 3888 * (9 // 2 + 1),
+                          "limit": NORM_WORK_CAP}),
     # the class of (1, 0) at level 2 has six orbits: its norm has degree 6
     "aggregate": (_aggregate_at_1000_bytes,
                   {"level": 2, "rep": (1, 0), "degree": 6,
@@ -107,14 +121,32 @@ def test_field_guard_trips_at_once_however_large_the_degree():
     assert time.perf_counter() - start < 1.0
 
 
-def test_trace_power_guard_trips_before_the_first_power(capsys):
-    # level 3's powers would run for seconds; level 2 passes the guard
+@pytest.mark.parametrize("family, ell, q", [("fermat", 7, 197),
+                                             ("as", 3, 487)])
+def test_norm_guard_trips_before_the_first_product(monkeypatch, capsys,
+                                                   family, ell, q):
+    # level 2's norms and f_2 would run for seconds; level 1 passes the guard
+    levels = []
+    real = charsums._generator_norm
+
+    def recording(family, m, *args):
+        levels.append(m)
+        return real(family, m, *args)
+
+    monkeypatch.setattr(charsums, "_generator_norm", recording)
     start = time.perf_counter()
-    assert main(["zeta", "fermat", "--ell", "3", "--q", "487", "--n", "3"]) == 4
+    assert main(["zeta", family, "--ell", str(ell), "--q", str(q),
+                 "--n", "2"]) == 4
     assert time.perf_counter() - start < 1.0
+    assert set(levels) == {1}
     out, err = capsys.readouterr()
-    assert out == "" and "fermat level 3" in err
-    assert main(["zeta", "fermat", "--ell", "3", "--q", "487", "--n", "2",
+    assert out == "" and "level 2" in err
+
+
+def test_fermat_487_runs_to_level_3():
+    # 33 norms over 18 conjugates and f_3 of degree 650 (h_3 reaches
+    # 2,653-bit coefficients) fit the budget: about 0.5 s
+    assert main(["zeta", "fermat", "--ell", "3", "--q", "487", "--n", "3",
                  "--m-max", "1"]) == 0
 
 
@@ -175,3 +207,44 @@ def test_arnold_guards_name_n_step_and_digits(n, step, limit):
     ctx = err.value.context
     assert (ctx["n"], ctx["step"], ctx["limit"]) == (n, step, limit)
     assert ctx["digits"] > limit
+
+
+SRC = Path(towerlim.__file__).parent
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _guard_limits() -> set[str]:
+    """`module.NAME` of every NAME passed as limit= to a GuardExceeded in
+    the package, NAME resolved to the module whose top level binds it."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in SRC.glob("*.py")}
+    home = {t.id: module for module, tree in trees.items()
+            for node in tree.body if isinstance(node, ast.Assign)
+            for t in node.targets if isinstance(t, ast.Name)}
+    return {f"{home[kw.value.id]}.{kw.value.id}"
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "GuardExceeded"
+            for kw in node.keywords
+            if kw.arg == "limit" and isinstance(kw.value, ast.Name)}
+
+
+def _readme_guard_constants() -> set[str]:
+    """The `module.NAME` entries of the README guard table's constant
+    column."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("  | guard | constant | limit |")
+    rows = itertools.takewhile(lambda s: s.startswith("  |"), lines[start:])
+    return {name for row in rows
+            for name in re.findall(r"`(\w+\.\w+)`",
+                                   re.split(r"(?<!\\)\|", row)[2])}
+
+
+def test_readme_guard_table_and_guard_limits_agree():
+    # every guard limit has a row, and every row names a real constant
+    table = _readme_guard_constants()
+    assert _guard_limits() - table == set()
+    for name in sorted(table):
+        module, const = name.split(".")
+        assert hasattr(importlib.import_module(f"towerlim.{module}"),
+                       const), name
