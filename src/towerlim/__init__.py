@@ -39,6 +39,7 @@ from .tower import (
     CongruenceRow,
     OrbitParams,
     TowerSpec,
+    check_orbit_threshold,
     general_congruence_rows,
     make_tower_spec,
     orbit_params,

@@ -37,6 +37,7 @@ from .fields import check_field_size
 from .matfermat import arnold_zarelua_check
 from .report import Timer, decimal_list, make_report, write_report
 from .tower import (
+    check_orbit_threshold,
     check_scalar_twist,
     general_congruence_rows,
     orbit_params,
@@ -119,6 +120,7 @@ def cmd_converge(args) -> int:
         for level in range(1, spec.n_max + 1)
     }
     timer.mark("aggregate_polys")
+    verified = check_orbit_threshold(spec, params, polys)
     if args.mode == "scalar":
         rows = scalar_congruence_rows(spec, params, pieces)
     else:
@@ -134,7 +136,7 @@ def cmd_converge(args) -> int:
             "alpha": params.alpha,
             "beta0": params.beta0,
             "n0": params.n0,
-            "verified_level": params.verified_level,
+            "verified_level": verified,
         },
         "levels": [
             {

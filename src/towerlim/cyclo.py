@@ -18,9 +18,6 @@ The integer polynomials of the package (zeta numerators, aggregate
 powers) are multiplied by the same :func:`convolve`, and every norm that
 Galois stability puts in the base ring comes down to integers through
 :func:`demote`.
-
-Level n = 0 is the degenerate ring Z (zeta = 1) and is fully supported so
-tower code can treat the base level uniformly.
 """
 
 from __future__ import annotations
@@ -89,16 +86,16 @@ class CycloRing:
 
     def __init__(self, ell: int, level: int, prec: int | None = None):
         check_odd_prime(ell)
-        if level < 0:
-            raise InputError(f"level must be >= 0, got {level}")
+        if level < 1:
+            raise InputError(f"level must be >= 1, got {level}")
         if prec is not None and prec < 1:
             raise InputError(f"precision must be >= 1 or None, got {prec}")
         self.ell = ell
         self.level = level
         self.prec = prec
         self.order = ell**level  # order of zeta
-        self.m = ell ** (level - 1) if level >= 1 else 0
-        self.phi = (ell - 1) * self.m if level >= 1 else 1
+        self.m = ell ** (level - 1)
+        self.phi = (ell - 1) * self.m
         self.qmod = ell**prec if prec is not None else None
 
     # -- construction -----------------------------------------------------
@@ -126,7 +123,7 @@ class CycloRing:
 
     def from_exponent_counts(self, pairs: Iterable[tuple[int, int]]) -> "CycloElem":
         """Sum of c * zeta^e over (e, c) pairs, reduced to the basis."""
-        buf = [0] * max(self.order, 1)
+        buf = [0] * self.order
         for e, c in pairs:
             buf[e % self.order] += c
         return CycloElem(self, tuple(self._fold_top(buf)))
@@ -270,10 +267,8 @@ class CycloElem:
     def galois_act(self, a: int) -> "CycloElem":
         """sigma_a: zeta -> zeta^a, for a coprime to l."""
         r = self.ring
-        if a % r.ell == 0 and r.level >= 1:
+        if a % r.ell == 0:
             raise InputError(f"sigma_{a} is not a Galois element (l | a)")
-        if r.level == 0:
-            return self
         buf = [0] * r.order
         for j, c in enumerate(self.coeffs):
             if c:

@@ -44,9 +44,9 @@ def is_prime(m: int) -> bool:
 
 def check_odd_prime(ell: int) -> int:
     if not isinstance(ell, int) or not is_prime(ell):
-        raise InputError(f"l must be prime, got {ell!r}")
+        raise InputError(f"l must be prime, got {ell!r}", field="ell")
     if ell == 2:
-        raise InputError("l = 2 is not supported here")
+        raise InputError("l = 2 is not supported here", field="ell")
     return ell
 
 

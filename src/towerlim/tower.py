@@ -27,7 +27,6 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,13 +39,12 @@ from .matrices import (
     det_one_minus_y,
     mat_identity,
     mat_mul,
-    mat_vec_mod,
     orbit,
     orbit_reps,
 )
 from .padic import check_odd_prime, int_val, min_val, primitive_root
 
-# Residue vectors an orbit scan or the beta0 enumeration may visit.
+# Residue vectors an orbit scan may visit (and qsum exponents per level).
 ORBIT_CAP = 10**7
 
 
@@ -137,22 +135,24 @@ def make_tower_spec(
             if (q[i][j] - want) % ell != 0:
                 raise InputError(
                     f"Q must be congruent to the identity mod {ell}; "
-                    f"entry Q[{i}][{j}] = {q[i][j]} violates that"
+                    f"entry Q[{i}][{j}] = {q[i][j]} violates that", field="Q",
                 )
     if all(q[i][j] == (1 if i == j else 0) for i in range(b) for j in range(b)):
-        raise InputError("Q must differ from the identity (infinite order)")
+        raise InputError("Q must differ from the identity (infinite order)",
+                         field="Q")
     if not f_terms:
-        raise InputError("F needs at least one term")
+        raise InputError("F needs at least one term", field="F")
     terms = []
     seen_exps = set()
     for idx, (exps, mat) in enumerate(f_terms):
-        e = _check_ints(exps, f"F[{idx}].exponents")
+        label = f"F[{idx}].exponents"
+        e = _check_ints(exps, label, label)
         if len(e) != b:
-            raise InputError(f"F[{idx}].exponents must have length b = {b}")
+            raise InputError(f"{label} must have length b = {b}", field=label)
         if any(x < 0 for x in e):
-            raise InputError(f"F[{idx}].exponents must be nonnegative")
+            raise InputError(f"{label} must be nonnegative", field=label)
         if e in seen_exps:
-            raise InputError(f"F[{idx}] repeats exponents {e}")
+            raise InputError(f"F[{idx}] repeats exponents {e}", field=label)
         seen_exps.add(e)
         terms.append(FTerm(e, _check_int_matrix(mat, r, f"F[{idx}].matrix")))
     if prec is None:
@@ -160,14 +160,14 @@ def make_tower_spec(
     if prec < n_max + 1:
         raise InputError(
             f"precision {prec} is below n_max + 1 = {n_max + 1}; "
-            "congruence depths could not be certified"
+            "congruence depths could not be certified", field="precision",
         )
     spec = TowerSpec(ell, b, r, q, tuple(terms), n_max, prec, name)
     if spec.is_scalar_q() and prec < b * (n_max - 1):
         raise InputError(
             f"precision {prec} is below b*(n_max - 1) = {b * (n_max - 1)}, "
             "the depth the last general congruence row must show for a "
-            "scalar Q"
+            "scalar Q", field="precision",
         )
     return spec
 
@@ -175,25 +175,27 @@ def make_tower_spec(
 def _check_int_matrix(m, size: int, label: str) -> tuple[tuple[int, ...], ...]:
     rows = list(m)
     if len(rows) != size:
-        raise InputError(f"{label} must be {size}x{size}, got {len(rows)} rows")
+        raise InputError(f"{label} must be {size}x{size}, got {len(rows)} rows",
+                         field=label)
     out = []
     for i, row in enumerate(rows):
         row = list(row)
         if len(row) != size:
             raise InputError(
-                f"{label}[{i}] must have {size} entries, got {len(row)}"
+                f"{label}[{i}] must have {size} entries, got {len(row)}",
+                field=label,
             )
-        out.append(_check_ints(row, f"{label}[{i}]"))
+        out.append(_check_ints(row, f"{label}[{i}]", label))
     return tuple(out)
 
 
-def _check_ints(xs, label: str) -> tuple[int, ...]:
+def _check_ints(xs, label: str, field: str) -> tuple[int, ...]:
     """xs as a tuple; InputError naming `label` and the index of the first
-    entry that is not an int (a bool is not one)."""
+    entry that is not an int (a bool is not one), with context `field`."""
     out = tuple(xs)
     for j, x in enumerate(out):
         if not isinstance(x, int) or isinstance(x, bool):
-            raise InputError(f"{label}[{j}] must be an integer")
+            raise InputError(f"{label}[{j}] must be an integer", field=field)
     return out
 
 
@@ -205,7 +207,6 @@ class OrbitParams:
     alpha: int
     beta0: int
     n0: int
-    verified_level: Optional[int]  # level where sizes were cross-checked
 
 
 def primitive_orbit_reps(spec: TowerSpec, n: int) -> Orbits:
@@ -240,41 +241,32 @@ def matrix_log(m: Sequence[Sequence[int]], ell: int,
     """
     b = len(m)
     mod = ell**work
-    bmat = [
-        [(m[i][j] - (1 if i == j else 0)) for j in range(b)]
-        for i in range(b)
-    ]
+    bmat = [[m[i][j] - (i == j) for j in range(b)] for i in range(b)]
     log_m = [[0] * b for _ in range(b)]
     power = mat_identity(b, 1, 0)
-    k = 0
-    while True:
+    k = 1
+    while k < work or ell ** (k - work) < k:
+        power = [[x % (mod * ell**work) for x in row]
+                 for row in mat_mul(power, bmat)]
+        lk = ell ** int_val(ell, k)  # divides every entry of (m - I)^k
+        coef = (-1) ** (k + 1) * pow(k // lk, -1, mod)
+        log_m = [[(y + x // lk * coef) % mod for x, y in zip(prow, lrow)]
+                 for prow, lrow in zip(power, log_m)]
         k += 1
-        if k >= work and ell ** (k - work) >= k:
-            break
-        power = mat_mul(power, bmat)
-        power = [[x % (mod * ell**work) for x in row] for row in power]
-        vk = int_val(ell, k) if k % ell == 0 else 0
-        unit = k // ell**vk
-        uinv = pow(unit, -1, mod)
-        sign = 1 if k % 2 == 1 else -1
-        for i in range(b):
-            for j in range(b):
-                entry = power[i][j]
-                assert entry % ell**vk == 0
-                log_m[i][j] = (
-                    log_m[i][j] + sign * (entry // ell**vk) * uinv
-                ) % mod
     return log_m
 
 
 def orbit_params(spec: TowerSpec) -> OrbitParams:
     """(alpha, beta0, n0): the threshold data from the l-adic log of Q.
 
-    alpha is the min entry valuation of log Q (from `matrix_log`); beta0 is
-    the largest min-entry valuation of (log Q / l^alpha) v over primitive
-    residue vectors, found by enumerating at increasing moduli until the
-    value certifies itself (worst < modulus exponent).  n0 = alpha + beta0:
-    congruence theorems apply from n >= n0.
+    alpha is the min entry valuation of log Q (from `matrix_log`).  beta0,
+    the largest valuation of X v over primitive v, X = log Q / l^alpha, is
+    X's largest elementary-divisor valuation (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4.4): v_l(det X) -
+    min_val(adj X), adj X = +-sum_(k<b) a_k X^(b-1-k) by Cayley-Hamilton
+    from det(I - yX) = sum a_k y^k.  A det X vanishing mod l^(work - alpha),
+    where X is known, is refused.  n0 = alpha + beta0: congruence theorems
+    apply from n >= n0.
     """
     ell, b = spec.ell, spec.b
     work = spec.prec + 6
@@ -284,48 +276,48 @@ def orbit_params(spec: TowerSpec) -> OrbitParams:
     if alpha is None or alpha >= work - 2:
         raise InputError(
             "log Q vanishes to working precision; raise `precision` "
-            "(Q is too close to the identity for this setting)"
+            "(Q is too close to the identity for this setting)",
+            field="precision",
         )
-    x_mat = [[(log_q[i][j] // ell**alpha) % ell ** (work - alpha)
-              for j in range(b)] for i in range(b)]
-    beta0 = None
-    for c in range(1, work - alpha):
-        need = ell ** (c * b)
-        if need > ORBIT_CAP:
-            raise GuardExceeded(
-                f"beta0 enumeration at modulus {ell}^{c} needs {need} residue "
-                f"vectors > orbit cap {ORBIT_CAP}",
-                level=c, need=need, limit=ORBIT_CAP,
-            )
-        mc = ell**c
-        xm = [[x % mc for x in row] for row in x_mat]
-        worst = 0
-        for v in product(range(mc), repeat=b):
-            if all(x % ell == 0 for x in v):
-                continue
-            wv = min_val(ell, mat_vec_mod(xm, v, mc))
-            worst = max(worst, c if wv is None else wv)
-        if worst < c:
-            beta0 = worst
-            break
-    if beta0 is None:
+    mod = ell ** (work - alpha)
+    x_mat = [[x // ell**alpha % mod for x in row] for row in log_q]
+    coeffs = det_one_minus_y(x_mat, 1, 0)
+    det_val = min_val(ell, [coeffs[b] % mod])
+    if det_val is None:
         raise InputError(
-            "orbit depth did not stabilize at working precision; "
-            "raise `precision`"
+            "orbit depth did not stabilize at working precision: "
+            f"det(log Q / {ell}^{alpha}) vanishes mod {ell}^{work - alpha} "
+            "(Q fixes a primitive direction, or raise `precision`)",
+            field="Q",
         )
-    n0 = alpha + beta0
-    verified = None
-    n = max(n0, 1)
-    if n <= spec.n_max and ell ** (n * b) <= 100_000:
-        sizes = [s for _, s in primitive_orbit_reps(spec, n)]
-        if min(sizes) != ell ** max(0, n - n0):
+    adj = mat_identity(b, 1, 0)  # Horner: adj = adj X + a_k I, k = 1..b-1
+    for a in coeffs[1:b]:
+        adj = [[(x + a * (i == j)) % mod for j, x in enumerate(row)]
+               for i, row in enumerate(mat_mul(adj, x_mat))]
+    beta0 = det_val - min_val(ell, (x for row in adj for x in row))
+    return OrbitParams(alpha, beta0, alpha + beta0)
+
+
+def check_orbit_threshold(spec: TowerSpec, params: OrbitParams,
+                          polys: dict) -> Optional[int]:
+    """Check every level's k_n against l^max(0, n - n0), which it is:
+    v_l(Q^k v - v) = v_l(k) + alpha + v_l(X v) exactly for odd l, with
+    X = log Q / l^alpha.
+
+    `polys` is r_poly's (coefficients, meta) by level, cached or fresh; a
+    k_n off that law is a CheckFailed naming level, n0 and k_n.  Returns
+    max(n0, 1), the level the report names as verified, if the run
+    reaches it, else None.
+    """
+    for n, (_, meta) in sorted(polys.items()):
+        want = spec.ell ** max(0, n - params.n0)
+        if meta["k_n"] != want:
             raise CheckFailed(
-                f"orbit sizes at level {n} contradict n0 = {n0} "
-                f"(min size {min(sizes)})",
-                level=n, n0=n0, min_size=min(sizes),
+                f"level {n} has k_n = {meta['k_n']}, but n0 = {params.n0} "
+                f"makes it {want}",
+                level=n, n0=params.n0, k_n=meta["k_n"],
             )
-        verified = n
-    return OrbitParams(alpha, beta0, n0, verified)
+    return max(params.n0, 1) if params.n0 <= spec.n_max else None
 
 
 # -- twisted products and characteristic polynomials ----------------------

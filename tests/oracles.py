@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from itertools import product
 
 from towerlim.charsums import (
     gauss_sum,
@@ -13,9 +14,11 @@ from towerlim.charsums import (
     prime_power_split,
 )
 from towerlim.cyclo import BiCycloRing, CycloElem, CycloRing
-from towerlim.errors import CheckFailed
+from towerlim.errors import CheckFailed, GuardExceeded, InputError
 from towerlim.fields import _poly_mul_mod, field_build
-from towerlim.tower import r_poly
+from towerlim.matrices import mat_vec_mod
+from towerlim.padic import min_val
+from towerlim.tower import OrbitParams, matrix_log, r_poly
 
 
 def mat_pow_mod(a, e, mod):
@@ -222,3 +225,44 @@ def aggregates(spec):
     passes to the general rows when caching is off."""
     pieces = {}
     return {n: r_poly(spec, n, pieces) for n in range(1, spec.n_max + 1)}
+
+
+def enumerated_orbit_params(spec, cap):
+    """(alpha, beta0, n0) with beta0 found by brute force: the largest
+    min-entry valuation of (log Q / l^alpha) v over primitive residue
+    vectors, enumerated at increasing moduli l^c until the value certifies
+    itself (worst < c).  A modulus past `cap` residue vectors is a
+    GuardExceeded; no certificate below the working precision is an
+    InputError.  The reference `tower.orbit_params`' closed form is
+    checked against."""
+    ell, b = spec.ell, spec.b
+    work = spec.prec + 6
+    log_q = matrix_log(spec.q_matrix, ell, work)
+    alpha = min_val(ell, (x for row in log_q for x in row))
+    if alpha is None or alpha >= work - 2:
+        raise InputError("log Q vanishes to working precision")
+    x_mat = [[(log_q[i][j] // ell**alpha) % ell ** (work - alpha)
+              for j in range(b)] for i in range(b)]
+    beta0 = None
+    for c in range(1, work - alpha):
+        need = ell ** (c * b)
+        if need > cap:
+            raise GuardExceeded(
+                f"beta0 enumeration at modulus {ell}^{c} needs {need} residue "
+                f"vectors > cap {cap}",
+                level=c, need=need, limit=cap,
+            )
+        mc = ell**c
+        xm = [[x % mc for x in row] for row in x_mat]
+        worst = 0
+        for v in product(range(mc), repeat=b):
+            if all(x % ell == 0 for x in v):
+                continue
+            wv = min_val(ell, mat_vec_mod(xm, v, mc))
+            worst = max(worst, c if wv is None else wv)
+        if worst < c:
+            beta0 = worst
+            break
+    if beta0 is None:
+        raise InputError("orbit depth did not stabilize at working precision")
+    return OrbitParams(alpha, beta0, alpha + beta0)

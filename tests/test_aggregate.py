@@ -158,7 +158,7 @@ def test_zero_f_keeps_the_modulus_in_range(prec, dtype, tmp_path, capsys,
     # ints because 5^28 > 2^63
     monkeypatch.delenv("TOWERLIM_CACHE", raising=False)
     spec = make_tower_spec(5, 1, 1, [[6]], [((1,), [[0]])], 2, prec)
-    for n in (0, 1, 2):
+    for n in (1, 2):
         assert tower._product_dtype(spec, CycloRing(5, n, prec)) is dtype
     cfg = tmp_path / "zero.json"
     cfg.write_text(json.dumps({**ZERO_F, "precision": prec}))

@@ -197,6 +197,26 @@ def test_converge_recomputes_an_entry_the_report_cannot_read(
     assert entry.read_bytes() == original  # recomputed and rewritten
 
 
+def test_warm_run_checks_cached_k_n_against_the_threshold(
+        tmp_path, capsys, monkeypatch):
+    # A re-signed entry passes every cache check; its k_n must still be
+    # l^max(0, n - n0), or the run stops before any row
+    monkeypatch.setenv("TOWERLIM_CACHE", str(tmp_path / "cache"))
+    argv = ["converge", "--config", _write_config(tmp_path, GENERAL_CONFIG),
+            "--mode", "general"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    [entry] = (tmp_path / "cache").glob("*-n2.json")
+    data = json.loads(entry.read_text())
+    data["payload"]["meta"]["k_n"] *= 3
+    data["sha256"] = json_digest(data["payload"])
+    entry.write_text(json.dumps(data))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "level 2 has k_n = 9, but n0 = 1" in err
+
+
 def test_converge_reuses_cached_levels_across_n_max(tmp_path, capsys,
                                                     monkeypatch):
     import towerlim.cache as cache
@@ -334,20 +354,20 @@ def test_one_orbit_scan_per_level_per_run(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(tower, "primitive_orbit_reps",
                         lambda spec, n: scans.append(n) or real(spec, n))
     monkeypatch.delenv("TOWERLIM_CACHE", raising=False)
-    # cold scalar run: orbit_params' verification scan at n0 = 1, then each
-    # level's record; the rows and r_poly scan nothing of their own
+    # cold scalar run: each level's record; orbit_params, the threshold
+    # check, the rows and r_poly scan nothing of their own
     assert main(["converge", "--config",
                  _write_config(tmp_path, SCALAR_L7_CONFIG, "l7.json"),
                  "--mode", "scalar"]) == 0
-    assert Counter(scans) == {1: 2, 2: 1, 3: 1}
-    # warm general run: every level read from the cache, orbit_params only
+    assert Counter(scans) == {1: 1, 2: 1, 3: 1}
+    # warm general run: every level read from the cache, so no scan at all
     monkeypatch.setenv("TOWERLIM_CACHE", str(tmp_path / "cache"))
     argv = ["converge", "--config", _write_config(tmp_path, GENERAL_CONFIG),
             "--mode", "general"]
     assert main(argv) == 0
     scans.clear()
     assert main(argv) == 0
-    assert Counter(scans) == {1: 1}
+    assert scans == []
     capsys.readouterr()
 
 

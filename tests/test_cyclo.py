@@ -220,16 +220,12 @@ def test_bicyclo_conjugate_fixes_norms():
     assert val.real > 0
 
 
-def test_level_zero_ring_is_plain_integers():
-    ring = CycloRing(3, 0, prec=None)
-    assert ring.phi == 1
-    assert ring.from_int(6) * ring.from_int(7) == ring.from_int(42)
-
-
 def test_invalid_ring_parameters():
     with pytest.raises(InputError):
         CycloRing(4, 1)
     with pytest.raises(InputError):
         CycloRing(3, -1)
+    with pytest.raises(InputError):
+        CycloRing(3, 0)
     with pytest.raises(InputError):
         CycloRing(3, 1, prec=0)

@@ -25,7 +25,7 @@ from towerlim.charsums import (
     primitive_char_sum,
 )
 from towerlim.cli import main
-from towerlim.errors import GuardExceeded
+from towerlim.errors import GuardExceeded, InputError
 from towerlim.fields import FIELD_CAP, FqField, field_build
 from towerlim.matfermat import (
     MAX_POWER_DIGITS,
@@ -45,8 +45,8 @@ from towerlim.tower import (
 
 GEN = make_tower_spec(3, 2, 1, [[4, 0], [3, 4]],
                       [((0, 0), [[1]]), ((3, 1), [[1]])], 4)
-# Q = diag(4, 1, ..., 1): (log Q / 3) v = 0 for v = e_2, so no modulus
-# certifies beta0 before 3^(8c) passes the orbit cap at c = 2
+# Q = diag(4, 1, ..., 1): (log Q / 3) v = 0 for v = e_2, a singular X that
+# no modulus certifies beta0 for
 FLAT = make_tower_spec(
     3, 8, 1, [[4 if i == j == 0 else int(i == j) for j in range(8)]
               for i in range(8)],
@@ -71,8 +71,6 @@ CASES = {
                             {"p": 5, "f": 2**24 - 2, "limit": FIELD_CAP}),
     "orbit_scan": (lambda mp: primitive_orbit_reps(GEN, 8),
                    {"level": 8, "need": 3**16, "limit": ORBIT_CAP}),
-    "beta0": (lambda mp: orbit_params(FLAT),
-              {"level": 2, "need": 3**16, "limit": ORBIT_CAP}),
     "module": (lambda mp: primitive_char_sum(3, 15, [15], [1]),
                {"shape": (15,), "need": 3**15, "limit": ENUM_CAP}),
     "twisted_product": (lambda mp: frobenius_product(
@@ -111,6 +109,26 @@ def test_guard_context_names_limit_size_and_site(monkeypatch, site):
         assert want["f"] * math.log(want["p"]) > math.log(want["limit"])
     else:
         assert want["need"] > want["limit"]
+
+
+def test_singular_log_q_is_refused_before_any_orbit_is_walked(tmp_path,
+                                                              capsys):
+    # Q = [[4, -3], [-9, 10]] fixes (1, 1): once a 14 s enumeration of
+    # 3^16 residue vectors that ended at the orbit cap
+    with pytest.raises(InputError) as exc:
+        orbit_params(FLAT)
+    assert exc.value.context == {"field": "Q"}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "ell": 3, "b": 2, "r": 1, "Q": [[4, -3], [-9, 10]], "n_max": 4,
+        "F": [{"exponents": [0, 0], "matrix": [1]},
+              {"exponents": [3, 1], "matrix": [1]}],
+    }))
+    start = time.perf_counter()
+    assert main(["converge", "--config", str(cfg), "--mode", "general"]) == 3
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and "orbit depth did not stabilize" in err
 
 
 def test_field_guard_trips_at_once_however_large_the_degree():

@@ -92,7 +92,7 @@ def test_berkowitz_adds_unit_terms_instead_of_multiplying():
                               _Counted(1), _Counted(0))
         assert _Counted.muls == want
         assert [c.x for c in got] == det_one_minus_y(m, 1, 0)
-        z3 = CycloRing(3, 0, prec=5)
+        z3 = CycloRing(3, 1, prec=5)
         mod3 = det_one_minus_y(
             [[z3.from_int(x) for x in row] for row in m], z3.one(), z3.zero())
         assert mod3 == [z3.from_int(c.x) for c in got]

@@ -16,6 +16,9 @@ Attribute names are not resolved by type, so any `x.add` still counts as a
 read of every method named `add`: that is how `set.add` once hid an unread
 `FqField.add`.  Code that only tests read belongs in the tests; a name that
 stays for another reason is listed in KEEP with that reason.
+
+Every name an `import` binds in such a module must be loaded by that module
+too (`from __future__` aside).
 """
 
 from __future__ import annotations
@@ -95,6 +98,26 @@ def unread_definitions(src: Path) -> list[str]:
     return unread
 
 
+def unread_imports(src: Path) -> list[str]:
+    """`module.name` of each name an import binds in `module` that the
+    module never loads."""
+    unread = []
+    for p in sorted(src.glob("*.py")):
+        if p.name == "__init__.py":
+            continue
+        tree = ast.parse(p.read_text(encoding="utf-8"))
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                  and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                for a in node.names:
+                    name = a.asname or a.name.split(".")[0]
+                    if name not in loaded:
+                        unread.append(f"{p.stem}.{name}")
+    return unread
+
+
 def test_every_definition_is_read_or_kept():
     unread = [q for q in unread_definitions(SRC)
               if q.split(".", 1)[1] not in KEEP]
@@ -112,3 +135,15 @@ def test_an_unread_module_constant_is_flagged(tmp_path):
         "CAP = 1\nUSED: int = 2\n\n\ndef f():\n    return USED\n")
     (tmp_path / "main.py").write_text("from .guards import f\n\nf()\n")
     assert unread_definitions(tmp_path) == ["guards.CAP"]
+
+
+def test_every_import_is_read():
+    assert unread_imports(SRC) == []
+
+
+def test_an_unread_import_is_flagged(tmp_path):
+    (tmp_path / "kit.py").write_text(
+        "from __future__ import annotations\n\nimport os\nimport sys\n"
+        "from itertools import chain, product as prod\n\n\n"
+        "def f():\n    return sys.argv, chain\n")
+    assert unread_imports(tmp_path) == ["kit.os", "kit.prod"]

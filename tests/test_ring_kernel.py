@@ -1,7 +1,7 @@
 """The one ring-multiply kernel, `cyclo.convolve`, against the loops it
 replaced, and the ring axioms for `CycloElem` and `BiCycloElem`.
 
-Every product in Z[zeta_{l^n}] (exact, fixed-precision and level 0 alike)
+Every product in Z[zeta_{l^n}] (exact and fixed-precision alike)
 and in Z[zeta_p, zeta_{l^n}] goes through Kronecker substitution.  The
 oracles are the schoolbook coefficient loop that `CycloRing._mul_coeffs`
 ran outside the old numpy window, and the quadruple loop of
@@ -80,8 +80,7 @@ def coefficients(draw, length, top):
                          min_size=length, max_size=length))
 
 
-# ring kinds: (l, precision or None for exact, deepest level drawn).  The
-# level is drawn from 0 up, so every kind includes the level-0 ring Z.
+# ring kinds: (l, precision or None for exact, deepest level drawn from 1).
 CYCLO_RINGS = {
     "exact": (5, None, 3),   # phi up to 100
     "window": (3, 14, 5),    # 3^14 <= 2^25: the old numpy window, phi <= 162
@@ -93,7 +92,7 @@ CYCLO_RINGS = {
 def cyclo_operands(draw):
     kind = draw(st.sampled_from(sorted(CYCLO_RINGS)))
     ell, prec, deepest = CYCLO_RINGS[kind]
-    ring = CycloRing(ell, draw(st.integers(0, deepest)), prec)
+    ring = CycloRing(ell, draw(st.integers(1, deepest)), prec)
     top = (1 << BITS) - 1 if ring.qmod is None else ring.qmod - 1
     return ring, [ring.elem(draw(coefficients(ring.phi, top)))
                   for _ in range(3)]
@@ -106,7 +105,7 @@ BI_RINGS = [(2, 3), (3, 5), (5, 3), (7, 3), (19, 3), (2, 7), (3, 7), (19, 5)]
 @st.composite
 def bicyclo_operands(draw):
     p, ell = draw(st.sampled_from(BI_RINGS))
-    ring = BiCycloRing(p, ell, draw(st.integers(0, 2 if ell == 3 else 1)))
+    ring = BiCycloRing(p, ell, draw(st.integers(1, 2 if ell == 3 else 1)))
     return ring, [
         ring.elem([draw(coefficients(ring.cols, (1 << BITS) - 1))
                    for _ in range(ring.rows)])

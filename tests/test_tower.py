@@ -5,11 +5,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from towerlim import matrices, tower
-from towerlim.errors import CheckFailed, InputError
+from towerlim.errors import CheckFailed, GuardExceeded, InputError
 from towerlim.tower import (
     OrbitParams,
+    check_orbit_threshold,
     general_congruence_rows,
     level_pieces,
     make_tower_spec,
@@ -21,7 +24,7 @@ from towerlim.tower import (
     scalar_congruence_rows,
 )
 
-from oracles import aggregates
+from oracles import aggregates, enumerated_orbit_params
 
 F_LINEAR = [((0,), [[1]]), ((1,), [[1]])]
 F_TWO_VAR = [((0, 0), [[1]]), ((3, 1), [[1]])]
@@ -108,6 +111,38 @@ def test_spec_sizes_must_be_integers(field, value):
     assert f"{field} must be an integer" in str(exc.value)
 
 
+SPEC_ARGS = {"ell": 3, "b": 1, "r": 1, "q_matrix": [[4]],
+             "f_terms": F_LINEAR, "n_max": 2, "prec": None}
+
+
+@pytest.mark.parametrize("args, field", [
+    ({"ell": 4}, "ell"),
+    ({"q_matrix": [[5]]}, "Q"),                       # Q != I mod l
+    ({"q_matrix": [[1]]}, "Q"),                       # Q = I
+    ({"q_matrix": [[4, 0]]}, "Q"),                    # row length
+    ({"q_matrix": [[4], [1]]}, "Q"),                  # row count
+    ({"q_matrix": [[4.0]]}, "Q"),
+    ({"f_terms": []}, "F"),
+    ({"f_terms": [((0,), [[1]]), ((1, 0), [[1]])]}, "F[1].exponents"),
+    ({"f_terms": [((0,), [[1]]), ((-1,), [[1]])]}, "F[1].exponents"),
+    ({"f_terms": [((0,), [[1]]), ((0,), [[1]])]}, "F[1].exponents"),
+    ({"f_terms": [((0,), [[1]]), ((1.5,), [[1]])]}, "F[1].exponents"),
+    ({"f_terms": [((0,), [[1, 0]])]}, "F[0].matrix"),
+    ({"f_terms": [((0,), [[True]])]}, "F[0].matrix"),
+    ({"prec": 2}, "precision"),                       # below n_max + 1
+    ({"b": 2, "q_matrix": [[10, 0], [0, 10]], "f_terms": F_TWO_VAR,
+      "n_max": 4, "prec": 5}, "precision"),          # below b*(n_max - 1)
+    # orbit_params: log Q vanishes mod 3^(prec + 6), and a singular X
+    ({"q_matrix": [[1 + 3**10]], "prec": 3}, "precision"),
+    ({"b": 2, "q_matrix": [[4, -3], [-9, 10]], "f_terms": F_TWO_VAR},
+     "Q"),
+])
+def test_tower_refusals_name_their_field(args, field):
+    with pytest.raises(InputError) as exc:
+        orbit_params(make_tower_spec(**{**SPEC_ARGS, **args}))
+    assert exc.value.context == {"field": field}
+
+
 def test_orbit_order_grows_by_ell_after_threshold():
     spec = _spec34()
     assert [orbit_order(spec, n, (1,)) for n in (1, 2, 3)] == [1, 3, 9]
@@ -158,10 +193,49 @@ def test_primitive_orbit_reps_partition():
 
 
 def test_orbit_params_frozen_cases():
-    assert orbit_params(_spec34()) == OrbitParams(1, 0, 1, 1)
-    assert orbit_params(_spec56()) == OrbitParams(1, 0, 1, 1)
-    assert orbit_params(_spec_general()) == OrbitParams(1, 0, 1, 1)
-    assert orbit_params(_spec_scalar10()) == OrbitParams(2, 0, 2, 2)
+    assert orbit_params(_spec34()) == OrbitParams(1, 0, 1)
+    assert orbit_params(_spec56()) == OrbitParams(1, 0, 1)
+    assert orbit_params(_spec_general()) == OrbitParams(1, 0, 1)
+    assert orbit_params(_spec_scalar10()) == OrbitParams(2, 0, 2)
+
+
+@pytest.mark.parametrize("q, want", [
+    ([[4, 0], [0, 10]], OrbitParams(1, 1, 2)),
+    ([[4, 3], [0, 82]], OrbitParams(1, 3, 4)),
+])
+def test_orbit_params_with_positive_beta0(q, want):
+    # X = log Q / 3 has elementary divisors 1 and 3^beta0, so k_n stays 1
+    # up to n0 and grows by l from there
+    spec = make_tower_spec(3, 2, 1, q, F_TWO_VAR, want.n0 + 1)
+    assert orbit_params(spec) == want
+    sizes = [min(s for _, s in primitive_orbit_reps(spec, n))
+             for n in range(1, spec.n_max + 1)]
+    assert sizes == [1] * want.n0 + [3]
+    polys = {n: ((), {"k_n": k}) for n, k in enumerate(sizes, start=1)}
+    assert check_orbit_threshold(spec, want, polys) == want.n0
+    # a run that stops below n0 verifies no level
+    short = make_tower_spec(3, 2, 1, q, F_TWO_VAR, want.n0 - 1)
+    assert check_orbit_threshold(short, want, {1: ((), {"k_n": 1})}) is None
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 3), st.data())
+def test_orbit_params_matches_the_enumeration(ell, b, data):
+    # wherever the enumeration certifies beta0 below 10^4 residue vectors
+    steps = data.draw(st.lists(st.integers(-3, 3), min_size=b * b,
+                               max_size=b * b))
+    depth = data.draw(st.integers(1, 2))
+    q = [[int(i == j) + ell**depth * steps[i * b + j] for j in range(b)]
+         for i in range(b)]
+    if not any(steps):
+        return  # Q = I is refused as input
+    spec = make_tower_spec(ell, b, 1, q,
+                           [((0,) * b, [[1]]), ((1,) * b, [[1]])], 2)
+    try:
+        want = enumerated_orbit_params(spec, 10**4)
+    except (GuardExceeded, InputError):
+        return
+    assert orbit_params(spec) == want
 
 
 def test_orbit_failures_name_level_and_representative(monkeypatch):
@@ -182,12 +256,20 @@ def test_orbit_failures_name_level_and_representative(monkeypatch):
         with pytest.raises(CheckFailed) as exc:
             level_pieces(spec, 2)
     assert exc.value.context == {"level": 2, "rep": (1,), "size": 2}
+    # tripled sizes are still powers of l, so the level builds; its k_n
+    # then breaks the threshold law
     real_reps = tower.primitive_orbit_reps
-    monkeypatch.setattr(tower, "primitive_orbit_reps", lambda spec, n: [
-        (v, 3 * size) for v, size in real_reps(spec, n)])
+
+    def tripled(spec, n):
+        reps = real_reps(spec, n)
+        reps[:] = [(v, 3 * size) for v, size in reps]
+        return reps
+
+    monkeypatch.setattr(tower, "primitive_orbit_reps", tripled)
+    polys = {1: r_poly(spec, 1, {})}
     with pytest.raises(CheckFailed) as exc:
-        orbit_params(spec)
-    assert exc.value.context == {"level": 1, "n0": 1, "min_size": 3}
+        check_orbit_threshold(spec, orbit_params(spec), polys)
+    assert exc.value.context == {"level": 1, "n0": 1, "k_n": 3}
 
 
 def test_p_poly_shape_and_galois_symmetry():
@@ -289,7 +371,7 @@ def test_general_rows_below_threshold_band():
 
 def test_rows_honor_parameter_override():
     # Raising the threshold turns would-be failures into below-threshold rows.
-    override = OrbitParams(alpha=2, beta0=0, n0=99, verified_level=None)
+    override = OrbitParams(alpha=2, beta0=0, n0=99)
     spec = _spec_scalar10()
     rows = general_congruence_rows(spec, override, aggregates(spec))
     assert all(r.status != "fail" for r in rows)
