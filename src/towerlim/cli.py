@@ -187,7 +187,8 @@ def _tower_zeta_body(family: str, args, timer: Timer) -> tuple[dict, bool]:
     if m_max is None:
         m_max = _default_m_max(args.q, 10**6)
     if m_max < 1:
-        raise InputError(f"--m-max must be >= 1, got {m_max}")
+        raise InputError(f"--m-max must be >= 1, got {m_max}",
+                         field="m_max")
     if m_max <= 64:  # predicted_counts refuses a larger m_max as input
         check_field_size(p, f * m_max)  # the largest field counted
     res = h_poly_tower(family, args.ell, args.q, args.n)

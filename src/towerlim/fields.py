@@ -3,22 +3,32 @@
 Elements are packed integers sum a_i p^i for the coefficient vector
 (a_0, ..., a_{f-1}) over a deterministic modulus: the lexicographically
 first monic irreducible of degree f (comparing coefficient tuples from the
-x^(f-1) coefficient down).  The multiplicative group is tabulated against
-the smallest generator (by packed encoding), so powers of the generator
-and discrete logs are O(1) lookups.  Construction is vectorized:
-multiplication by g^k is F_p-linear, so the first block of the exp table
-fills by doubling (columns [k, 2k) are M_{g^k} times columns [0, k)) and the
-table then advances in blocks through one small matrix product per block.
+x^(f-1) coefficient down).  The search skips a candidate with a root in F_p
+(a constant term of zero is the root 0) before it runs the Rabin test.
+The multiplicative group is tabulated against the smallest generator (by
+packed encoding), so powers of the generator and discrete logs are O(1)
+lookups.  Construction is vectorized: multiplication by g^k is F_p-linear,
+so the first block of the exp table fills by doubling (columns [k, 2k) are
+M_{g^k} times columns [0, k)) and the table then advances in blocks through
+one small matrix product per block.
+
+The block steps run in float64, so numpy hands the products to BLAS; they
+are exact, since every partial sum is an integer of at most f (p - 1)^2 <=
+10^14 < 2^53 under the cap, and `_float_mod` reduces them exactly.  The
+dlog table is built on its first read: enumerating an Artin-Schreier curve
+never reads it.
 
 Batched arithmetic goes through one digit codec: `digits` splits packed
 encodings into their base-p coefficient rows, and every batch operation is
-a line of F_p arithmetic on those rows.
+a line of int64 F_p arithmetic on those rows.
 
 Every field is capped at q <= FIELD_CAP = 10^7 (a full-table design is a
 desk-scale tool); `check_field_size` is the one place the cap is checked.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +70,26 @@ def check_field_size(p: int, f: int) -> None:
                 "elements",
                 p=p, f=f, limit=FIELD_CAP,
             )
+
+
+def _float_mod(x: np.ndarray, p: int, quot: np.ndarray) -> np.ndarray:
+    """x mod p, in place, for a float64 array of integers in [0, 2^53);
+    `quot`, a float64 array of x's shape, is overwritten.
+
+    Computed as x - floor(x / p) p, which is exact.  Write x = k p + r with
+    0 <= r < p.  True division rounds t = x / p to the nearest double; since
+    t < 2^53 / p, the spacing of doubles at t is below 2 / p, so the rounded
+    quotient lies within 1 / p of t (strictly), and the distance from t to
+    k + 1 is (p - r) / p >= 1 / p.  Rounding is monotone and k, k + 1 are
+    doubles (both at most 2^53), so the rounded quotient lies in [k, k + 1)
+    and its floor is k.  Then k p <= x is an integer below 2^53, exact as a
+    double, and x - k p = r is exact.
+    """
+    np.divide(x, p, out=quot)
+    np.floor(quot, out=quot)
+    quot *= p
+    x -= quot
+    return x
 
 
 def _poly_mul_mod(a: list[int], b: list[int], mod_poly: list[int], p: int) -> list[int]:
@@ -136,19 +166,27 @@ def _find_modulus(p: int, f: int) -> tuple[int, ...]:
     Candidates are compared coefficient-high-first, (c_{f-1}, ..., c_0),
     which is exactly ascending order of the packed code whose base-p digit i
     is c_i.  Returned constant-term first, with the leading 1 appended.
+
+    A candidate of degree f >= 2 with a root in F_p has a linear factor, so
+    the search skips it before the Rabin test; a constant term of zero is
+    the root 0.  Only reducible candidates are skipped, so the result is the
+    first irreducible still.
     """
     if f == 1:
         return (0, 1)
+    # row i holds x^i mod p at every x in F_p (x^i < p^f fits int64)
+    powers = np.arange(p, dtype=np.int64) ** np.arange(f + 1)[:, None] % p
     for code in range(p**f):
-        digits = []
+        poly = []
         t = code
         for _ in range(f):
-            digits.append(t % p)
+            poly.append(t % p)
             t //= p
-        poly = digits + [1]
-        if _is_irreducible(poly, p):
+        poly.append(1)
+        if np.all(poly @ powers % p) and _is_irreducible(poly, p):
             return tuple(poly)
-    raise InputError(f"no irreducible polynomial found for p={p}, f={f}")
+    raise InputError(f"no irreducible polynomial found for p={p}, f={f}",
+                     field="f")
 
 
 class FqField:
@@ -156,15 +194,15 @@ class FqField:
 
     def __init__(self, p: int, f: int):
         if not is_prime(p):
-            raise InputError(f"p must be prime, got {p}")
+            raise InputError(f"p must be prime, got {p}", field="p")
         if f < 1:
-            raise InputError(f"f must be >= 1, got {f}")
+            raise InputError(f"f must be >= 1, got {f}", field="f")
         check_field_size(p, f)
         self.p, self.f, self.q = p, f, p**f
         self.modulus = _find_modulus(p, f)
         self._weights = np.array([p**i for i in range(f)], dtype=np.int64)
         self.gen = self._find_generator()
-        self._build_tables()
+        self.exp_table = self._build_exp_table()
         # Tr(x^i) for the power basis, for O(f) absolute traces
         self._trace_basis = self.trace_matrix(p, f)[0]
 
@@ -186,10 +224,12 @@ class FqField:
                     break
             if ok:
                 return enc
-        raise InputError("no multiplicative generator found (impossible)")
+        raise CheckFailed("no multiplicative generator found (impossible)",
+                          p=self.p, f=self.f, gen=None)
 
     def _mult_matrix(self, a: int) -> np.ndarray:
-        """f x f matrix over F_p of multiplication by `a` in the basis."""
+        """f x f matrix over F_p of multiplication by `a` in the basis, as
+        float64 for the block steps."""
         cols = []
         for j in range(self.f):
             basis = [0] * self.f
@@ -198,37 +238,55 @@ class FqField:
                 self.decode(a), basis, list(self.modulus), self.p
             )
             cols.append(prod)
-        return np.array(cols, dtype=np.int64).T % self.p
+        return np.array(cols, dtype=float).T
 
-    def _build_tables(self) -> None:
-        q, p, f = self.q, self.p, self.f
-        n = q - 1
+    def _build_exp_table(self) -> np.ndarray:
+        """g^0, g^1, ..., g^(q-2) as packed encodings.
+
+        The block steps and the packing run in float64, exact because every
+        partial sum is an integer of at most f (p - 1)^2 < 2^53 (f products
+        of two residues) or of at most q - 1 (a packed code).  Refuses a gen
+        whose powers repeat before q - 1.
+        """
+        p, f, n = self.p, self.f, self.q - 1
         block = min(_BLOCK, n)
-        digits = np.zeros((f, block), dtype=np.int64)
-        digits[0, 0] = 1
+        digits = np.zeros((f, block))
+        digits[0, 0] = 1.0
+        # fresh block-sized temporaries in the loop cost more than the steps
+        spare, quot = np.empty_like(digits), np.empty_like(digits)
         mk = self._mult_matrix(self.gen)  # M_{g^k}, k = 1, 2, 4, ...
         k = 1
         while k < block:
             take = min(k, block - k)
-            digits[:, k : k + take] = mk @ digits[:, :take] % p
+            digits[:, k : k + take] = _float_mod(mk @ digits[:, :take], p,
+                                                 quot[:, :take])
             k += take
             if k < block:
-                mk = mk @ mk % p
+                mk = _float_mod(mk @ mk, p, quot[:, :f])  # block >= f
         mb = self._mult_matrix(self._pow_poly(self.gen, block))
+        weights = self._weights.astype(float)
         exp = np.empty(n, dtype=np.int64)
         pos = 0
         while pos < n:
             m = min(block, n - pos)
-            exp[pos : pos + m] = self._weights @ digits[:, :m]
+            exp[pos : pos + m] = weights @ digits[:, :m]
             pos += m
             if pos < n:
-                digits = mb @ digits % p
-        self.exp_table = exp
-        dlog = np.full(q, -1, dtype=np.int64)
-        dlog[exp] = np.arange(n, dtype=np.int64)
-        if int((dlog >= 0).sum()) != n:
-            raise InputError("generator order check failed (impossible)")
-        self.dlog_table = dlog
+                np.matmul(mb, digits, out=spare)
+                digits, spare = _float_mod(spare, p, quot), digits
+        seen = np.zeros(self.q, dtype=bool)
+        seen[exp] = True
+        if int(np.count_nonzero(seen)) != n:
+            raise CheckFailed("generator order check failed (impossible)",
+                              p=p, f=f, gen=self.gen)
+        return exp
+
+    @cached_property
+    def dlog_table(self) -> np.ndarray:
+        """Discrete logs to base gen, -1 at 0; built on first read."""
+        dlog = np.full(self.q, -1, dtype=np.int64)
+        dlog[self.exp_table] = np.arange(self.q - 1, dtype=np.int64)
+        return dlog
 
     def trace_matrix(self, q: int, m: int) -> np.ndarray:
         """Tr_{K/F_q} on K = F_{q^m} (this field) as an F_p-matrix in K's

@@ -122,8 +122,9 @@ def make_tower_spec(
 ) -> TowerSpec:
     """Validate raw data and freeze it into a :class:`TowerSpec`."""
     check_odd_prime(ell)
-    for field, x in (("b", b), ("r", r), ("n_max", n_max), ("prec", prec)):
-        if field == "prec" and x is None:
+    for field, x in (("b", b), ("r", r), ("n_max", n_max),
+                     ("precision", prec)):
+        if field == "precision" and x is None:
             continue
         if type(x) is not int or x < 1:  # a bool is not an int here
             raise InputError(f"{field} must be an integer >= 1, got {x!r}",

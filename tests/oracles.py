@@ -6,6 +6,8 @@ import cmath
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from towerlim.charsums import (
     gauss_sum,
     h_poly_tower,
@@ -15,7 +17,13 @@ from towerlim.charsums import (
 )
 from towerlim.cyclo import BiCycloRing, CycloElem, CycloRing
 from towerlim.errors import CheckFailed, GuardExceeded, InputError
-from towerlim.fields import _poly_mul_mod, field_build
+from towerlim.fields import (
+    _is_irreducible,
+    _poly_mul_mod,
+    _poly_pow_mod,
+    field_build,
+    prime_factors,
+)
 from towerlim.matrices import mat_vec_mod
 from towerlim.padic import min_val
 from towerlim.tower import OrbitParams, matrix_log, r_poly
@@ -218,6 +226,80 @@ def fq_mul_poly(field, a, b):
     prod = _poly_mul_mod(field.decode(a), field.decode(b),
                          list(field.modulus), field.p)
     return field.encode(prod)
+
+
+# -- the int64 field tables ----------------------------------------------
+#
+# The field construction as it stood before the float64 block steps and
+# the root sieve: every candidate modulus through the Rabin test, and the
+# exp table stepped by int64 matrix products.  The references `FqField`'s
+# modulus, generator and tables are checked against.
+
+
+def unsieved_modulus(p, f):
+    """The lexicographically first monic irreducible of degree f, by the
+    Rabin test on every candidate in ascending packed order; constant term
+    first, leading 1 last."""
+    if f == 1:
+        return (0, 1)
+    for code in range(p**f):
+        digits = []
+        t = code
+        for _ in range(f):
+            digits.append(t % p)
+            t //= p
+        poly = digits + [1]
+        if _is_irreducible(poly, p):
+            return tuple(poly)
+    raise AssertionError(f"no irreducible polynomial for p={p}, f={f}")
+
+
+def int64_field_tables(p, f):
+    """(modulus, gen, exp_table, dlog_table) of F_{p^f}: the unsieved
+    modulus, the smallest generator by packed encoding, and the exp table
+    filled by doubling its first block of M_{g^k} columns, then advanced a
+    block at a time by M_{g^block}, all in int64."""
+    modulus = list(unsieved_modulus(p, f))
+    q, n = p**f, p**f - 1
+    weights = np.array([p**i for i in range(f)], dtype=np.int64)
+
+    def decode(a):
+        return [a // p**i % p for i in range(f)]
+
+    def power(a, e):
+        return int(weights @ _poly_pow_mod(decode(a), e, modulus, p))
+
+    def mult_matrix(a):
+        cols = [_poly_mul_mod(decode(a), decode(p**j), modulus, p)
+                for j in range(f)]
+        return np.array(cols, dtype=np.int64).T % p
+
+    gen = next(g for g in range(1, q)
+               if all(power(g, n // d) != 1 for d in prime_factors(n)))
+    block = min(4096, n)
+    digits = np.zeros((f, block), dtype=np.int64)
+    digits[0, 0] = 1
+    mk = mult_matrix(gen)  # M_{g^k}, k = 1, 2, 4, ...
+    k = 1
+    while k < block:
+        take = min(k, block - k)
+        digits[:, k : k + take] = mk @ digits[:, :take] % p
+        k += take
+        if k < block:
+            mk = mk @ mk % p
+    mb = mult_matrix(power(gen, block))
+    exp = np.empty(n, dtype=np.int64)
+    pos = 0
+    while pos < n:
+        m = min(block, n - pos)
+        exp[pos : pos + m] = weights @ digits[:, :m]
+        pos += m
+        if pos < n:
+            digits = mb @ digits % p
+    dlog = np.full(q, -1, dtype=np.int64)
+    dlog[exp] = np.arange(n, dtype=np.int64)
+    assert int((dlog >= 0).sum()) == n, "generator order check failed"
+    return tuple(modulus), gen, exp, dlog
 
 
 def aggregates(spec):

@@ -7,8 +7,16 @@ import random
 import numpy as np
 import pytest
 
-from towerlim.errors import GuardExceeded, InputError
-from towerlim.fields import FqField, field_build
+from towerlim import fields
+from towerlim.errors import CheckFailed, GuardExceeded, InputError
+from towerlim.fields import (
+    FIELD_CAP,
+    FqField,
+    _find_modulus,
+    _float_mod,
+    field_build,
+)
+from towerlim.padic import is_prime
 
 from oracles import (
     fq_add,
@@ -18,6 +26,8 @@ from oracles import (
     fq_pow,
     fq_sub,
     fq_tr_abs,
+    int64_field_tables,
+    unsieved_modulus,
 )
 
 SMALL_FIELDS = [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3), (13, 1), (2, 4)]
@@ -147,6 +157,93 @@ def test_exp_table_matches_a_per_element_chain(p, f):
     assert field.dlog_table[0] == -1
 
 
+# q - 1 below one block of 4096, one short of two (2^13 - 1 = 8191), and
+# spanning several; F_65537 steps 1 x 1 matrices with products near 2^32.
+ORACLE_FIELDS = [(2, 1), (7, 3), (2, 13), (3, 8), (5, 6), (7, 5), (7, 7),
+                 (65537, 1)]
+
+
+@pytest.mark.parametrize("p, f", ORACLE_FIELDS)
+def test_tables_match_the_int64_builder(p, f):
+    field = field_build(p, f)
+    modulus, gen, exp, dlog = int64_field_tables(p, f)
+    assert field.modulus == modulus
+    assert field.gen == gen
+    assert np.array_equal(field.exp_table, exp)
+    assert np.array_equal(field.dlog_table, dlog)
+
+
+def test_root_sieve_keeps_the_first_irreducible():
+    cases = [(p, f) for p in (2, 3, 5, 7, 11, 13) for f in range(2, 9)
+             if p**f <= 10**6] + [(2, 20), (997, 2), (3137, 2), (211, 3)]
+    for p, f in cases:
+        assert _find_modulus(p, f) == unsieved_modulus(p, f), (p, f)
+
+
+def test_float_steps_are_exact_for_every_field_under_the_cap():
+    # every f with a field under the cap, each with its largest prime p: a
+    # block step sums f products of residues below p, and a packed code is
+    # below q; both must stay below 2^53 for float64 to hold them exactly
+    f = 1
+    while 2**f <= FIELD_CAP:
+        p = round(FIELD_CAP ** (1 / f))
+        while p**f > FIELD_CAP:
+            p -= 1
+        while (p + 1) ** f <= FIELD_CAP:
+            p += 1
+        while not is_prime(p):
+            p -= 1
+        assert f * (p - 1) ** 2 < 2**53, (p, f)
+        assert p**f < 2**53, (p, f)
+        f += 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 65537, 9999991])
+def test_float_mod_matches_integer_mod(p):
+    rng = np.random.default_rng(p)
+    ks = np.concatenate([np.arange(1000), rng.integers(0, 10**14 // p, 5000),
+                         [10**14 // p, (2**53 - 1) // p]])
+    xs = (ks[:, None] * p + np.array([-1, 0, 1])).ravel()
+    xs = xs[(xs >= 0) & (xs < 2**53)]
+    got = _float_mod(xs.astype(float), p, np.empty(len(xs)))
+    assert np.array_equal(got.astype(np.int64), xs % p)
+
+
+@pytest.mark.parametrize("first_read", ["dlog", "dlog_table"])
+def test_dlog_table_is_built_on_first_read(first_read):
+    field = field_build(7, 5)
+    assert "dlog_table" not in vars(field)
+    a = int(field.exp_table[1234])
+    if first_read == "dlog":
+        assert field.dlog(a) == 1234
+    else:
+        assert field.dlog_table[a] == 1234
+    assert "dlog_table" in vars(field)
+
+
+def test_a_non_generator_is_refused_in_init(monkeypatch):
+    square = int(field_build(7, 5).exp_table[2])  # g^2: order (q - 1) / 2
+    monkeypatch.setattr(FqField, "_find_generator", lambda self: square)
+    with pytest.raises(CheckFailed) as exc:
+        FqField(7, 5)
+    assert exc.value.context == {"p": 7, "f": 5, "gen": square}
+
+
+def test_no_generator_is_a_check_failure(monkeypatch):
+    # with q - 1 itself as the only "prime divisor", every element fails
+    monkeypatch.setattr(fields, "prime_factors", lambda m: [1])
+    with pytest.raises(CheckFailed) as exc:
+        FqField(7, 1)
+    assert exc.value.context == {"p": 7, "f": 1, "gen": None}
+
+
+def test_no_irreducible_is_refused_naming_the_degree(monkeypatch):
+    monkeypatch.setattr(fields, "_is_irreducible", lambda poly, p: False)
+    with pytest.raises(InputError) as exc:
+        _find_modulus(7, 2)
+    assert exc.value.context == {"field": "f"}
+
+
 def test_subfield_elements_are_frobenius_fixed():
     big = field_build(3, 4)
     step = (3**4 - 1) // (3**2 - 1)
@@ -163,7 +260,9 @@ def test_enumeration_guard():
 
 
 def test_invalid_parameters():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as exc:
         field_build(4, 1)
-    with pytest.raises(InputError):
+    assert exc.value.context == {"field": "p"}
+    with pytest.raises(InputError) as exc:
         field_build(7, 0)
+    assert exc.value.context == {"field": "f"}

@@ -24,7 +24,7 @@ from towerlim.charsums import (
     prime_power_split,
     primitive_char_sum,
 )
-from towerlim.cli import main
+from towerlim.cli import build_parser, main
 from towerlim.errors import GuardExceeded, InputError
 from towerlim.fields import FIELD_CAP, FqField, field_build
 from towerlim.matfermat import (
@@ -129,6 +129,14 @@ def test_singular_log_q_is_refused_before_any_orbit_is_walked(tmp_path,
     assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert out == "" and "orbit depth did not stabilize" in err
+
+
+def test_m_max_refusal_names_its_field():
+    args = build_parser().parse_args(
+        ["zeta", "as", "--ell", "3", "--q", "7", "--n", "1", "--m-max", "0"])
+    with pytest.raises(InputError) as exc:
+        args.func(args)
+    assert exc.value.context == {"field": "m_max"}
 
 
 def test_field_guard_trips_at_once_however_large_the_degree():

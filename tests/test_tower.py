@@ -107,8 +107,9 @@ def test_spec_sizes_must_be_integers(field, value):
     with pytest.raises(InputError) as exc:
         make_tower_spec(3, sizes["b"], sizes["r"], [[4]], F_LINEAR,
                         sizes["n_max"], sizes["prec"])
-    assert exc.value.context == {"field": field}
-    assert f"{field} must be an integer" in str(exc.value)
+    key = "precision" if field == "prec" else field  # the config key
+    assert exc.value.context == {"field": key}
+    assert f"{key} must be an integer" in str(exc.value)
 
 
 SPEC_ARGS = {"ell": 3, "b": 1, "r": 1, "q_matrix": [[4]],
