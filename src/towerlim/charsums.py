@@ -14,9 +14,9 @@ Conventions, fixed once for the whole package:
 Every point count `zeta fermat|as` checks is produced twice: by plain
 enumeration (`fermat_enum_count`, `artin_schreier_enum_count`), and by
 `predicted_counts` from the zeta numerator that `h_poly_tower` builds out
-of Jacobi/Gauss sums.  The two routes share no code beyond the field tables
-and their digit codec; the CLI reports a count on which they disagree as a
-`fail` row (exit 2).
+of Jacobi/Gauss sums.  The two routes share no code beyond the field
+construction (its block stepper, tables and digit codec); the CLI reports a
+count on which they disagree as a `fail` row (exit 2).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .errors import CheckFailed, GuardExceeded, InputError
 from .fields import (
     FIELD_CAP,
     FqField,
+    _float_mod,
     check_field_size,
     field_build,
     prime_factors,
@@ -42,10 +43,10 @@ from .matrices import orbit, orbit_reps
 from .padic import check_odd_prime, int_val, min_val, primitive_root
 
 ENUM_CAP = 10**7
-# Elements per digit-codec batch in the two enumerations (d-th powers per
-# trace-map product, x^d + 1 lookups in the Fermat count): bounds the digit
-# rows alive at once to O(AS_CHUNK * f) integers, f the degree over F_p of
-# the field enumerated, whatever its size.
+# Elements per digit-codec batch in the Fermat count (its x^d + 1
+# lookups): bounds the digit rows alive at once to O(AS_CHUNK * f)
+# integers, f the degree over F_p of the field enumerated, whatever its
+# size.  The Artin-Schreier count steps `FqField.power_blocks` instead.
 AS_CHUNK = 1 << 16
 # Coefficient bits one level's generator norms and its product f_m may
 # process, estimated before the first product (see `h_poly_tower`).
@@ -57,7 +58,7 @@ def prime_power_split(q: int) -> tuple[int, int]:
     builds F_q, so a q past the field guard is refused before any trial
     division (up to sqrt(q) steps)."""
     if q < 2:
-        raise InputError(f"{q} is not a prime power")
+        raise InputError(f"{q} is not a prime power", field="q")
     if q > FIELD_CAP:
         raise GuardExceeded(
             f"q = {q} exceeds the table guard of {FIELD_CAP} elements",
@@ -65,7 +66,7 @@ def prime_power_split(q: int) -> tuple[int, int]:
         )
     primes = prime_factors(q)
     if len(primes) != 1:
-        raise InputError(f"{q} is not a prime power")
+        raise InputError(f"{q} is not a prime power", field="q")
     return primes[0], int_val(primes[0], q)
 
 
@@ -292,7 +293,7 @@ def zeta_from_counts(q: int, genus: int, counts: Sequence[int]) -> dict:
 def predicted_counts(coeffs: Sequence[int], q: int, m_max: int) -> list[int]:
     """Counts implied by a zeta numerator: N_m = q^m + 1 - (power sums)."""
     if m_max > 64:
-        raise InputError("prediction range is capped at 64")
+        raise InputError("prediction range is capped at 64", field="m_max")
     traces = traces_from_det(list(coeffs), m_max)
     return [q**m + 1 - traces[m - 1] for m in range(1, m_max + 1)]
 
@@ -375,7 +376,7 @@ def fermat_enum_count(q: int, d: int) -> dict:
     -(x^d + 1) go through the digit codec AS_CHUNK at a time.
     """
     if d < 1:
-        raise InputError("exponent d must be >= 1")
+        raise InputError("exponent d must be >= 1", field="d")
     field = field_build(*prime_power_split(q))
     nq = field.q - 1
     ks = np.arange(nq, dtype=np.int64)
@@ -397,26 +398,40 @@ def artin_schreier_enum_count(q: int, m: int, d: int) -> dict:
     by the trace criterion alone: x contributes q points iff
     Tr_{K/F_q}(x^d) = 0.
 
-    x -> x^d maps K^* onto the g-th powers exp_table[::g], g = gcd(d,
-    q^m - 1), hitting each g times, so the affine count is
-    q * (1 + g * #{g-th powers y : T y = 0}) with T = the relative trace
-    matrix `FqField.trace_matrix`.  The powers are tested AS_CHUNK at a
-    time.
+    x -> x^d maps K^* onto the g-th powers, g = gcd(d, q^m - 1), hitting
+    each g times, so the affine count is q * (1 + g * #{g-th powers y :
+    T y = 0}) with T = the relative trace matrix `FqField.trace_matrix`.
+    The (q^m - 1) / g powers of gen^g are stepped once as digit blocks
+    (`FqField.power_blocks`) and each block is tested against the nonzero
+    rows of T in float64, exact since every sum is at most f (p - 1)^2 <
+    2^53.  Neither field table is built.  The stepped powers must be
+    (q^m - 1) / g distinct nonzero elements, else a CheckFailed.
     """
     if d < 1 or m < 1:
-        raise InputError("need d >= 1 and m >= 1")
+        raise InputError("need d >= 1 and m >= 1", field="d" if d < 1 else "m")
     p, f = prime_power_split(q)
     big = field_build(p, f * m)
     trace = big.trace_matrix(q, m)
-    trace = trace[trace.any(axis=1)].T  # zero rows test nothing
+    trace = trace[trace.any(axis=1)].astype(float)  # zero rows test nothing
     g = math.gcd(d, big.q - 1)
-    powers = big.exp_table[::g]
+    stepped = (big.q - 1) // g
+    weights = big._weights.astype(float)
+    seen = np.zeros(big.q, dtype=bool)
     zeros = 0
-    for start in range(0, len(powers), AS_CHUNK):
-        images = big.digits(powers[start : start + AS_CHUNK]) @ trace % p
-        zeros += len(images) - int(np.count_nonzero(images.any(axis=1)))
+    for block in big.power_blocks(big._pow_poly(big.gen, g), stepped):
+        seen[(weights @ block).astype(np.int64)] = True
+        images = trace @ block
+        _float_mod(images, p, np.empty_like(images))
+        zeros += block.shape[1] - int(np.count_nonzero(images.any(axis=0)))
+    if int(np.count_nonzero(seen[1:])) != stepped:
+        raise CheckFailed(
+            f"the powers of gen^{g} in F_{big.q} are not {stepped} distinct "
+            "elements",
+            p=p, f=big.f, g=g,
+        )
     n_aff = q * (1 + g * zeros)
-    return {"q": q, "m": m, "d": d, "count": n_aff + 1, "affine": n_aff}
+    return {"q": q, "m": m, "d": d, "count": n_aff + 1, "affine": n_aff,
+            "g": g, "stepped": stepped}
 
 
 # -- degree-l descent identities ------------------------------------------
@@ -665,14 +680,15 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
     are returned under "stabilization".
     """
     if family not in ("fermat", "artin-schreier"):
-        raise InputError("family must be 'fermat' or 'artin-schreier'")
+        raise InputError("family must be 'fermat' or 'artin-schreier'",
+                         field="family")
     check_odd_prime(ell)
     p, f = prime_power_split(q)
     n1 = int_val(ell, q - 1)
     if n1 < 1:
-        raise InputError(f"need {ell} | q - 1 (q = {q})")
+        raise InputError(f"need {ell} | q - 1 (q = {q})", field="q")
     if n < 1:
-        raise InputError("tower depth n must be >= 1")
+        raise InputError("tower depth n must be >= 1", field="n")
 
     fields: dict[int, FqField] = {}
 

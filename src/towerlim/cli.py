@@ -17,7 +17,9 @@ Exit codes: 0 success (including measured-only and below-threshold rows),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+import time
 from typing import Optional, Sequence
 
 from .cache import cached_r_poly, resolve_cache_dir
@@ -181,7 +183,11 @@ def cmd_arnold(args) -> int:
 # -- zeta -----------------------------------------------------------------
 
 
-def _tower_zeta_body(family: str, args, timer: Timer) -> tuple[dict, bool]:
+def _tower_zeta_body(family: str, args,
+                     timer: Timer) -> tuple[dict, bool, list[dict]]:
+    """The report body, whether every check passed, and one timing record
+    per enumerated field (its size, g = gcd(d, size - 1), the elements the
+    count stepped or scanned, and seconds)."""
     p, f = prime_power_split(args.q)  # before q is raised to any power
     m_max = args.m_max
     if m_max is None:
@@ -194,14 +200,23 @@ def _tower_zeta_body(family: str, args, timer: Timer) -> tuple[dict, bool]:
     res = h_poly_tower(family, args.ell, args.q, args.n)
     timer.mark("character_sums")
     d = args.ell**args.n
-    count_rows = []
+    count_rows, count_timings = [], []
     counts_ok = True
     predictions = predicted_counts(res["f"], args.q, m_max)
     for m in range(1, m_max + 1):
+        t0 = time.perf_counter()
+        field_q = args.q**m
         if family == "fermat":
-            measured = fermat_enum_count(args.q**m, d)["count"]
+            rec = fermat_enum_count(field_q, d)
+            g, elements = math.gcd(d, field_q - 1), field_q
         else:
-            measured = artin_schreier_enum_count(args.q, m, d)["count"]
+            rec = artin_schreier_enum_count(args.q, m, d)
+            g, elements = rec["g"], rec["stepped"]
+        count_timings.append({
+            "m": m, "field_q": field_q, "g": g, "elements": elements,
+            "s": round(time.perf_counter() - t0, 6),
+        })
+        measured = rec["count"]
         match = measured == predictions[m - 1]
         counts_ok = counts_ok and match
         count_rows.append({
@@ -233,7 +248,7 @@ def _tower_zeta_body(family: str, args, timer: Timer) -> tuple[dict, bool]:
         "stabilization": res["stabilization"],
         "stabilization_passed": stab_ok,
     }
-    return body, counts_ok and stab_ok is not False
+    return body, counts_ok and stab_ok is not False, count_timings
 
 
 def cmd_zeta(args) -> int:
@@ -254,9 +269,10 @@ def cmd_zeta(args) -> int:
         _emit(report, args)
         return EXIT_OK if res["passed"] else EXIT_CHECK_FAILED
     family = "fermat" if args.family == "fermat" else "artin-schreier"
-    body, ok = _tower_zeta_body(family, args, timer)
+    body, ok, count_timings = _tower_zeta_body(family, args, timer)
     body["status"] = "pass" if ok else "fail"
     report = make_report("zeta", body, timer=timer)
+    report["timings"]["counts"] = count_timings
     _emit(report, args)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

@@ -7,16 +7,19 @@ x^(f-1) coefficient down).  The search skips a candidate with a root in F_p
 (a constant term of zero is the root 0) before it runs the Rabin test.
 The multiplicative group is tabulated against the smallest generator (by
 packed encoding), so powers of the generator and discrete logs are O(1)
-lookups.  Construction is vectorized: multiplication by g^k is F_p-linear,
-so the first block of the exp table fills by doubling (columns [k, 2k) are
-M_{g^k} times columns [0, k)) and the table then advances in blocks through
-one small matrix product per block.
+lookups.  One block stepper, `power_blocks`, walks the powers of any
+element as digit blocks: multiplication by h^k is F_p-linear, so its first
+block fills by doubling (columns [k, 2k) are M_{h^k} times columns
+[0, k)) and it then advances through one small matrix product per block.
+It has two readers: the exp table packs the generator's blocks, and the
+Artin-Schreier count tests the blocks of a power of the generator directly.
 
 The block steps run in float64, so numpy hands the products to BLAS; they
 are exact, since every partial sum is an integer of at most f (p - 1)^2 <=
-10^14 < 2^53 under the cap, and `_float_mod` reduces them exactly.  The
-dlog table is built on its first read: enumerating an Artin-Schreier curve
-never reads it.
+10^14 < 2^53 under the cap, and `_float_mod` reduces them exactly.  Both
+tables are built on their first read, so constructing a field costs only
+its modulus and generator search: enumerating an Artin-Schreier curve
+reads neither.
 
 Batched arithmetic goes through one digit codec: `digits` splits packed
 encodings into their base-p coefficient rows, and every batch operation is
@@ -29,6 +32,7 @@ desk-scale tool); `check_field_size` is the one place the cap is checked.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -202,7 +206,9 @@ class FqField:
         self.modulus = _find_modulus(p, f)
         self._weights = np.array([p**i for i in range(f)], dtype=np.int64)
         self.gen = self._find_generator()
-        self.exp_table = self._build_exp_table()
+        if not self._is_generator(self.gen):
+            raise CheckFailed("generator order check failed (impossible)",
+                              p=p, f=f, gen=self.gen)
         # Tr(x^i) for the power basis, for O(f) absolute traces
         self._trace_basis = self.trace_matrix(p, f)[0]
 
@@ -213,16 +219,15 @@ class FqField:
             _poly_pow_mod(self.decode(a), e, list(self.modulus), self.p)
         )
 
-    def _find_generator(self) -> int:
+    def _is_generator(self, enc: int) -> bool:
+        """enc^((q - 1) / d) != 1 for every prime d | q - 1."""
         order = self.q - 1
-        prime_divs = prime_factors(order)
+        return all(self._pow_poly(enc, order // d) != 1
+                   for d in prime_factors(order))
+
+    def _find_generator(self) -> int:
         for enc in range(1, self.q):  # 1 generates F_2^* and no other
-            ok = True
-            for d in prime_divs:
-                if self._pow_poly(enc, order // d) == 1:
-                    ok = False
-                    break
-            if ok:
+            if self._is_generator(enc):
                 return enc
         raise CheckFailed("no multiplicative generator found (impossible)",
                           p=self.p, f=self.f, gen=None)
@@ -240,21 +245,24 @@ class FqField:
             cols.append(prod)
         return np.array(cols, dtype=float).T
 
-    def _build_exp_table(self) -> np.ndarray:
-        """g^0, g^1, ..., g^(q-2) as packed encodings.
+    def power_blocks(self, h: int, count: int) -> Iterator[np.ndarray]:
+        """Digit blocks of h^0, h^1, ..., h^(count - 1), count >= 1.
 
-        The block steps and the packing run in float64, exact because every
-        partial sum is an integer of at most f (p - 1)^2 < 2^53 (f products
-        of two residues) or of at most q - 1 (a packed code).  Refuses a gen
-        whose powers repeat before q - 1.
+        Each block is a float64 (f, <= _BLOCK) view whose column j holds the
+        base-p digits of the power after the previous blocks' columns; it
+        stays valid until the next step.  The first block fills by doubling
+        (columns [k, 2k) are M_{h^k} times columns [0, k)); every later one
+        is one product with M_{h^block}.  Exact in float64: every partial
+        sum is an integer of at most f (p - 1)^2 < 2^53 (f products of two
+        residues), reduced by `_float_mod`.
         """
-        p, f, n = self.p, self.f, self.q - 1
-        block = min(_BLOCK, n)
+        p, f = self.p, self.f
+        block = min(_BLOCK, count)
         digits = np.zeros((f, block))
         digits[0, 0] = 1.0
         # fresh block-sized temporaries in the loop cost more than the steps
         spare, quot = np.empty_like(digits), np.empty_like(digits)
-        mk = self._mult_matrix(self.gen)  # M_{g^k}, k = 1, 2, 4, ...
+        mk = self._mult_matrix(h)  # M_{h^k}, k = 1, 2, 4, ...
         k = 1
         while k < block:
             take = min(k, block - k)
@@ -262,23 +270,33 @@ class FqField:
                                                  quot[:, :take])
             k += take
             if k < block:
-                mk = _float_mod(mk @ mk, p, quot[:, :f])  # block >= f
-        mb = self._mult_matrix(self._pow_poly(self.gen, block))
+                mk = mk @ mk % p  # f x f: exact, and too small to matter
+        mb = self._mult_matrix(self._pow_poly(h, block))
+        for pos in range(0, count, block):
+            if pos:
+                np.matmul(mb, digits, out=spare)
+                digits, spare = _float_mod(spare, p, quot), digits
+            yield digits[:, : min(block, count - pos)]
+
+    @cached_property
+    def exp_table(self) -> np.ndarray:
+        """g^0, g^1, ..., g^(q-2) as packed encodings; built on first read.
+
+        Packs `power_blocks(gen, q - 1)` in float64 (a packed code is below
+        q < 2^53).  Refuses a gen whose powers repeat before q - 1.
+        """
+        n = self.q - 1
         weights = self._weights.astype(float)
         exp = np.empty(n, dtype=np.int64)
         pos = 0
-        while pos < n:
-            m = min(block, n - pos)
-            exp[pos : pos + m] = weights @ digits[:, :m]
-            pos += m
-            if pos < n:
-                np.matmul(mb, digits, out=spare)
-                digits, spare = _float_mod(spare, p, quot), digits
+        for block in self.power_blocks(self.gen, n):
+            exp[pos : pos + block.shape[1]] = weights @ block
+            pos += block.shape[1]
         seen = np.zeros(self.q, dtype=bool)
         seen[exp] = True
-        if int(np.count_nonzero(seen)) != n:
+        if int(np.count_nonzero(seen[1:])) != n:
             raise CheckFailed("generator order check failed (impossible)",
-                              p=p, f=f, gen=self.gen)
+                              p=self.p, f=self.f, gen=self.gen)
         return exp
 
     @cached_property

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -300,6 +301,27 @@ def int64_field_tables(p, f):
     dlog[exp] = np.arange(n, dtype=np.int64)
     assert int((dlog >= 0).sum()) == n, "generator order check failed"
     return tuple(modulus), gen, exp, dlog
+
+
+# -- the Artin-Schreier count through the exp table ----------------------
+
+
+def table_as_count(q, m, d, chunk=1 << 16):
+    """The Artin-Schreier count of y^q - y = x^d over F_{q^m} by the table
+    route: the g-th powers exp_table[::g], g = gcd(d, q^m - 1), split into
+    digit rows and tested against the relative trace matrix `chunk` rows at
+    a time; q (1 + g #{zero images}) affine points plus one at infinity."""
+    p, f = prime_power_split(q)
+    big = field_build(p, f * m)
+    trace = big.trace_matrix(q, m)
+    trace = trace[trace.any(axis=1)].T
+    g = math.gcd(d, big.q - 1)
+    powers = big.exp_table[::g]
+    zeros = 0
+    for start in range(0, len(powers), chunk):
+        images = big.digits(powers[start : start + chunk]) @ trace % p
+        zeros += len(images) - int(np.count_nonzero(images.any(axis=1)))
+    return q * (1 + g * zeros) + 1
 
 
 def aggregates(spec):

@@ -1,9 +1,11 @@
 """Artin-Schreier enumeration by one F_p-linear trace map.
 
-`artin_schreier_enum_count` tests every d-th power against the matrix of
-Tr_{K/F_q} on K's power basis.  The oracle here is the route it replaced:
-d-th powers through the tables, then the trace as a chain of m - 1
-Frobenius lookups and `add_batch` calls over every element of K.
+`artin_schreier_enum_count` steps the g-th powers as digit blocks and tests
+each against the matrix of Tr_{K/F_q} on K's power basis.  Its oracles are
+the routes it replaced: d-th powers through the tables, then the trace as a
+chain of m - 1 Frobenius lookups and `add_batch` calls over every element
+of K; and the g-th powers read from the exp table and decoded into digit
+rows (`oracles.table_as_count`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from towerlim.cli import main
 from towerlim.errors import CheckFailed
 from towerlim.fields import field_build
 
-from oracles import fq_add, fq_pow
+from oracles import fq_add, fq_pow, table_as_count
 
 
 def _frob_batch(field, encs, e):
@@ -69,6 +71,14 @@ def test_trace_map_count_matches_frobenius_chain(q, m, d):
     assert (rec["q"], rec["m"], rec["d"]) == (q, m, d)
 
 
+@pytest.mark.parametrize("q, m, d", CASES)
+def test_block_count_matches_the_table_route(q, m, d):
+    rec = artin_schreier_enum_count(q, m, d)
+    assert rec["count"] == table_as_count(q, m, d)
+    g = math.gcd(d, q**m - 1)
+    assert (rec["g"], rec["stepped"]) == (g, (q**m - 1) // g)
+
+
 def test_cases_cover_both_gcds_and_a_non_divisor():
     gs = {math.gcd(d, q**m - 1) for q, m, d in CASES}
     assert 1 in gs and max(gs) > 1
@@ -105,9 +115,11 @@ def test_enumeration_uses_no_character_sums(monkeypatch):
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_chunk_size_does_not_change_counts(monkeypatch, chunk):
+    # the block size of `FqField.power_blocks`: every power its own block,
+    # and blocks that split the powers unevenly
     cases = [(7, 3, 3), (4, 3, 5), (9, 2, 2), (19, 2, 9)]
     want = [artin_schreier_enum_count(*c)["count"] for c in cases]
-    monkeypatch.setattr(charsums, "AS_CHUNK", chunk)
+    monkeypatch.setattr(fields, "_BLOCK", chunk)
     assert [artin_schreier_enum_count(*c)["count"] for c in cases] == want
 
 
@@ -214,3 +226,42 @@ def test_a_broken_trace_matrix_is_a_check_failure(monkeypatch):
     with pytest.raises(CheckFailed) as exc:
         artin_schreier_enum_count(7, 3, 3)
     assert exc.value.context == {"q": 7, "m": 3, "field_q": 343}
+
+
+def test_the_count_builds_neither_table(monkeypatch):
+    big = field_build(7, 5)
+    _hand_in(monkeypatch, big)
+    assert artin_schreier_enum_count(7, 5, 3)["count"] == 16808
+    assert "exp_table" not in vars(big)
+    assert "dlog_table" not in vars(big)
+
+
+def test_a_skewed_block_step_fails_the_subgroup_check(monkeypatch):
+    real = fields._float_mod
+
+    def skewed(x, p, quot):
+        out = real(x, p, quot)
+        out[0] = (out[0] + 1) % p
+        return out
+
+    monkeypatch.setattr(fields, "_float_mod", skewed)
+    with pytest.raises(CheckFailed) as exc:
+        artin_schreier_enum_count(7, 3, 3)
+    assert exc.value.context == {"p": 7, "f": 3, "g": 3}
+    assert "not 114 distinct" in str(exc.value)
+
+
+@pytest.mark.parametrize("family, argv_family", [("artin-schreier", "as"),
+                                                 ("fermat", "fermat")])
+def test_count_timings_name_each_field(capsys, family, argv_family):
+    assert main(["zeta", argv_family, "--ell", "3", "--q", "7", "--n", "1",
+                 "--m-max", "3"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    rows = rep["timings"]["counts"]
+    for m, row in enumerate(rows, start=1):
+        assert set(row) == {"m", "field_q", "g", "elements", "s"}
+        assert (row["m"], row["field_q"], row["g"]) == (m, 7**m, 3)
+        assert row["s"] >= 0
+    want = ([(7**m - 1) // 3 for m in (1, 2, 3)] if family == "artin-schreier"
+            else [7**m for m in (1, 2, 3)])
+    assert [row["elements"] for row in rows] == want

@@ -221,6 +221,40 @@ def test_dlog_table_is_built_on_first_read(first_read):
     assert "dlog_table" in vars(field)
 
 
+@pytest.mark.parametrize("first_read", ["exp_table", "dlog_table"])
+def test_exp_table_is_built_on_first_read(first_read):
+    field = field_build(7, 5)
+    assert "exp_table" not in vars(field)
+    a = fq_mul_poly(field, field.gen, field.gen)
+    if first_read == "exp_table":
+        assert field.exp_table[2] == a
+    else:
+        assert field.dlog_table[a] == 2
+    assert "exp_table" in vars(field)
+
+
+# (p, f, block): a block longer than f, and one shorter (the doubling's
+# matrix squarings then outgrow the block)
+@pytest.mark.parametrize("p, f, block", [(7, 3, 8), (2, 6, 4)])
+@pytest.mark.parametrize("which", ["gen", "gen^3", "non-generator"])
+def test_power_blocks_match_a_per_element_chain(monkeypatch, p, f, block,
+                                                which):
+    monkeypatch.setattr(fields, "_BLOCK", block)
+    field = field_build(p, f)
+    h = {"gen": field.gen,
+         "gen^3": fq_pow(field, field.gen, 3),
+         "non-generator": next(a for a in range(2, field.q)
+                               if not field._is_generator(a))}[which]
+    for count in [1, block - 1, block, block + 1, 3 * block + 2]:
+        got = np.concatenate([b.copy() for b in field.power_blocks(h, count)],
+                             axis=1)
+        want, x = [], 1
+        for _ in range(count):
+            want.append(field.decode(x))
+            x = fq_mul_poly(field, x, h)
+        assert np.array_equal(got, np.array(want).T), count
+
+
 def test_a_non_generator_is_refused_in_init(monkeypatch):
     square = int(field_build(7, 5).exp_table[2])  # g^2: order (q - 1) / 2
     monkeypatch.setattr(FqField, "_find_generator", lambda self: square)

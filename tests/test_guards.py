@@ -139,6 +139,30 @@ def test_m_max_refusal_names_its_field():
     assert exc.value.context == {"field": "m_max"}
 
 
+@pytest.mark.parametrize("call, message, field", [
+    (lambda: prime_power_split(12), "12 is not a prime power", "q"),
+    (lambda: prime_power_split(1), "1 is not a prime power", "q"),
+    (lambda: h_poly_tower("klein", 3, 7, 1),
+     "family must be 'fermat' or 'artin-schreier'", "family"),
+    (lambda: h_poly_tower("fermat", 3, 5, 1), "need 3 | q - 1 (q = 5)", "q"),
+    (lambda: h_poly_tower("fermat", 3, 7, 0),
+     "tower depth n must be >= 1", "n"),
+    (lambda: charsums.artin_schreier_enum_count(7, 1, 0),
+     "need d >= 1 and m >= 1", "d"),
+    (lambda: charsums.artin_schreier_enum_count(7, 0, 3),
+     "need d >= 1 and m >= 1", "m"),
+    (lambda: charsums.fermat_enum_count(7, 0), "exponent d must be >= 1",
+     "d"),
+    (lambda: charsums.predicted_counts([1], 7, 65),
+     "prediction range is capped at 64", "m_max"),
+])
+def test_curve_pipeline_refusals_name_their_field(call, message, field):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
+    assert exc.value.context == {"field": field}
+
+
 def test_field_guard_trips_at_once_however_large_the_degree():
     # y^2 = x^(2^24) + 1 needs F_(5^(2^24 - 2)); the guard must not form
     # that power (5^(2^22) alone takes seconds) before refusing it.
