@@ -36,9 +36,11 @@ def resolve_cache_dir(configured: Optional[str]) -> Optional[str]:
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
-        raise InputError(f"cache directory {path!r}: {exc.strerror}") from None
+        raise InputError(f"cache directory {path!r}: {exc.strerror}",
+                         field="cache_dir") from None
     if not os.access(path, os.W_OK | os.X_OK):
-        raise InputError(f"cache directory {path!r} is not writable")
+        raise InputError(f"cache directory {path!r} is not writable",
+                         field="cache_dir")
     return path
 
 

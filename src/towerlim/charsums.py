@@ -73,12 +73,12 @@ def prime_power_split(q: int) -> tuple[int, int]:
 def _char_level_check(field: FqField, ell: int, level: int) -> int:
     check_odd_prime(ell)
     if level < 1:
-        raise InputError("character level must be >= 1")
+        raise InputError("character level must be >= 1", field="level")
     d = ell**level
     if (field.q - 1) % d != 0:
         raise InputError(
             f"level-{level} characters need {ell}^{level} | q - 1 "
-            f"(q = {field.q})"
+            f"(q = {field.q})", field="level",
         )
     return d
 
@@ -89,7 +89,8 @@ def gauss_sum(field: FqField, ell: int, level: int, v: int,
     d = _char_level_check(field, ell, level)
     a %= field.q
     if a == 0:
-        raise InputError(f"additive twist a must be nonzero mod q = {field.q}")
+        raise InputError(f"additive twist a must be nonzero mod q = {field.q}",
+                         field="a")
     n = field.q - 1
     ks = np.arange(n, dtype=np.int64)
     traces = field.tr_abs_batch(field.exp_table)
@@ -140,7 +141,7 @@ def _jacobi_from_exponents(ell: int, level: int, es: np.ndarray) -> CycloElem:
 def _powers(q: int, mod: int) -> list[int]:
     """q^0, q^1, ..., q^(k-1) mod `mod`: the orbit of 1 under x -> q*x."""
     if math.gcd(q, mod) != 1:
-        raise InputError(f"{q} is not invertible mod {mod}")
+        raise InputError(f"{q} is not invertible mod {mod}", field="q")
     return [t for (t,) in orbit([[q]], (1,), mod)]
 
 
@@ -159,12 +160,14 @@ def s_rho_n(ell: int, n: int, q: int, w: int, rho: int) -> dict:
     """
     check_odd_prime(ell)
     if n < 1 or rho < 1:
-        raise InputError("need n >= 1 and rho >= 1")
+        raise InputError("need n >= 1 and rho >= 1",
+                         field="n" if n < 1 else "rho")
     mod = ell**n
     powers = _powers(q, mod)  # the same multiset as q^1, ..., q^k
     k = len(powers)
     if rho % k != 0:
-        raise InputError(f"rho = {rho} is not a multiple of the orbit size {k}")
+        raise InputError(f"rho = {rho} is not a multiple of the orbit size {k}",
+                         field="rho")
     ring = CycloRing(ell, n, None)
     s = ring.from_exponent_counts((t * w % mod, rho // k) for t in powers)
     required = int_val(ell, rho)
@@ -202,11 +205,13 @@ def primitive_char_sum(ell: int, n: int, shape: Sequence[int],
     shape = tuple(int(x) for x in shape)
     lam = tuple(int(x) for x in lam)
     if not shape or len(shape) != len(lam):
-        raise InputError("shape and lam must be nonempty and equal length")
+        raise InputError("shape and lam must be nonempty and equal length",
+                         field="shape" if not shape else "lam")
     if any(x < 1 for x in shape):
-        raise InputError("all depths must be >= 1")
+        raise InputError("all depths must be >= 1", field="shape")
     if max(shape) != n:
-        raise InputError(f"max depth {max(shape)} must equal n = {n}")
+        raise InputError(f"max depth {max(shape)} must equal n = {n}",
+                         field="shape")
     total = 1
     for ni in shape:
         total *= ell**ni
@@ -261,10 +266,11 @@ def zeta_from_counts(q: int, genus: int, counts: Sequence[int]) -> dict:
     counts are not the counts of a genus-g curve).
     """
     if genus < 0:
-        raise InputError("genus must be >= 0")
+        raise InputError("genus must be >= 0", field="genus")
     if len(counts) < 2 * genus:
         raise InputError(
-            f"need {2 * genus} counts for genus {genus}, got {len(counts)}"
+            f"need {2 * genus} counts for genus {genus}, got {len(counts)}",
+            field="counts",
         )
     traces = [q**m + 1 - counts[m - 1] for m in range(1, 2 * genus + 1)]
     for m, a in enumerate(traces, start=1):
@@ -298,6 +304,15 @@ def predicted_counts(coeffs: Sequence[int], q: int, m_max: int) -> list[int]:
     return [q**m + 1 - traces[m - 1] for m in range(1, m_max + 1)]
 
 
+def _dth_powers(field: FqField, d: int) -> np.ndarray:
+    """x^d for every element x of `field`, indexed by its code (0^d = 0)."""
+    nq = field.q - 1
+    pows = np.zeros(field.q, dtype=np.int64)
+    pows[field.exp_table] = field.exp_table[
+        np.arange(nq, dtype=np.int64) * d % nq]
+    return pows
+
+
 # -- the motivating hyperelliptic family (the one 2-power case) -----------
 
 
@@ -314,18 +329,16 @@ def motivating_curve_counts(tower_level: int) -> dict:
     """
     t = tower_level
     if t < 2:
-        raise InputError("tower level must be >= 2 (genus would vanish)")
+        raise InputError("tower level must be >= 2 (genus would vanish)",
+                         field="level")
     d = 2**t
     genus = 2 ** (t - 1) - 1
     check_field_size(5, 2 * genus)
     counts = []
     for m in range(1, 2 * genus + 1):
         field = field_build(5, m)
-        nq = field.q - 1
-        ks = np.arange(nq, dtype=np.int64)
-        pows = np.zeros(field.q, dtype=np.int64)
-        pows[field.exp_table] = field.exp_table[ks * d % nq]
-        vals = field.add_batch(pows, np.ones(field.q, dtype=np.int64))
+        vals = field.add_batch(_dth_powers(field, d),
+                               np.ones(field.q, dtype=np.int64))
         sols = np.ones(field.q, dtype=np.int64)
         nz = vals != 0
         sols[nz] += 1 - 2 * (field.dlog_table[vals[nz]] % 2)
@@ -345,7 +358,7 @@ def motivating_reference_poly(tower_level: int) -> list[int]:
     """
     t = tower_level
     if t < 2:
-        raise InputError("tower level must be >= 2")
+        raise InputError("tower level must be >= 2", field="level")
     poly = [1, -2, 5]
     for i in range(1, t - 1):
         factor = [1] + [0] * (2**i - 1) + [5 ** (2 ** (i - 1))]
@@ -378,10 +391,7 @@ def fermat_enum_count(q: int, d: int) -> dict:
     if d < 1:
         raise InputError("exponent d must be >= 1", field="d")
     field = field_build(*prime_power_split(q))
-    nq = field.q - 1
-    ks = np.arange(nq, dtype=np.int64)
-    pows = np.zeros(field.q, dtype=np.int64)
-    pows[field.exp_table] = field.exp_table[ks * d % nq]
+    pows = _dth_powers(field, d)
     roots_count = np.bincount(pows, minlength=field.q)
     n_aff = 0
     for start in range(0, field.q, AS_CHUNK):
@@ -443,11 +453,14 @@ def artin_schreier_enum_count(q: int, m: int, d: int) -> dict:
 # conventions inside E.
 
 
-def _degenerate_jacobi(w1: int, w2: int, d_lo: int) -> list[tuple[str, int]]:
-    """(name, v) of each of chi_w1, chi_w2 and their product that is
-    trivial at the lower level l^n = d_lo; the Jacobi descent needs none."""
-    pairs = (("chi_1", w1), ("chi_2", w2), ("their product", w1 + w2))
-    return [(name, w) for name, w in pairs if w % d_lo == 0]
+def _degenerate_jacobi(w1: int, w2: int,
+                       d_lo: int) -> list[tuple[str, str, int]]:
+    """(name, parameter, v) of each of chi_w1, chi_w2 and their product
+    that is trivial at the lower level l^n = d_lo; the Jacobi descent needs
+    none."""
+    pairs = (("chi_1", "v1", w1), ("chi_2", "v2", w2),
+             ("their product", "v1+v2", w1 + w2))
+    return [(name, key, w) for name, key, w in pairs if w % d_lo == 0]
 
 
 def _gauss_sign_status(rows: Sequence[dict]) -> tuple[str, Optional[int]]:
@@ -537,13 +550,13 @@ def coleman_jacobi_check(ell: int, q: int, v1: int, v2: int) -> dict:
     p, f = prime_power_split(q)
     n = int_val(ell, q - 1)
     if n < 1:
-        raise InputError(f"need {ell} | q - 1 (q = {q})")
+        raise InputError(f"need {ell} | q - 1 (q = {q})", field="q")
     d_lo = ell**n
     d_hi = ell ** (n + 1)
-    for name, w in _degenerate_jacobi(v1, v2, d_lo):
+    for name, key, w in _degenerate_jacobi(v1, v2, d_lo):
         raise InputError(
             f"{name} is degenerate at level {n} (v = {w}); the descent "
-            f"identity does not apply"
+            f"identity does not apply", field=key,
         )
     big = field_build(p, f * ell)
     row = _coleman_jacobi_core(big, q, ell, n, v1 % d_hi, v2 % d_hi)
@@ -571,7 +584,7 @@ def coleman_gauss_check(ell: int, q: int, v: Optional[int] = None) -> dict:
     p, f = prime_power_split(q)
     n = int_val(ell, q - 1)
     if n < 1:
-        raise InputError(f"need {ell} | q - 1 (q = {q})")
+        raise InputError(f"need {ell} | q - 1 (q = {q})", field="q")
     d_hi = ell ** (n + 1)
     if v is None:
         vs = [w for w in range(1, d_hi) if w % ell]
@@ -579,7 +592,7 @@ def coleman_gauss_check(ell: int, q: int, v: Optional[int] = None) -> dict:
         if v % ell == 0:
             raise InputError(
                 f"v = {v} is not primitive at level {n + 1} (unit mod {ell} "
-                f"required)"
+                f"required)", field="v",
             )
         vs = [v % d_hi]
     big = field_build(p, f * ell)

@@ -61,24 +61,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_matrix(text: str) -> list[list[int]]:
-    """Semicolon-separated rows of comma-separated integers."""
+    """Semicolon-separated rows of comma-separated integers (square or
+    not: `matfermat.check_square` refuses a ragged matrix)."""
     try:
-        rows = [
+        return [
             [int(x.strip()) for x in row.split(",")]
             for row in text.strip().split(";")
         ]
     except ValueError:
-        raise InputError(f"cannot parse matrix from {text!r}") from None
-    if not rows or any(len(r) != len(rows) for r in rows):
-        raise InputError(f"matrix {text!r} is not square")
-    return rows
+        raise InputError(f"cannot parse matrix from {text!r}",
+                         field="matrix") from None
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
     try:
         return [int(x.strip()) for x in text.split(",")]
     except ValueError:
-        raise InputError(f"cannot parse {what} from {text!r}") from None
+        raise InputError(f"cannot parse {what} from {text!r}",
+                         field=what) from None
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -89,7 +89,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         n = int(text)
         return n, n
     except ValueError:
-        raise InputError(f"cannot parse level range from {text!r}") from None
+        raise InputError(f"cannot parse level range from {text!r}",
+                         field="n_range") from None
 
 
 def _emit(report: dict, args) -> None:

@@ -17,9 +17,10 @@ A config describes one tower experiment:
       "cache_dir": ".towerlim-cache"   # optional
     }
 
-`precision` must be at least n_max + 1, and at least b*(n_max - 1) when Q
-is scalar (the depth the last general congruence row requires).  Every
-validation failure is an `InputError` naming the offending field.
+Only the document's shape is checked here: its keys, term objects and
+labels; the row-major flat forms are reshaped to rows.  Each tower value is
+checked by `tower.make_tower_spec`.  Every refusal is an InputError that
+starts with the config's source, its `field` the offending key.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
-from .tower import TowerSpec, make_tower_spec
+from .tower import TowerSpec, check_count, make_tower_spec
 
 _TOP_KEYS = {
     "name", "ell", "b", "r", "Q", "F", "n_max", "precision", "cache_dir",
 }
+_REQUIRED = ("ell", "b", "r", "n_max", "Q", "F")
 
 
 @dataclass(frozen=True)
@@ -44,101 +46,66 @@ class Experiment:
     cache_dir: Optional[str]
 
 
-def _need_int(data: dict, key: str, source: str) -> int:
-    if key not in data:
-        raise InputError(f"{source}: missing required field '{key}'")
-    val = data[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise InputError(f"{source}: field '{key}' must be an integer")
-    return val
-
-
-def _as_rows(val, size: int, label: str, source: str) -> list[list[int]]:
-    """Accept a row-major flat list of size*size ints or nested rows."""
-    if not isinstance(val, list) or not val:
-        raise InputError(f"{source}: field '{label}' must be a nonempty list")
-    if all(isinstance(x, int) and not isinstance(x, bool) for x in val):
-        if len(val) != size * size:
-            raise InputError(
-                f"{source}: field '{label}' needs {size * size} entries "
-                f"(row-major, size {size}), got {len(val)}"
-            )
-        return [list(val[i * size:(i + 1) * size]) for i in range(size)]
-    rows = []
-    for i, row in enumerate(val):
-        if (not isinstance(row, list) or len(row) != size
-                or any(isinstance(x, bool) or not isinstance(x, int)
-                       for x in row)):
-            raise InputError(
-                f"{source}: field '{label}' row {i} must be a list of "
-                f"{size} integers"
-            )
-        rows.append(list(row))
-    if len(rows) != size:
+def _rows(val, size: int, label: str):
+    """A row-major flat list of size*size entries as rows; anything else
+    unchanged, for the spec to refuse."""
+    if not isinstance(val, list) or any(isinstance(x, list) for x in val):
+        return val
+    if len(val) != size * size:
         raise InputError(
-            f"{source}: field '{label}' must have {size} rows, got {len(rows)}"
+            f"field '{label}' needs {size * size} entries "
+            f"(row-major, size {size}), got {len(val)}", field=label,
         )
-    return rows
+    return [val[i * size:(i + 1) * size] for i in range(size)]
+
+
+def _term(i: int, term, r):
+    if not isinstance(term, dict):
+        raise InputError(f"F[{i}] must be an object", field=f"F[{i}]")
+    for key in sorted(set(term) ^ {"exponents", "matrix"}):
+        what = "has unknown" if key in term else "needs"
+        raise InputError(f"F[{i}] {what} field '{key}'", field=f"F[{i}].{key}")
+    return term["exponents"], _rows(term["matrix"], r, f"F[{i}].matrix")
+
+
+def _parse(data, n_max: Optional[int]) -> Experiment:
+    if not isinstance(data, dict):
+        raise InputError("top level must be a JSON object", field="config")
+    for key in sorted(data):
+        if key not in _TOP_KEYS:
+            raise InputError(f"unknown field '{key}'", field=key)
+    for key in _REQUIRED:
+        if key not in data:
+            raise InputError(f"missing required field '{key}'", field=key)
+    for key in ("name", "cache_dir"):
+        if key in data and not isinstance(data[key], str):
+            raise InputError(f"field '{key}' must be a string", field=key)
+    if not isinstance(data["F"], list):
+        raise InputError("field 'F' must be a list of terms", field="F")
+    # Sizes first: b and r shape the flat forms, and the spec sees neither
+    # an overridden n_max nor a null precision.
+    for key in ("b", "r", "n_max", "precision"):
+        if key in data:
+            check_count(key, data[key])
+    if n_max is None:
+        n_max = data["n_max"]
+    spec = make_tower_spec(
+        data["ell"], data["b"], data["r"], _rows(data["Q"], data["b"], "Q"),
+        [_term(i, term, data["r"]) for i, term in enumerate(data["F"])],
+        n_max, prec=data.get("precision"), name=data.get("name", ""),
+    )
+    return Experiment(spec=spec, cache_dir=data.get("cache_dir"))
 
 
 def parse_config(data: dict, source: str = "<config>",
                  n_max: Optional[int] = None) -> Experiment:
     """Validate a config; `n_max`, when given, overrides the config's."""
-    if not isinstance(data, dict):
-        raise InputError(f"{source}: top level must be a JSON object")
-    unknown = sorted(set(data) - _TOP_KEYS)
-    if unknown:
-        raise InputError(f"{source}: unknown field '{unknown[0]}'")
-    ell = _need_int(data, "ell", source)
-    b = _need_int(data, "b", source)
-    r = _need_int(data, "r", source)
-    config_n_max = _need_int(data, "n_max", source)
-    if n_max is None:
-        n_max = config_n_max
-    if "Q" not in data:
-        raise InputError(f"{source}: missing required field 'Q'")
-    q_rows = _as_rows(data["Q"], b, "Q", source)
-    if "F" not in data or not isinstance(data["F"], list) or not data["F"]:
-        raise InputError(
-            f"{source}: field 'F' must be a nonempty list of terms"
-        )
-    terms = []
-    for i, term in enumerate(data["F"]):
-        if not isinstance(term, dict):
-            raise InputError(f"{source}: F[{i}] must be an object")
-        extra = sorted(set(term) - {"exponents", "matrix"})
-        if extra:
-            raise InputError(f"{source}: F[{i}] has unknown field '{extra[0]}'")
-        if "exponents" not in term or "matrix" not in term:
-            raise InputError(
-                f"{source}: F[{i}] needs 'exponents' and 'matrix'"
-            )
-        exps = term["exponents"]
-        if (not isinstance(exps, list)
-                or any(isinstance(x, bool) or not isinstance(x, int)
-                       for x in exps)):
-            raise InputError(
-                f"{source}: F[{i}].exponents must be a list of integers"
-            )
-        mat = _as_rows(term["matrix"], r, f"F[{i}].matrix", source)
-        terms.append((exps, mat))
-    precision = None
-    if "precision" in data:
-        precision = _need_int(data, "precision", source)
-    name = ""
-    if "name" in data:
-        if not isinstance(data["name"], str):
-            raise InputError(f"{source}: field 'name' must be a string")
-        name = data["name"]
-    cache_dir = None
-    if "cache_dir" in data:
-        if not isinstance(data["cache_dir"], str):
-            raise InputError(f"{source}: field 'cache_dir' must be a string")
-        cache_dir = data["cache_dir"]
-    spec = make_tower_spec(
-        ell, b, r, q_rows, terms, n_max, prec=precision, name=name,
-    )
-    return Experiment(spec=spec, cache_dir=cache_dir)
+    if n_max is not None:  # the caller's value, refused as the caller's
+        check_count("n_max", n_max)
+    try:
+        return _parse(data, n_max)
+    except InputError as exc:
+        raise InputError(f"{source}: {exc}", **exc.context) from None
 
 
 def load_config(path: str, n_max: Optional[int] = None) -> Experiment:
@@ -146,10 +113,11 @@ def load_config(path: str, n_max: Optional[int] = None) -> Experiment:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from None
+        raise InputError(f"cannot read config {path}: {exc}",
+                         field="config") from None
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}"
+            f"{exc.msg}", field="config",
         ) from None
     return parse_config(data, source=path, n_max=n_max)

@@ -87,9 +87,11 @@ class CycloRing:
     def __init__(self, ell: int, level: int, prec: int | None = None):
         check_odd_prime(ell)
         if level < 1:
-            raise InputError(f"level must be >= 1, got {level}")
+            raise InputError(f"level must be >= 1, got {level}",
+                             field="level")
         if prec is not None and prec < 1:
-            raise InputError(f"precision must be >= 1 or None, got {prec}")
+            raise InputError(f"precision must be >= 1 or None, got {prec}",
+                             field="prec")
         self.ell = ell
         self.level = level
         self.prec = prec
@@ -103,7 +105,8 @@ class CycloRing:
     def elem(self, coeffs: Iterable[int]) -> "CycloElem":
         c = list(coeffs)
         if len(c) > self.phi:
-            raise InputError(f"got {len(c)} coefficients for degree {self.phi}")
+            raise InputError(f"got {len(c)} coefficients for degree {self.phi}",
+                             field="coeffs")
         c += [0] * (self.phi - len(c))
         if self.qmod is not None:
             c = [x % self.qmod for x in c]
@@ -268,7 +271,8 @@ class CycloElem:
         """sigma_a: zeta -> zeta^a, for a coprime to l."""
         r = self.ring
         if a % r.ell == 0:
-            raise InputError(f"sigma_{a} is not a Galois element (l | a)")
+            raise InputError(f"sigma_{a} is not a Galois element (l | a)",
+                             field="a")
         buf = [0] * r.order
         for j, c in enumerate(self.coeffs):
             if c:
@@ -287,9 +291,9 @@ class BiCycloRing:
 
     def __init__(self, p: int, ell: int, level: int):
         if p < 2 or not is_prime(p):
-            raise InputError(f"p must be prime, got {p}")
+            raise InputError(f"p must be prime, got {p}", field="p")
         if p == ell:
-            raise InputError("p must differ from l")
+            raise InputError("p must differ from l", field="p")
         self.p = p
         self.cyclo = CycloRing(ell, level, None)
         self.rows = p - 1
@@ -298,7 +302,7 @@ class BiCycloRing:
     def elem(self, mat: Sequence[Sequence[int]]) -> "BiCycloElem":
         rows = [list(r) for r in mat]
         if len(rows) > self.rows or any(len(r) > self.cols for r in rows):
-            raise InputError("matrix exceeds basis dimensions")
+            raise InputError("matrix exceeds basis dimensions", field="mat")
         out = []
         for a in range(self.rows):
             row = rows[a] if a < len(rows) else []

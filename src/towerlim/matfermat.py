@@ -30,7 +30,7 @@ IntMatrix = Sequence[Sequence[int]]
 def check_square(a: IntMatrix) -> int:
     r = len(a)
     if r == 0 or any(len(row) != r for row in a):
-        raise InputError("matrix must be square and nonempty")
+        raise InputError("matrix must be square and nonempty", field="matrix")
     return r
 
 
@@ -93,9 +93,9 @@ def arnold_zarelua_check(a: IntMatrix, ell: int, n: int) -> TracePowerReport:
     """
     check_square(a)
     if not is_prime(ell):
-        raise InputError(f"l must be prime, got {ell}")
+        raise InputError(f"l must be prime, got {ell}", field="ell")
     if n < 0:
-        raise InputError("n must be >= 0")
+        raise InputError("n must be >= 0", field="n")
     hi = a
     for i in range(1, n + 2):  # hi: A^(l^(i-1)) -> A^(l^i)
         digits = ell * math.log10(max(sum(map(abs, row)) for row in hi) or 1)

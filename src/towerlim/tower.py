@@ -120,15 +120,13 @@ def make_tower_spec(
     prec: Optional[int] = None,
     name: str = "",
 ) -> TowerSpec:
-    """Validate raw data and freeze it into a :class:`TowerSpec`."""
+    """Validate raw data and freeze it into a :class:`TowerSpec`: the one
+    check of each tower value; every refusal's `field` is the config key."""
     check_odd_prime(ell)
-    for field, x in (("b", b), ("r", r), ("n_max", n_max),
-                     ("precision", prec)):
-        if field == "precision" and x is None:
-            continue
-        if type(x) is not int or x < 1:  # a bool is not an int here
-            raise InputError(f"{field} must be an integer >= 1, got {x!r}",
-                             field=field)
+    for field, x in (("b", b), ("r", r), ("n_max", n_max)):
+        check_count(field, x)
+    if prec is not None:
+        check_count("precision", prec)
     q = _check_int_matrix(q_matrix, b, "Q")
     for i in range(b):
         for j in range(b):
@@ -141,11 +139,15 @@ def make_tower_spec(
     if all(q[i][j] == (1 if i == j else 0) for i in range(b) for j in range(b)):
         raise InputError("Q must differ from the identity (infinite order)",
                          field="Q")
-    if not f_terms:
+    if not _is_list(f_terms) or not f_terms:
         raise InputError("F needs at least one term", field="F")
     terms = []
     seen_exps = set()
-    for idx, (exps, mat) in enumerate(f_terms):
+    for idx, term in enumerate(f_terms):
+        if not _is_list(term) or len(term) != 2:
+            raise InputError(f"F[{idx}] must be an (exponents, matrix) pair",
+                             field=f"F[{idx}]")
+        exps, mat = term
         label = f"F[{idx}].exponents"
         e = _check_ints(exps, label, label)
         if len(e) != b:
@@ -173,31 +175,38 @@ def make_tower_spec(
     return spec
 
 
+def check_count(field: str, x) -> None:
+    """The rule for b, r, n_max and precision: an int >= 1."""
+    if type(x) is not int or x < 1:  # a bool is not an int here
+        raise InputError(f"{field} must be an integer >= 1, got {x!r}",
+                         field=field)
+
+
+def _is_list(x) -> bool:
+    return isinstance(x, (list, tuple))
+
+
 def _check_int_matrix(m, size: int, label: str) -> tuple[tuple[int, ...], ...]:
-    rows = list(m)
-    if len(rows) != size:
-        raise InputError(f"{label} must be {size}x{size}, got {len(rows)} rows",
-                         field=label)
+    if not _is_list(m) or len(m) != size:
+        raise InputError(f"{label} must be a list of {size} rows", field=label)
     out = []
-    for i, row in enumerate(rows):
-        row = list(row)
-        if len(row) != size:
-            raise InputError(
-                f"{label}[{i}] must have {size} entries, got {len(row)}",
-                field=label,
-            )
+    for i, row in enumerate(m):
+        if not _is_list(row) or len(row) != size:
+            raise InputError(f"{label}[{i}] must be a list of {size} integers",
+                             field=label)
         out.append(_check_ints(row, f"{label}[{i}]", label))
     return tuple(out)
 
 
 def _check_ints(xs, label: str, field: str) -> tuple[int, ...]:
-    """xs as a tuple; InputError naming `label` and the index of the first
-    entry that is not an int (a bool is not one), with context `field`."""
-    out = tuple(xs)
-    for j, x in enumerate(out):
+    """xs as a tuple; InputError naming `label` (and the index of the first
+    entry that is not an int, a bool not being one), with context `field`."""
+    if not _is_list(xs):
+        raise InputError(f"{label} must be a list of integers", field=field)
+    for j, x in enumerate(xs):
         if not isinstance(x, int) or isinstance(x, bool):
             raise InputError(f"{label}[{j}] must be an integer", field=field)
-    return out
+    return tuple(xs)
 
 
 # -- orbit structure ------------------------------------------------------
@@ -218,7 +227,7 @@ def primitive_orbit_reps(spec: TowerSpec, n: int) -> Orbits:
     lex-least member as the representative, deterministically.
     """
     if n < 1:
-        raise InputError("orbit enumeration needs n >= 1")
+        raise InputError("orbit enumeration needs n >= 1", field="n")
     mod = spec.ell**n
     total = mod**spec.b
     if total > ORBIT_CAP:
@@ -476,8 +485,8 @@ def level_pieces(spec: TowerSpec, n: int) -> LevelPieces:
     """The record of level n: its one orbit scan, k_n, the unit classes and
     every p_{n,v} by Galois transport, with a direct check per class.
 
-    The scan is `primitive_orbit_reps(spec, n)`; an empty one is an
-    InputError.  Q = I mod l makes every orbit size a power of l (the
+    The scan is `primitive_orbit_reps(spec, n)`, never empty (e_1 is
+    primitive).  Q = I mod l makes every orbit size a power of l (the
     matrix Fermat theorem), so k_n, the least, divides them all; any other
     size is a CheckFailed naming level, rep and size, before any charpoly.
 
@@ -502,8 +511,6 @@ def level_pieces(spec: TowerSpec, n: int) -> LevelPieces:
       and must equal sigma_g(p_{n,v}).
     """
     reps = primitive_orbit_reps(spec, n)
-    if not reps:
-        raise InputError(f"no primitive orbits at level {n}")
     for v, size in reps:
         if spec.ell ** int_val(spec.ell, size) != size:
             raise CheckFailed(
@@ -655,7 +662,8 @@ def _status(n: int, n0: int, measured: int, saturated: bool, required: int) -> s
 def check_scalar_twist(spec: TowerSpec) -> None:
     """InputError unless Q is a scalar matrix, which scalar mode needs."""
     if not spec.is_scalar_q():
-        raise InputError("scalar congruence mode requires a scalar twist Q")
+        raise InputError("scalar congruence mode requires a scalar twist Q",
+                         field="Q")
 
 
 def scalar_congruence_rows(spec: TowerSpec, params: OrbitParams,
@@ -755,11 +763,13 @@ def qsum_rows(
     A_{n+1} - embed(A_n).
     """
     if len(lam) != spec.b or len(v) != spec.b:
-        raise InputError("lambda and v must each have length b")
+        raise InputError("lambda and v must each have length b",
+                         field="lambda" if len(lam) != spec.b else "v")
     if n_lo < 1 or n_lo > n_hi:
-        raise InputError("need 1 <= n_lo <= n_hi")
+        raise InputError("need 1 <= n_lo <= n_hi", field="n_range")
     if emit_products and spec.r != 1:
-        raise InputError("product emission requires r = 1")
+        raise InputError("product emission requires r = 1",
+                         field="emit_products")
     size = 1  # l^n, formed only until it passes the cap
     for n in range(1, n_hi + 1):
         size *= spec.ell
