@@ -7,9 +7,13 @@ x^(f-1) coefficient down).  The search skips a candidate with a root in F_p
 (a constant term of zero is the root 0) before it runs the Rabin test.
 The multiplicative group is tabulated against the smallest generator (by
 packed encoding), so powers of the generator and discrete logs are O(1)
-lookups.  One block stepper, `power_blocks`, walks the powers of any
-element as digit blocks: multiplication by h^k is F_p-linear, so its first
-block fills by doubling (columns [k, 2k) are M_{h^k} times columns
+lookups.  A candidate g is a generator iff g^((q - 1) / d) != 1 for every
+prime d | q - 1.  For d | p - 1 that power is N(g)^((p - 1) / d), with
+N(g) = g^((q - 1) / (p - 1)) = det M_g the norm to F_p, so one f x f
+determinant mod p settles those primes and only the others cost an
+exponentiation in F_q.  One block stepper, `power_blocks`, walks the powers
+of any element as digit blocks: multiplication by h^k is F_p-linear, so its
+first block fills by doubling (columns [k, 2k) are M_{h^k} times columns
 [0, k)) and it then advances through one small matrix product per block.
 It has two readers: the exp table packs the generator's blocks, and the
 Artin-Schreier count tests the blocks of a power of the generator directly.
@@ -19,7 +23,8 @@ are exact, since every partial sum is an integer of at most f (p - 1)^2 <=
 10^14 < 2^53 under the cap, and `_float_mod` reduces them exactly.  Both
 tables are built on their first read, so constructing a field costs only
 its modulus and generator search: enumerating an Artin-Schreier curve
-reads neither.
+reads neither.  So is the absolute trace basis, which only `tr_abs_batch`
+reads.
 
 Batched arithmetic goes through one digit codec: `digits` splits packed
 encodings into their base-p coefficient rows, and every batch operation is
@@ -124,6 +129,26 @@ def _poly_pow_mod(a: list[int], e: int, mod_poly: list[int], p: int) -> list[int
     return out
 
 
+def _det_mod(rows: list[list[int]], p: int) -> int:
+    """Determinant mod p of a square matrix over F_p, by elimination;
+    `rows` is overwritten."""
+    det = 1
+    for i in range(len(rows)):
+        piv = next((r for r in range(i, len(rows)) if rows[r][i]), None)
+        if piv is None:
+            return 0
+        if piv != i:
+            rows[i], rows[piv] = rows[piv], rows[i]
+            det = -det
+        det = det * rows[i][i] % p
+        inv = pow(rows[i][i], -1, p)
+        for r in range(i + 1, len(rows)):
+            c = rows[r][i] * inv % p
+            if c:
+                rows[r] = [(x - c * y) % p for x, y in zip(rows[r], rows[i])]
+    return det % p
+
+
 def _poly_deg(u: list[int]) -> int:
     d = len(u) - 1
     while d >= 0 and u[d] == 0:
@@ -205,12 +230,13 @@ class FqField:
         self.p, self.f, self.q = p, f, p**f
         self.modulus = _find_modulus(p, f)
         self._weights = np.array([p**i for i in range(f)], dtype=np.int64)
+        primes = prime_factors(self.q - 1)
+        self._norm_primes = [d for d in primes if (p - 1) % d == 0]
+        self._power_primes = [d for d in primes if (p - 1) % d]
         self.gen = self._find_generator()
         if not self._is_generator(self.gen):
             raise CheckFailed("generator order check failed (impossible)",
                               p=p, f=f, gen=self.gen)
-        # Tr(x^i) for the power basis, for O(f) absolute traces
-        self._trace_basis = self.trace_matrix(p, f)[0]
 
     # -- construction internals ------------------------------------------
 
@@ -219,11 +245,23 @@ class FqField:
             _poly_pow_mod(self.decode(a), e, list(self.modulus), self.p)
         )
 
+    def _norm(self, a: int) -> int:
+        """N(a) = a^((q - 1) / (p - 1)) in F_p, as det M_a mod p."""
+        return _det_mod(self._mult_columns(a), self.p)
+
     def _is_generator(self, enc: int) -> bool:
-        """enc^((q - 1) / d) != 1 for every prime d | q - 1."""
-        order = self.q - 1
+        """enc^((q - 1) / d) != 1 for every prime d | q - 1.
+
+        For d | p - 1 the power is N(enc)^((p - 1) / d), tested in F_p;
+        only the other primes exponentiate in F_q.
+        """
+        p, order = self.p, self.q - 1
+        norm = self._norm(enc)
+        if norm == 0 or any(pow(norm, (p - 1) // d, p) == 1
+                            for d in self._norm_primes):
+            return False
         return all(self._pow_poly(enc, order // d) != 1
-                   for d in prime_factors(order))
+                   for d in self._power_primes)
 
     def _find_generator(self) -> int:
         for enc in range(1, self.q):  # 1 generates F_2^* and no other
@@ -232,18 +270,23 @@ class FqField:
         raise CheckFailed("no multiplicative generator found (impossible)",
                           p=self.p, f=self.f, gen=None)
 
+    def _mult_columns(self, a: int) -> list[list[int]]:
+        """Columns a x^j mod the modulus, j < f, of multiplication by `a`:
+        column j + 1 is column j shifted up one place, less its top digit
+        times the monic modulus."""
+        p, col = self.p, self.decode(a)
+        cols = [col]
+        for _ in range(self.f - 1):
+            top = col[-1]
+            col = [(c - top * m) % p
+                   for c, m in zip([0] + col[:-1], self.modulus)]
+            cols.append(col)
+        return cols
+
     def _mult_matrix(self, a: int) -> np.ndarray:
         """f x f matrix over F_p of multiplication by `a` in the basis, as
         float64 for the block steps."""
-        cols = []
-        for j in range(self.f):
-            basis = [0] * self.f
-            basis[j] = 1
-            prod = _poly_mul_mod(
-                self.decode(a), basis, list(self.modulus), self.p
-            )
-            cols.append(prod)
-        return np.array(cols, dtype=float).T
+        return np.array(self._mult_columns(a), dtype=float).T
 
     def power_blocks(self, h: int, count: int) -> Iterator[np.ndarray]:
         """Digit blocks of h^0, h^1, ..., h^(count - 1), count >= 1.
@@ -305,6 +348,12 @@ class FqField:
         dlog = np.full(self.q, -1, dtype=np.int64)
         dlog[self.exp_table] = np.arange(self.q - 1, dtype=np.int64)
         return dlog
+
+    @cached_property
+    def _trace_basis(self) -> np.ndarray:
+        """Tr(x^i) for the power basis, for O(f) absolute traces; built on
+        first read."""
+        return self.trace_matrix(self.p, self.f)[0]
 
     def trace_matrix(self, q: int, m: int) -> np.ndarray:
         """Tr_{K/F_q} on K = F_{q^m} (this field) as an F_p-matrix in K's

@@ -255,28 +255,46 @@ def unsieved_modulus(p, f):
     raise AssertionError(f"no irreducible polynomial for p={p}, f={f}")
 
 
+def packed_pow(a, e, modulus, p):
+    """a^e for a packed element a of F_p[x] / (modulus), by `_poly_pow_mod`,
+    packed."""
+    f = len(modulus) - 1
+    digits = [a // p**i % p for i in range(f)]
+    return sum(c * p**i for i, c in
+               enumerate(_poly_pow_mod(digits, e, list(modulus), p)))
+
+
+def every_prime_generator(p, f):
+    """(modulus, gen) of F_{p^f}: the unsieved modulus and the smallest
+    packed encoding g with g^((q - 1) / d) != 1 for every prime d | q - 1,
+    each power by `_poly_pow_mod` (no norm shortcut)."""
+    modulus = unsieved_modulus(p, f)
+    n = p**f - 1
+    gen = next(g for g in range(1, n + 1)
+               if all(packed_pow(g, n // d, modulus, p) != 1
+                      for d in prime_factors(n)))
+    return modulus, gen
+
+
 def int64_field_tables(p, f):
     """(modulus, gen, exp_table, dlog_table) of F_{p^f}: the unsieved
-    modulus, the smallest generator by packed encoding, and the exp table
-    filled by doubling its first block of M_{g^k} columns, then advanced a
-    block at a time by M_{g^block}, all in int64."""
-    modulus = list(unsieved_modulus(p, f))
+    modulus, the smallest generator by packed encoding
+    (`every_prime_generator`), and the exp table filled by doubling its
+    first block of M_{g^k} columns, then advanced a block at a time by
+    M_{g^block}, all in int64."""
+    modulus, gen = every_prime_generator(p, f)
+    modulus = list(modulus)
     q, n = p**f, p**f - 1
     weights = np.array([p**i for i in range(f)], dtype=np.int64)
 
     def decode(a):
         return [a // p**i % p for i in range(f)]
 
-    def power(a, e):
-        return int(weights @ _poly_pow_mod(decode(a), e, modulus, p))
-
     def mult_matrix(a):
         cols = [_poly_mul_mod(decode(a), decode(p**j), modulus, p)
                 for j in range(f)]
         return np.array(cols, dtype=np.int64).T % p
 
-    gen = next(g for g in range(1, q)
-               if all(power(g, n // d) != 1 for d in prime_factors(n)))
     block = min(4096, n)
     digits = np.zeros((f, block), dtype=np.int64)
     digits[0, 0] = 1
@@ -288,7 +306,7 @@ def int64_field_tables(p, f):
         k += take
         if k < block:
             mk = mk @ mk % p
-    mb = mult_matrix(power(gen, block))
+    mb = mult_matrix(packed_pow(gen, block, modulus, p))
     exp = np.empty(n, dtype=np.int64)
     pos = 0
     while pos < n:

@@ -234,6 +234,7 @@ def test_the_count_builds_neither_table(monkeypatch):
     assert artin_schreier_enum_count(7, 5, 3)["count"] == 16808
     assert "exp_table" not in vars(big)
     assert "dlog_table" not in vars(big)
+    assert "_trace_basis" not in vars(big)
 
 
 def test_a_skewed_block_step_fails_the_subgroup_check(monkeypatch):

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from towerlim import fields
 from towerlim.errors import CheckFailed, GuardExceeded, InputError
@@ -19,6 +21,7 @@ from towerlim.fields import (
 from towerlim.padic import is_prime
 
 from oracles import (
+    every_prime_generator,
     fq_add,
     fq_inv,
     fq_mul,
@@ -27,6 +30,7 @@ from oracles import (
     fq_sub,
     fq_tr_abs,
     int64_field_tables,
+    packed_pow,
     unsieved_modulus,
 )
 
@@ -173,6 +177,56 @@ def test_tables_match_the_int64_builder(p, f):
     assert np.array_equal(field.dlog_table, dlog)
 
 
+def test_modulus_and_generator_match_the_every_prime_search():
+    cases = [(p, f) for p in range(2, 200) if is_prime(p)
+             for f in range(1, 17) if p**f <= 10**5]
+    for p, f in cases:
+        field = field_build(p, f)
+        assert (field.modulus, field.gen) == every_prime_generator(p, f), \
+            (p, f)
+
+
+NORM_FIELDS = [(2, 1), (2, 5), (3, 4), (5, 3), (7, 1), (7, 3), (13, 2),
+               (19, 4), (65537, 1)]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.sampled_from(NORM_FIELDS).flatmap(
+    lambda pf: st.tuples(st.just(pf), st.integers(0, pf[0] ** pf[1] - 1))))
+@example(((7, 3), 0))
+@example(((7, 3), 3))
+@example(((2, 1), 1))
+@example(((2, 5), 1))
+@example(((65537, 1), 12345))
+def test_norm_is_the_power_it_replaces(field_and_element):
+    (p, f), a = field_and_element
+    field = field_build(p, f)
+    norm = packed_pow(a, (field.q - 1) // (p - 1), field.modulus, p)
+    assert field._norm(a) == norm
+    if a < p:  # a in F_p: N(a) = a^f
+        assert norm == pow(a, f, p)
+
+
+# _poly_pow_mod calls per build: the Rabin tests of the modulus search (2,
+# 20 and 0), then the primes of q - 1 the norm cannot decide (29 and 4733
+# at 7^7, 5 and 181 at 19^4, none at 65537) for each candidate that passes
+# the norm, and once more in the re-test.  The search that exponentiated
+# for every prime, with the trace basis built in __init__, made 42, 54 and 5.
+@pytest.mark.parametrize("p, f, most", [(7, 7, 8), (19, 4, 24),
+                                        (65537, 1, 0)])
+def test_a_build_exponentiates_only_where_the_norm_cannot_decide(
+        monkeypatch, p, f, most):
+    real, calls = fields._poly_pow_mod, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fields, "_poly_pow_mod", counted)
+    FqField(p, f)
+    assert len(calls) <= most
+
+
 def test_root_sieve_keeps_the_first_irreducible():
     cases = [(p, f) for p in (2, 3, 5, 7, 11, 13) for f in range(2, 9)
              if p**f <= 10**6] + [(2, 20), (997, 2), (3137, 2), (211, 3)]
@@ -261,6 +315,22 @@ def test_a_non_generator_is_refused_in_init(monkeypatch):
     with pytest.raises(CheckFailed) as exc:
         FqField(7, 5)
     assert exc.value.context == {"p": 7, "f": 5, "gen": square}
+
+
+def test_a_skewed_power_fails_the_first_absolute_trace(monkeypatch):
+    field = field_build(7, 3)
+    assert "_trace_basis" not in vars(field)
+    real = fields._poly_pow_mod
+
+    def skewed(a, e, mod_poly, p):
+        out = real(a, e, mod_poly, p)
+        out[-1] = (out[-1] + 1) % p
+        return out
+
+    monkeypatch.setattr(fields, "_poly_pow_mod", skewed)
+    with pytest.raises(CheckFailed) as exc:
+        field.tr_abs_batch(np.arange(field.q))
+    assert exc.value.context == {"q": 7, "m": 3, "field_q": 343}
 
 
 def test_no_generator_is_a_check_failure(monkeypatch):
