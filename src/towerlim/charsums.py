@@ -5,11 +5,14 @@ Conventions, fixed once for the whole package:
 * Multiplicative characters of F_q at l-power level n are parametrized by
   an integer v: chi_v(x) = zeta_{l^n}^(v * dlog(x)) against the field's
   tabulated generator, with chi_v(0) = 0.  This requires l^n | q - 1.
-* The additive character is psi(x) = zeta_p^Tr(x) (absolute trace), with
-  a-twists psi_a(x) = psi(ax).
-* Gauss sums g(psi_a, chi_v) = sum over x != 0 live in Z[zeta_p, zeta_{l^n}]
+* The additive character is psi(x) = zeta_p^Tr(x) (absolute trace).  Its
+  twists psi(ax) are never summed: g(psi(a .), chi_v) = chi_v(a)^-1
+  g(psi, chi_v).
+* Gauss sums g(psi, chi_v) = sum over x != 0 live in Z[zeta_p, zeta_{l^n}]
   (exact integer bicyclotomic elements); Jacobi sums J(chi_v1, chi_v2) =
-  sum over all x of chi_v1(x) chi_v2(1-x) live in Z[zeta_{l^n}].
+  sum over all x of chi_v1(x) chi_v2(1-x) live in Z[zeta_{l^n}].  Both
+  also run over a subfield (`sub_q`), against the subfield's own
+  characters, for the degree-l descent checks.
 
 Every point count `zeta fermat|as` checks is produced twice: by plain
 enumeration (`fermat_enum_count`, `artin_schreier_enum_count`), and by
@@ -70,69 +73,72 @@ def prime_power_split(q: int) -> tuple[int, int]:
     return primes[0], int_val(primes[0], q)
 
 
-def _char_level_check(field: FqField, ell: int, level: int) -> int:
+def _subfield_powers(field: FqField, ell: int, level: int,
+                     sub_q: Optional[int]) -> tuple[np.ndarray, int, int]:
+    """(xs, d, step) for a character sum over the subfield of sub_q
+    elements (the whole field when None): xs[t] = G^(step t), t < sub_q - 1,
+    step = (q - 1)/(sub_q - 1), and d = l^level, which must divide sub_q - 1.
+    """
     check_odd_prime(ell)
+    sub_q = field.q if sub_q is None else sub_q
+    if sub_q < 2 or (field.q - 1) % (sub_q - 1):
+        raise InputError(f"F_{field.q}^* has no subgroup of order {sub_q} - 1",
+                         field="sub_q")
     if level < 1:
         raise InputError("character level must be >= 1", field="level")
     d = ell**level
-    if (field.q - 1) % d != 0:
+    if (sub_q - 1) % d != 0:
         raise InputError(
             f"level-{level} characters need {ell}^{level} | q - 1 "
-            f"(q = {field.q})", field="level",
+            f"(q = {sub_q})", field="level",
         )
-    return d
+    step = (field.q - 1) // (sub_q - 1)
+    return field.exp_table[::step], d, step
 
 
 def gauss_sum(field: FqField, ell: int, level: int, v: int,
-              a: int = 1) -> BiCycloElem:
-    """g(psi_a, chi_v) = sum_{x != 0} psi(ax) chi_v(x), exact."""
-    d = _char_level_check(field, ell, level)
-    a %= field.q
-    if a == 0:
-        raise InputError(f"additive twist a must be nonzero mod q = {field.q}",
-                         field="a")
-    n = field.q - 1
-    ks = np.arange(n, dtype=np.int64)
-    traces = field.tr_abs_batch(field.exp_table)
-    ka = field.dlog(a)
-    tr_shift = traces[(ks + ka) % n] if ka else traces
-    return _gauss_from_table(field.p, ell, level, tr_shift, (v % d) * ks % d)
+              sub_q: Optional[int] = None) -> BiCycloElem:
+    """g(psi, chi_v) = sum_{x != 0} psi(x) chi_v(x), exact.
+
+    With `sub_q` the sum runs over the subfield of sub_q elements: chi_v
+    against its generator G^((q - 1)/(sub_q - 1)), psi through its own
+    absolute trace, [F_q : F_sub_q]^-1 times that of F_q (mod p).
+    """
+    xs, d, _ = _subfield_powers(field, ell, level, sub_q)
+    p, deg = field.p, 1
+    if sub_q is not None:
+        deg = field.f // max(int_val(p, sub_q), 1)
+        if sub_q**deg != field.q or deg % p == 0:
+            raise InputError(f"the trace of F_{field.q} does not give that "
+                             f"of F_{sub_q}", field="sub_q")
+    counts = np.zeros((p, d), dtype=np.int64)
+    np.add.at(counts, (field.tr_abs_batch(xs) * pow(deg, -1, p) % p,
+                       (v % d) * np.arange(len(xs), dtype=np.int64) % d), 1)
+    ts, es = np.nonzero(counts)
+    return BiCycloRing(p, ell, level).from_exponent_counts(
+        {(int(t), int(e)): int(c) for t, e, c in zip(ts, es, counts[ts, es])})
 
 
-def jacobi_sum(field: FqField, ell: int, level: int, v1: int,
-               v2: int) -> CycloElem:
-    """J(chi_v1, chi_v2) = sum_x chi_v1(x) chi_v2(1 - x), exact.
+def jacobi_sum(field: FqField, ell: int, level: int, v1: int, v2: int,
+               sub_q: Optional[int] = None) -> CycloElem:
+    """J(chi_v1, chi_v2) = sum_x chi_v1(x) chi_v2(1 - x), exact; over the
+    subfield of sub_q elements when given, as in `gauss_sum`.
 
     The chi(0) = 0 convention silently drops x = 0 and x = 1, so the sum
-    effectively ranges over x != 0, 1.
+    effectively ranges over x != 0, 1.  A 1 - x outside the subfield is a
+    CheckFailed.
     """
-    d = _char_level_check(field, ell, level)
-    n = field.q - 1
-    ks = np.arange(n, dtype=np.int64)
-    om = field.one_minus_batch(field.exp_table)
+    xs, d, step = _subfield_powers(field, ell, level, sub_q)
+    om = field.one_minus_batch(xs)
     mask = om != 0
     k2 = field.dlog_table[om[mask]]
-    es = ((v1 % d) * ks[mask] + (v2 % d) * k2) % d
-    return _jacobi_from_exponents(ell, level, es)
-
-
-def _gauss_from_table(p: int, ell: int, level: int, trs: np.ndarray,
-                      es: np.ndarray) -> BiCycloElem:
-    """Sum of zeta_p^tr * zeta_{l^level}^e over the paired entries."""
-    counts = np.zeros((p, ell**level), dtype=np.int64)
-    np.add.at(counts, (trs, es), 1)
-    ts, ks = np.nonzero(counts)
-    pairs = {(int(t), int(e)): int(c)
-             for t, e, c in zip(ts, ks, counts[ts, ks])}
-    return BiCycloRing(p, ell, level).from_exponent_counts(pairs)
-
-
-def _jacobi_from_exponents(ell: int, level: int, es: np.ndarray) -> CycloElem:
-    """Sum of zeta_{l^level}^e over the entries of es (each < l^level)."""
-    counts = np.bincount(es, minlength=ell**level)
+    if (k2 % step).any():
+        raise CheckFailed("1 - x left the subfield; tables are inconsistent",
+                          level=level, sub_q=sub_q)
+    es = ((v1 % d) * np.flatnonzero(mask) + (v2 % d) * (k2 // step)) % d
+    counts = np.bincount(es, minlength=d)
     return CycloRing(ell, level, None).from_exponent_counts(
-        [(int(e), int(c)) for e, c in enumerate(counts) if c]
-    )
+        [(int(e), int(c)) for e, c in enumerate(counts) if c])
 
 
 # -- orbit-sum lemmas -----------------------------------------------------
@@ -487,19 +493,8 @@ def _coleman_jacobi_core(E: FqField, sub_q: int, ell: int, n: int,
     sub_q^((l-1)/2) * J_sub(chi_w1, chi_w2), the right side lifted one
     level.  Returns a pass/fail row.
     """
-    d_lo = ell**n
-    step = (E.q - 1) // (sub_q - 1)
     j_big = jacobi_sum(E, ell, n + 1, w1, w2)
-    ts = np.arange(sub_q - 1, dtype=np.int64)
-    xs = E.exp_table[ts * step]
-    om = E.one_minus_batch(xs)
-    mask = om != 0
-    k2 = E.dlog_table[om[mask]]
-    if int((k2 % step).sum()):
-        raise CheckFailed("1 - x left the subfield; tables are inconsistent",
-                          level=n, sub_q=sub_q)
-    es = ((w1 % d_lo) * ts[mask] + (w2 % d_lo) * (k2 // step)) % d_lo
-    j_sub = _jacobi_from_exponents(ell, n, es)
+    j_sub = jacobi_sum(E, ell, n, w1, w2, sub_q=sub_q)
     rhs = j_sub.embed_up() * (sub_q ** ((ell - 1) // 2))
     return {"w": [int(w1), int(w2)], "passed": bool(j_big == rhs)}
 
@@ -516,19 +511,14 @@ def _coleman_gauss_core(E: FqField, sub_q: int, ell: int, n: int,
     zeta factor is the inverse of chi_v evaluated at l, lifted one level).
     Both global signs are tried; the row records which of them matched.
     """
-    d_lo = ell**n
     d_hi = ell ** (n + 1)
     step = (E.q - 1) // (sub_q - 1)
-    g_big = gauss_sum(E, ell, n + 1, v)
-    ts = np.arange(sub_q - 1, dtype=np.int64)
-    xs = E.exp_table[ts * step]
-    ell_inv = pow(ell % E.p, -1, E.p)
-    trs = ell_inv * E.tr_abs_batch(xs) % E.p
-    g_sub = _gauss_from_table(E.p, ell, n, trs, (v % d_lo) * ts % d_lo)
     k_ell = E.dlog(ell % E.p)
     if k_ell % step:
         raise CheckFailed("l left the subfield; tables are inconsistent",
                           level=n, sub_q=sub_q)
+    g_big = gauss_sum(E, ell, n + 1, v)
+    g_sub = gauss_sum(E, ell, n, v, sub_q=sub_q)
     zexp = (-ell * v * (k_ell // step)) % d_hi
     zfac = CycloRing(ell, n + 1, None).zeta(zexp)
     base = g_sub.embed_up() * zfac * (sub_q ** ((ell - 1) // 2))
@@ -678,11 +668,12 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
     orbit of v are those of g^i v, i < c (g = primitive_root(l, m)), and
     sigma_u maps J(chi^v1, chi^v2) to J(chi^(u v1), chi^(u v2)): each unit
     orbit gives the integer norm prod_(i<c) (1 + sigma_(g^i)(S) y) of the
-    Jacobi sum S at its representative (`_generator_norm`).  A Gauss sum S
-    (one per unit orbit and coset a of F_q^* / F_p^*) has the F_p^*
-    conjugates g(psi_(c a), chi^v) = chi^v(c)^-1 S; with e the order of
-    chi^v on F_p^* their factors multiply to (1 + S^e y^e)^((p-1)/e), S^e in
-    Z[zeta_{l^m}].  The fresh-character count, the orbit sizes (k_m for
+    Jacobi sum S at its representative (`_generator_norm`).  A Gauss sum
+    S = g(psi, chi^v) (one per unit orbit) has the twists g(psi_a, chi^v) =
+    chi^v(a)^-1 S, a in F_q^*; with e the order of chi^v on F_q^* (odd)
+    their factors multiply to (1 + S^e y^e)^((q-1)/e), and S^e lies in
+    Z[zeta_{l^m}], fixed by Gal(Q(zeta_p)/Q) since F_p^* lies in F_q^*.
+    The fresh-character count, the orbit sizes (k_m for
     Frobenius, phi(l^m) for the units) and every degree are checked against
     the genus bookkeeping, else a hard error; a level whose estimated work
     passes NORM_WORK_CAP is refused before its first product.
@@ -722,24 +713,17 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
         g = primitive_root(ell, m)
         units = _fresh_orbits(family, ell, m, g)
         if family == "fermat":
-            twists, e, share = 1, 1, 1
+            twists, e, char_sum = 1, 1, jacobi_sum
             want_fresh = (d - 1) * (d - 2)
             if m > 1:
                 want_fresh -= (d // ell - 1) * (d // ell - 2)
-            gens = len(units)
-            sums = ((v, jacobi_sum(big, ell, m, *v)) for v, _ in units)
         else:
-            twists = q - 1  # each unit orbit once per additive twist a
+            # each unit orbit once per additive twist a
+            twists, char_sum = q - 1, gauss_sum
             want_fresh = (q - 1) * phi
-            step = (big.q - 1) // (q - 1)  # F_q^* = <G^step>
-            # one twist a per coset of F_q^* / F_p^*
-            cosets = big.exp_table[:(big.q - 1) // (p - 1):step].tolist()
-            gens = len(cosets) * len(units)
-            sums = (((a, *v), gauss_sum(big, ell, m, *v, a=a))
-                    for a in cosets for v, _ in units)
-            # the order of chi_v, v a unit, on F_p^*
-            e = d // math.gcd(d, (big.q - 1) // (p - 1))
-            share = (p - 1) // e
+            # the order of chi_v, v a unit, on F_q^* = <G^((|big|-1)/(q-1))>
+            e = d // math.gcd(d, (big.q - 1) // (q - 1))
+        gens, share = len(units), twists // e
         fresh = twists * sum(size for _, size in orbits)
         if fresh != want_fresh:
             raise CheckFailed(
@@ -776,8 +760,9 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
             )
         conj = [pow(g, i, d) for i in range(c)]
         norms = [1]
-        for gen, s in sums:
-            norms = convolve(norms, _generator_norm(family, m, gen, s, e, conj))
+        for v, _ in units:
+            norms = convolve(norms, _generator_norm(
+                family, m, v, char_sum(big, ell, m, *v), e, conj))
         h_int = [1]
         while share:  # h_m(y^(1/e)) = norms^share, by squaring
             if share & 1:

@@ -196,8 +196,9 @@ def _tower_zeta_body(family: str, args,
     if m_max < 1:
         raise InputError(f"--m-max must be >= 1, got {m_max}",
                          field="m_max")
-    if m_max <= 64:  # predicted_counts refuses a larger m_max as input
-        check_field_size(p, f * m_max)  # the largest field counted
+    if m_max > 64:  # as predicted_counts would, but before the sums
+        raise InputError("prediction range is capped at 64", field="m_max")
+    check_field_size(p, f * m_max)  # the largest field counted
     res = h_poly_tower(family, args.ell, args.q, args.n)
     timer.mark("character_sums")
     d = args.ell**args.n

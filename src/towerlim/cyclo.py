@@ -299,16 +299,6 @@ class BiCycloRing:
         self.rows = p - 1
         self.cols = self.cyclo.phi
 
-    def elem(self, mat: Sequence[Sequence[int]]) -> "BiCycloElem":
-        rows = [list(r) for r in mat]
-        if len(rows) > self.rows or any(len(r) > self.cols for r in rows):
-            raise InputError("matrix exceeds basis dimensions", field="mat")
-        out = []
-        for a in range(self.rows):
-            row = rows[a] if a < len(rows) else []
-            out.append(tuple(row + [0] * (self.cols - len(row))))
-        return BiCycloElem(self, tuple(out))
-
     def zero(self) -> "BiCycloElem":
         return BiCycloElem(
             self, tuple(tuple([0] * self.cols) for _ in range(self.rows))

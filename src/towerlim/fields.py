@@ -295,9 +295,9 @@ class FqField:
         base-p digits of the power after the previous blocks' columns; it
         stays valid until the next step.  The first block fills by doubling
         (columns [k, 2k) are M_{h^k} times columns [0, k)); every later one
-        is one product with M_{h^block}.  Exact in float64: every partial
-        sum is an integer of at most f (p - 1)^2 < 2^53 (f products of two
-        residues), reduced by `_float_mod`.
+        is one product with M_{h^block}, built only if there is one.  Exact
+        in float64: every partial sum is an integer of at most f (p - 1)^2 <
+        2^53 (f products of two residues), reduced by `_float_mod`.
         """
         p, f = self.p, self.f
         block = min(_BLOCK, count)
@@ -314,12 +314,13 @@ class FqField:
             k += take
             if k < block:
                 mk = mk @ mk % p  # f x f: exact, and too small to matter
-        mb = self._mult_matrix(self._pow_poly(h, block))
-        for pos in range(0, count, block):
-            if pos:
+        yield digits[:, :block]
+        if count > block:
+            mb = self._mult_matrix(self._pow_poly(h, block))
+            for pos in range(block, count, block):
                 np.matmul(mb, digits, out=spare)
                 digits, spare = _float_mod(spare, p, quot), digits
-            yield digits[:, : min(block, count - pos)]
+                yield digits[:, : min(block, count - pos)]
 
     @cached_property
     def exp_table(self) -> np.ndarray:
@@ -359,16 +360,15 @@ class FqField:
         """Tr_{K/F_q} on K = F_{q^m} (this field) as an F_p-matrix in K's
         power basis.
 
-        The Frobenius x -> x^q is F_p-linear; column j of its matrix is the
-        basis vector x^j raised to the q-th power modulo K's modulus, and the
-        trace is the sum of its first m powers.  The trace lands in F_q, so
-        T T = m T (mod p); a matrix that fails this is a hard error.
+        The Frobenius x -> x^q is F_p-linear; column j of its matrix is
+        (x^j)^q = h^j, h = x^q: the first f powers of h, one
+        `power_blocks` run.  The trace is the sum of the matrix's first m
+        powers; it lands in F_q, so T T = m T (mod p), and a matrix that
+        fails this is a hard error.
         """
         p, f = self.p, self.f
-        modulus = list(self.modulus)
-        basis = np.eye(f, dtype=np.int64).tolist()
-        frob = np.array([_poly_pow_mod(e, q, modulus, p) for e in basis],
-                        dtype=np.int64).T
+        h = self._pow_poly(p % self.q, q)  # p encodes x (0 when f = 1)
+        frob = np.hstack([b.astype(np.int64) for b in self.power_blocks(h, f)])
         trace = np.eye(f, dtype=np.int64)
         power = trace
         for _ in range(m - 1):

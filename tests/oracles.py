@@ -10,7 +10,6 @@ from itertools import product
 import numpy as np
 
 from towerlim.charsums import (
-    gauss_sum,
     h_poly_tower,
     jacobi_sum,
     predicted_counts,
@@ -158,6 +157,21 @@ def fermat_count(ell, n, q):
     return rational_int(total)
 
 
+def twisted_gauss_sum(field, ell, level, v, a=1):
+    """g(psi_a, chi_v) = sum_{x != 0} psi(ax) chi_v(x), exact, summed
+    directly: the reference for g(psi_a, chi_v) = chi_v(a)^-1 g(psi, chi_v),
+    on which `h_poly_tower` takes one Gauss sum per unit orbit."""
+    d, n = ell**level, field.q - 1
+    ks = np.arange(n, dtype=np.int64)
+    ka = field.dlog(a % field.q)  # a = 0 mod q is refused here
+    traces = field.tr_abs_batch(field.exp_table)[(ks + ka) % n]
+    counts = np.zeros((field.p, d), dtype=np.int64)
+    np.add.at(counts, (traces, (v % d) * ks % d), 1)
+    ts, es = np.nonzero(counts)
+    return BiCycloRing(field.p, ell, level).from_exponent_counts(
+        {(int(t), int(e)): int(c) for t, e, c in zip(ts, es, counts[ts, es])})
+
+
 def artin_schreier_count(ell, n, q, m):
     """Points of y^q - y = x^d (d = l^n | q^m - 1) over K = F_{q^m}, the
     point at infinity included:
@@ -173,7 +187,7 @@ def artin_schreier_count(ell, n, q, m):
     for t in range(q - 1):
         a = int(big.exp_table[t * step])
         for j in range(1, ell**n):
-            total = total + gauss_sum(big, ell, n, j, a=a)
+            total = total + twisted_gauss_sum(big, ell, n, j, a=a)
     return rational_int(total)
 
 

@@ -160,13 +160,25 @@ def test_gauss_sum_complex_modulus():
     assert abs(abs(complex_value(g)) ** 2 - 13) < 1e-6
 
 
-def test_gauss_sum_twist_is_reduced_mod_q():
-    field = field_build(7, 1)
-    for a in (0, 7, -14):
-        with pytest.raises(InputError, match="nonzero"):
-            gauss_sum(field, 3, 1, 1, a=a)
-    assert gauss_sum(field, 3, 1, 1, a=8) == gauss_sum(field, 3, 1, 1, a=1)
-    assert gauss_sum(field, 3, 1, 1, a=-1) == gauss_sum(field, 3, 1, 1, a=6)
+@pytest.mark.parametrize("p, f", [(7, 3), (13, 2), (7, 1)])
+def test_prime_subfield_sums_match_integer_arithmetic_mod_p(p, f):
+    # Over the prime field of E = F_(p^f), against g' = G^((|E| - 1)/(p - 1)):
+    # psi(x) = zeta_p^x and the logs taken mod p, with no table of E beyond
+    # g' (the subfield trace is [E : F_p]^-1 Tr_E)
+    big = field_build(p, f)
+    g1 = int(big.exp_table[(big.q - 1) // (p - 1)])
+    log = {pow(g1, t, p): t for t in range(p - 1)}
+    ring = BiCycloRing(p, 3, 1)
+    for v in (1, 2):
+        want = ring.from_exponent_counts(
+            {(x, v * log[x] % 3): 1 for x in range(1, p)})
+        assert gauss_sum(big, 3, 1, v, sub_q=p) == want
+        for w in (1, 2):
+            terms = [(v * log[x] + w * log[1 - x + p]) % 3
+                     for x in range(2, p)]
+            assert jacobi_sum(big, 3, 1, v, w, sub_q=p) \
+                == ring.cyclo.from_exponent_counts(
+                    (e, terms.count(e)) for e in range(3))
 
 
 def test_char_level_requires_divisibility():

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import towerlim
-from towerlim import charsums
+from towerlim import charsums, cli
 from towerlim.charsums import (
     _generator_norm,
     gauss_sum,
@@ -29,14 +29,16 @@ from towerlim.charsums import (
     mult_order,
     prime_power_split,
 )
-from towerlim.cli import main
+from towerlim.cli import build_parser, main
 from towerlim.cyclo import BiCycloElem, BiCycloRing, CycloElem, CycloRing
-from towerlim.errors import CheckFailed, GuardExceeded
+from towerlim.errors import CheckFailed, GuardExceeded, InputError
 from towerlim.fields import field_build
+from towerlim.report import Timer
 
-from oracles import poly_mul, rational_int
+from oracles import poly_mul, rational_int, twisted_gauss_sum
 
-CASES = [(3, 4, 2), (3, 7, 1), (3, 7, 2), (3, 19, 2), (3, 25, 1), (5, 11, 1)]
+CASES = [(3, 4, 2), (3, 7, 1), (3, 7, 2), (3, 19, 2), (3, 25, 1), (5, 11, 1),
+         (5, 16, 1), (3, 16, 2)]
 
 
 def frobenius_reps(family, ell, m, q):
@@ -77,12 +79,13 @@ def serial_h(family, ell, q, n):
             out.append([c.coeffs[0] for c in h])
         else:
             step = (big.q - 1) // (q - 1)
-            zero = gauss_sum(big, ell, m, 1).ring.zero()
+            zero = BiCycloRing(p, ell, m).zero()
             h = [zero + 1]
             for t in range(q - 1):
                 a = int(big.exp_table[t * step])
                 for (v,) in reps:
-                    h = poly_mul(h, [1, gauss_sum(big, ell, m, v, a=a)], zero)
+                    s = twisted_gauss_sum(big, ell, m, v, a=a)
+                    h = poly_mul(h, [1, s], zero)
             out.append([rational_int(c) for c in h])
     return out
 
@@ -118,6 +121,25 @@ def test_artin_schreier_work_counts(monkeypatch):
     # one generator per level, S^e with e = 3, 9: e - 1 = 2 + 8 bicyclotomic
     # multiplies; its norm over c = 2, 6 conjugates: c (c + 1) / 2 = 3 + 21
     assert counts == {"mul": 24, "bimul": 10, "gauss": 2}
+
+
+def test_artin_schreier_takes_one_gauss_sum_per_unit_orbit(monkeypatch):
+    # F_16^* holds 15 twists a, but g(psi_a, chi) = chi(a)^-1 g(psi, chi):
+    # one sum per level (3 generates the units mod 3 and mod 9), over F_16
+    # and F_16^3; then the m = 1 descent rows (n1 = v_3(15) = 1) sum twice
+    # for each of the two Frobenius orbits {1, 7, 4}, {2, 5, 8} of level 2
+    calls = []
+    real = charsums.gauss_sum
+
+    def counting(field, ell, level, v, sub_q=None):
+        calls.append((field.q, level, sub_q))
+        return real(field, ell, level, v, sub_q=sub_q)
+
+    monkeypatch.setattr(charsums, "gauss_sum", counting)
+    rec = h_poly_tower("artin-schreier", 3, 16, 2)
+    assert rec["stabilization_passed"]
+    assert calls == [(16, 1, None), (4096, 2, None)] \
+        + [(4096, 2, None), (4096, 1, 16)] * 2
 
 
 def test_one_frobenius_scan_per_level(monkeypatch):
@@ -156,21 +178,23 @@ def test_norm_route_failures_name_where_they_broke():
                                  "generator": (1, 1), "coefficient": 0}
 
 
-@pytest.mark.parametrize("q, level", [(19, 1), (19, 2), (25, 1)])
+@pytest.mark.parametrize("q, level", [(19, 1), (19, 2), (25, 1), (16, 1)])
 def test_prime_field_twists_scale_a_gauss_sum_by_a_character_value(q, level):
-    # g(psi_(ca), chi_v) = chi_v-bar(c) g(psi_a, chi_v) for c in F_p^*, the
-    # identity that puts S^e in Z[zeta_(l^m)] (over F_25, chi_v is trivial
-    # on F_5^*: e = 1)
+    # g(psi_(ca), chi_v) = chi_v-bar(c) g(psi_a, chi_v) for every c in F_q^*,
+    # the identity on which h_poly_tower takes one Gauss sum per unit orbit;
+    # c in F_p^* puts S^e in Z[zeta_(l^m)] (over F_25 and F_16, chi_v is
+    # trivial on F_p^*)
     field = field_build(*prime_power_split(q))
     ring = CycloRing(3, level, None)
     for v in (1, 2, 3**level - 1):
         for a in (1, int(field.exp_table[5])):
-            g = gauss_sum(field, 3, level, v, a=a)
-            for c in range(1, field.p):
-                ca = int(field.exp_table[(field.dlog(c) + field.dlog(a))
-                                         % (q - 1)])
-                assert gauss_sum(field, 3, level, v, a=ca) \
-                    == g * ring.zeta(-v * field.dlog(c))
+            g = twisted_gauss_sum(field, 3, level, v, a=a)
+            assert g == gauss_sum(field, 3, level, v) \
+                * ring.zeta(-v * field.dlog(a))
+            for kc in range(q - 1):
+                ca = int(field.exp_table[(kc + field.dlog(a)) % (q - 1)])
+                assert twisted_gauss_sum(field, 3, level, v, a=ca) \
+                    == g * ring.zeta(-v * kc)
 
 
 def test_perturbed_gauss_sum_fails_the_zeta_command(monkeypatch, capsys):
@@ -231,6 +255,24 @@ def test_zeta_rejects_q_below_2_and_m_max_below_1(family, bad):
         env=env)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert "input error" in proc.stderr
+
+
+@pytest.mark.parametrize("name, family",
+                         [("fermat", "fermat"), ("as", "artin-schreier")])
+def test_m_max_above_64_is_refused_before_any_character_sum(
+        monkeypatch, capsys, name, family):
+    def forbidden(*args):
+        raise AssertionError("the character sums ran")
+
+    monkeypatch.setattr(cli, "h_poly_tower", forbidden)
+    command = ["zeta", name, "--ell", "3", "--q", "487", "--n", "3",
+               "--m-max", "65"]
+    assert main(command) == 3
+    assert "prediction range is capped at 64" in capsys.readouterr().err
+    with pytest.raises(InputError) as exc:
+        cli._tower_zeta_body(family, build_parser().parse_args(command),
+                             Timer())
+    assert exc.value.context == {"field": "m_max"}
 
 
 def _lie_about(monkeypatch, name, lie):

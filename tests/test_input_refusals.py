@@ -19,6 +19,7 @@ from towerlim.charsums import (
     coleman_gauss_check,
     coleman_jacobi_check,
     gauss_sum,
+    jacobi_sum,
     motivating_curve_counts,
     motivating_reference_poly,
     primitive_char_sum,
@@ -260,11 +261,12 @@ def _run(argv):
     (lambda: CycloRing(3, 1).one().galois_act(3), "a"),
     (lambda: BiCycloRing(4, 3, 1), "p"),
     (lambda: BiCycloRing(3, 3, 1), "p"),
-    (lambda: BiCycloRing(5, 3, 1).elem([[0, 0, 0]]), "mat"),
     # characters and sums
     (lambda: gauss_sum(field_build(7, 1), 3, 0, 1), "level"),
     (lambda: gauss_sum(field_build(7, 1), 3, 2, 1), "level"),
-    (lambda: gauss_sum(field_build(7, 1), 3, 1, 1, a=7), "a"),
+    (lambda: gauss_sum(field_build(7, 1), 3, 1, 1, sub_q=5), "sub_q"),
+    (lambda: gauss_sum(field_build(2, 4), 3, 1, 1, sub_q=4), "sub_q"),
+    (lambda: jacobi_sum(field_build(7, 1), 3, 1, 1, 1, sub_q=1), "sub_q"),
     (lambda: s_rho_n(3, 0, 7, 1, 1), "n"),
     (lambda: s_rho_n(3, 1, 7, 1, 0), "rho"),
     (lambda: s_rho_n(3, 2, 3, 1, 1), "q"),

@@ -14,7 +14,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from towerlim.cyclo import BiCycloRing, CycloRing, convolve
+from towerlim.cyclo import BiCycloElem, BiCycloRing, CycloRing, convolve
 
 PROPS = settings(derandomize=True, database=None, max_examples=80,
                  deadline=None)
@@ -107,8 +107,9 @@ def bicyclo_operands(draw):
     p, ell = draw(st.sampled_from(BI_RINGS))
     ring = BiCycloRing(p, ell, draw(st.integers(1, 2 if ell == 3 else 1)))
     return ring, [
-        ring.elem([draw(coefficients(ring.cols, (1 << BITS) - 1))
-                   for _ in range(ring.rows)])
+        BiCycloElem(ring, tuple(
+            tuple(draw(coefficients(ring.cols, (1 << BITS) - 1)))
+            for _ in range(ring.rows)))
         for _ in range(3)]
 
 
