@@ -16,8 +16,8 @@ coefficient product is one big-integer multiply whatever the modulus or
 degree, and the result is then wrapped mod l^n and folded as above.
 The integer polynomials of the package (zeta numerators, aggregate
 powers) are multiplied by the same :func:`convolve`, and every norm that
-Galois stability puts in the base ring comes down to integers through
-:func:`demote`.
+Galois stability puts in a subfield comes down to it through
+:func:`descend` (to integers: :func:`demote`).
 """
 
 from __future__ import annotations
@@ -67,18 +67,29 @@ def stretch(poly: Sequence[int], s: int) -> list[int]:
     return out
 
 
-def demote(rows: Iterable[Sequence[int]], what: str, **context) -> list[int]:
-    """row[0] of each row of basis coefficients, which Galois stability
-    puts in the base ring; the first row with a nonzero entry past row[0]
-    is a CheckFailed naming `what`, its index and `context`."""
+def descend(rows: Iterable[Sequence[int]], step: int | None, what: str,
+            **context) -> list[Sequence[int]]:
+    """Every `step`-th entry of each row of power-basis coefficients: for
+    a row over Q(zeta_(l^n)) and step = l^(n-k), its coordinates in the
+    subfield Q(zeta_(l^k)), whose power basis those entries are; step None
+    keeps row[0] alone, the base ring.  Galois stability puts the rows
+    there; the first row with a nonzero entry off them is a CheckFailed
+    naming `what`, its index and `context`."""
     out = []
     for i, row in enumerate(rows):
-        if any(row[1:]):
+        kept = row[:: step or len(row)]
+        if len(row) - row.count(0) != len(kept) - kept.count(0):
             raise CheckFailed(
                 f"{what}: coefficient {i} is not in the base ring; Galois "
                 "stability violated", **context, coefficient=i)
-        out.append(row[0])
+        out.append(kept)
     return out
+
+
+def demote(rows: Iterable[Sequence[int]], what: str, **context) -> list[int]:
+    """row[0] of each row of basis coefficients, which Galois stability
+    puts in the base ring (`descend` with step None)."""
+    return [row[0] for row in descend(rows, None, what, **context)]
 
 
 class CycloRing:
@@ -146,12 +157,29 @@ class CycloRing:
         return out
 
     def _mul_coeffs(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        # 2 phi - 1 < 2 l^n, so the exponents wrap mod l^n at most once.
-        conv = convolve(a, b)
+        return self._wrap_fold(convolve(a, b))
+
+    def _wrap_fold(self, conv: list[int]) -> list[int]:
+        """Reduce the 2 phi - 1 exponent coefficients of a product of two
+        basis vectors: 2 phi - 1 < 2 l^n, so they wrap mod l^n at most
+        once, and then fold to the power basis."""
         full = conv[: self.order]
         for e, c in enumerate(conv[self.order :]):
             full[e] += c
         return self._fold_top(full)
+
+    def poly_mul(self, a: Sequence[Sequence[int]],
+                 b: Sequence[Sequence[int]]) -> list[list[int]]:
+        """a(y) b(y) for polynomials over the ring, each an ascending list
+        of basis-coefficient rows: one `convolve` of the rows laid end to
+        end at stride 2 phi - 1, where the products of two rows cannot
+        overlap; each product row is then wrapped and folded."""
+        s = 2 * self.phi - 1
+        pad = (0,) * (self.phi - 1)
+        conv = convolve([x for row in a for x in (*row, *pad)],
+                        [x for row in b for x in (*row, *pad)])
+        return [self._wrap_fold(conv[i : i + s])
+                for i in range(0, (len(a) + len(b) - 1) * s, s)]
 
     # -- ring relations ---------------------------------------------------
 

@@ -15,7 +15,7 @@ from towerlim.charsums import (
     predicted_counts,
     prime_power_split,
 )
-from towerlim.cyclo import BiCycloRing, CycloElem, CycloRing
+from towerlim.cyclo import BiCycloRing, CycloElem, CycloRing, demote
 from towerlim.errors import CheckFailed, GuardExceeded, InputError
 from towerlim.fields import (
     _is_irreducible,
@@ -26,7 +26,14 @@ from towerlim.fields import (
 )
 from towerlim.matrices import mat_vec_mod
 from towerlim.padic import min_val
-from towerlim.tower import OrbitParams, matrix_log, r_poly
+from towerlim.tower import (
+    OrbitParams,
+    _group_ring_dtype,
+    _roll_add,
+    build_ring,
+    matrix_log,
+    r_poly,
+)
 
 
 def mat_pow_mod(a, e, mod):
@@ -361,6 +368,37 @@ def aggregates(spec):
     passes to the general rows when caching is off."""
     pieces = {}
     return {n: r_poly(spec, n, pieces) for n in range(1, spec.n_max + 1)}
+
+
+def serial_class_norm(spec, n, polys, members):
+    """The integer class norm prod over the members u of p_{n,u}, every
+    member's charpoly multiplied in, in the group ring (Z/l^prec)[C_(l^n)]:
+    acc[i] holds the l^n exponent coefficients of y^i, and each power-basis
+    term x z^t of each coefficient c_j of a member adds x times acc rolled
+    by t into the rows from j on, reduced mod l^prec once per member.  The
+    array holds int64 while (r+1) phi (l^prec - 1)^2 < 2^63, Python ints
+    otherwise.  Rows fold to the power basis at the end
+    (Z[x]/(x^(l^n) - 1) -> Z[z] is a ring map) and come down to integers
+    through `demote`.  The route `tower.r_poly` took before it formed each
+    norm by descent from the class rep alone."""
+    ring = build_ring(spec, n)
+    q = ring.qmod
+    dtype = _group_ring_dtype(ring, (spec.r + 1) * ring.phi * (q - 1))
+    acc = np.zeros((1, ring.order), dtype=dtype)
+    acc[0, 0] = 1
+    for u in members:
+        coeffs = polys[u]
+        rows = acc.shape[0]
+        new = np.zeros((rows + len(coeffs) - 1, ring.order), dtype=dtype)
+        for j, c in enumerate(coeffs):
+            out = new[j: j + rows]
+            for t, x in enumerate(c.coeffs):
+                if x:
+                    _roll_add(out, x * acc, t)
+        new %= q
+        acc = new
+    return demote((ring._fold_top(row.tolist()) for row in acc),
+                  f"serial class norm of rep {members[0]} at level {n}")
 
 
 def enumerated_orbit_params(spec, cap):

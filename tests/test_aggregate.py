@@ -1,12 +1,13 @@
 """r_n as the product of its class norms against the serial ring-element
-oracle, the norms' int64/object choice, their working-set guard, the
-context their checks carry, and that r_poly does no ring multiplies of its
-own; the Galois-transported p_{n,v} it multiplies against p_poly at every
-rep, and the class checks."""
+oracle, each norm's descent against the serial group-ring norm, the norms'
+working-set guard, the context their checks carry, and that r_poly does no
+ring multiplies of its own; the Galois-transported p_{n,v} it multiplies
+against p_poly at every rep, and the class checks."""
 
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -20,19 +21,26 @@ from towerlim.errors import CheckFailed, GuardExceeded
 from towerlim.matrices import orbit
 from towerlim.tower import (
     build_ring,
+    level_pieces,
     make_tower_spec,
     p_poly,
     primitive_orbit_reps,
     r_poly,
 )
 
-from oracles import poly_mul
+from oracles import poly_mul, serial_class_norm
 
 PROPS = settings(derandomize=True, database=None, max_examples=100,
                  deadline=None)
 
-GEN = make_tower_spec(3, 2, 1, [[4, 0], [3, 4]],
-                      [((0, 0), [[1]]), ((3, 1), [[1]])], 4)
+GEN_F = [((0, 0), [[1]]), ((3, 1), [[1]])]
+GEN = make_tower_spec(3, 2, 1, [[4, 0], [3, 4]], GEN_F, 4)
+# GEN at precision 20, where the serial norms' arrays hold Python ints
+GEN_P20 = make_tower_spec(3, 2, 1, [[4, 0], [3, 4]], GEN_F, 4, 20)
+# l = 5, r = 2: classes of 4 and 20 orbits, c = 4 * 5^a with a = 0 and 1
+L5OBJ = make_tower_spec(5, 2, 2, [[6, 5], [0, 6]], [
+    ((0, 0), [[1, 0], [0, 1]]), ((1, 2), [[0, 1], [1, 1]]),
+    ((2, 0), [[2, -1], [0, 1]])], 3)
 
 
 def oracle_r_poly(spec, n):
@@ -98,6 +106,36 @@ def test_group_ring_aggregate_matches_oracle(case):
     assert_matches_oracle(spec, n)
 
 
+def assert_norms_match_serial(spec, n):
+    """Each class norm by descent from its rep equals the serial product
+    of all its members' charpolys; returns the class sizes."""
+    level = level_pieces(spec, n)
+    for members in level.classes:
+        v = members[0]
+        stages = tower._descent_stages(spec.ell, len(members))
+        assert (tower._class_norm(spec, n, v, level.polys[v], stages)
+                == serial_class_norm(spec, n, level.polys, members))
+    return {len(c) for c in level.classes}
+
+
+@pytest.mark.parametrize("spec, n, sizes", [
+    (GEN, 1, {2}), (GEN, 2, {2, 6}), (GEN, 3, {2, 18}),
+    (GEN, 4, {2, 6, 54}), (GEN_P20, 4, {2, 6, 54}),
+    (L5OBJ, 1, {4}), (L5OBJ, 2, {4, 20}),
+], ids=["gen-1", "gen-2", "gen-3", "gen-4", "gen-p20-4", "l5obj-1",
+        "l5obj-2"])
+def test_descent_matches_the_serial_class_norm(spec, n, sizes):
+    assert assert_norms_match_serial(spec, n) == sizes
+
+
+@PROPS
+@given(towers())
+def test_descent_matches_the_serial_class_norm_on_random_towers(case):
+    spec, n = case
+    for m in range(1, n + 1):
+        assert_norms_match_serial(spec, m)
+
+
 @PROPS
 @given(towers())
 def test_transported_memo_matches_p_poly_at_every_rep(case):
@@ -126,25 +164,25 @@ def test_one_direct_charpoly_per_class_and_one_per_check(monkeypatch):
 
 @pytest.mark.parametrize("q", [[[1, 3], [0, 1]], [[4, 3], [0, 1]]])
 @pytest.mark.parametrize("r", [1, 2])
-@pytest.mark.parametrize("prec, dtype", [(None, np.int64), (40, object)])
-def test_aggregate_matches_oracle_with_mixed_orbit_sizes(q, r, prec, dtype):
+# `side`: the dtype the serial group-ring norms take at that precision
+@pytest.mark.parametrize("prec, side", [(None, "int64"), (40, "object")])
+def test_aggregate_matches_oracle_with_mixed_orbit_sizes(q, r, prec, side):
     mats = [[[(i + 2 * j + t) % 5 - 2 for j in range(r)] for i in range(r)]
             for t in range(3)]
     spec = make_tower_spec(3, 2, r, q, list(zip(
         [(0, 0), (1, 2), (3, 1)], mats)), 2, prec)
-    assert tower._aggregate_dtype(spec, build_ring(spec, 2)) is dtype
     assert assert_matches_oracle(spec, 2)["orbit_sizes"] == [1, 3]
 
 
 def test_aggregate_dtype_at_the_int64_bound():
+    # the serial group-ring norms' int64/object boundary:
     # (r+1) * phi * (3^19 - 1)^2 is about 5.4e18 < 2^63 at phi = 2 and
     # about 1.6e19 > 2^63 at phi = 6
     spec = make_tower_spec(3, 1, 1, [[4]], [((0,), [[2]]), ((1,), [[-1]])],
                            2, 19)
-    assert tower._aggregate_dtype(spec, build_ring(spec, 1)) is np.int64
-    assert tower._aggregate_dtype(spec, build_ring(spec, 2)) is object
     for n in (1, 2):
         assert_matches_oracle(spec, n)
+        assert_norms_match_serial(spec, n)
 
 
 ZERO_F = {"ell": 5, "b": 1, "r": 1, "Q": [[6]],
@@ -194,13 +232,24 @@ def test_aggregate_does_no_ring_multiplies(monkeypatch):
     assert outside == []
 
 
+def convolve_bytes(m1, m2, q):
+    """The guard's estimate of one convolve of m1 and m2 entries below q,
+    written out: per output slot, three w-byte packed slots, a list
+    pointer and one Python int."""
+    bound = (q - 1) ** 2 * min(m1, m2)
+    w = (bound.bit_length() + 8) // 8
+    return (m1 + m2 - 1) * (3 * w + 8 + sys.getsizeof(bound))
+
+
 def test_aggregate_memory_guard_names_level_degree_and_estimate(monkeypatch):
     pieces = {}
     want, _ = r_poly(GEN, 3, pieces)
-    # the largest class at level 3, of (1, 0), has 18 orbits: three int64
-    # arrays of (18 + 1) x 3^3
+    # the largest class at level 3, of (1, 0), has 18 = 2 * 3^2 orbits: p
+    # lies in K_3 (phi 18, rows padded to stride 35), and the last product
+    # of its stage multiplies two conjugates (degree 2, 3 rows) by a third
+    # (2 rows); the stages below, in K_2 and K_1, are smaller
     assert max(map(len, pieces[3].classes)) == 18
-    need = 3 * 19 * 27 * 8
+    need = convolve_bytes(3 * 35, 2 * 35, 3**14)
     monkeypatch.setattr(tower, "MAX_PRODUCT_BYTES", need)
     assert r_poly(GEN, 3, pieces)[0] == want
     monkeypatch.setattr(tower, "MAX_PRODUCT_BYTES", need - 1)
@@ -225,9 +274,11 @@ def _write_gen(tmp_path):
 
 def test_converge_exits_4_when_the_aggregate_would_not_fit(
         monkeypatch, tmp_path, capsys):
-    # level 1's class norms need 3 * 3 * 3 * 8 = 216 bytes each, level 2's
-    # six-orbit class of (1, 0) 3 * 7 * 9 * 8 = 1512; every twisted product
-    # needs at most 3 * 9 * 8 = 216
+    # precision 10: level 1's and level 2's two-orbit class norms multiply
+    # two conjugates in K_1 (2 rows at stride 3 each); level 2's six-orbit
+    # class of (1, 0) two conjugates by a third in K_2 (3 and 2 rows at
+    # stride 11); every twisted product needs at most 3 * 9 * 8 = 216
+    assert convolve_bytes(6, 6, 3**10) < 1000 < convolve_bytes(33, 22, 3**10)
     monkeypatch.delenv("TOWERLIM_CACHE", raising=False)
     monkeypatch.setattr(tower, "MAX_PRODUCT_BYTES", 1000)
     assert main(["converge", "--config", _write_gen(tmp_path),

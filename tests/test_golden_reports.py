@@ -12,7 +12,11 @@ serial product of linear factors, before it moved to exact traces.  The
 two `converge-general-6xx` cases, the benchmark's general configs at seeds
 603 and 607 (F = a + c t1^3 t2 with a + c = 0 and a = c = -3, many vanishing
 coefficients), were recorded while r_n was still multiplied out one ring
-element at a time, before it moved to the group ring.
+element at a time, before it moved to the group ring.  The
+`converge-general-l5obj` case (l = 5, r = 2) was recorded while each class
+norm was still the product of all its members in group-ring arrays of
+Python ints, a 70 s run, before the norms moved to descent down the
+cyclotomic tower.
 """
 
 from __future__ import annotations
@@ -53,6 +57,21 @@ GENERAL_CONFIG = {
     ],
     "n_max": 4,
 }
+
+L5OBJ_CONFIG = {
+    "name": "l5obj",
+    "ell": 5,
+    "b": 2,
+    "r": 2,
+    "Q": [[6, 5], [0, 6]],
+    "F": [
+        {"exponents": [0, 0], "matrix": [[1, 0], [0, 1]]},
+        {"exponents": [1, 2], "matrix": [[0, 1], [1, 1]]},
+        {"exponents": [2, 0], "matrix": [[2, -1], [0, 1]]},
+    ],
+    "n_max": 3,
+}
+
 
 def seeded_general_config(a: int, c: int) -> dict:
     """The benchmark's general config for F = a + c t1^3 t2 at n_max 4."""
@@ -126,6 +145,11 @@ CASES = {
         ["converge", "--config", "{cfg}", "--mode", "general"],
         seeded_general_config(-3, -3),
         "f3830b66fc5262bccbe629ea3d5800980437be97d970141517f897bfc47329b3",
+    ),
+    "converge-general-l5obj": (
+        ["converge", "--config", "{cfg}", "--mode", "general"],
+        L5OBJ_CONFIG,
+        "6c3ce89e8054fb5dde5284b52cfffd406828f4d099fda1739c3e6392d7866d08",
     ),
 }
 

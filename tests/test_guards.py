@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -92,10 +93,15 @@ CASES = {
                           "need": 1 * (6 * 7 // 2) * 6 * 6 * (9 * 9 // 2 + 1)
                           + 3888 * 3888 * (9 // 2 + 1),
                           "limit": NORM_WORK_CAP}),
-    # the class of (1, 0) at level 2 has six orbits: its norm has degree 6
+    # the class of (1, 0) at level 2 has six orbits: its norm has degree 6,
+    # and its largest convolve multiplies two conjugates in K_2 (3 rows at
+    # stride 11) by a third (2 rows), entries below 3^14: 54 output slots
+    # of 7 bytes, since (3^14 - 1)^2 * 22 < 2^49 leaves a sign bit in 56
     "aggregate": (_aggregate_at_1000_bytes,
                   {"level": 2, "rep": (1, 0), "degree": 6,
-                   "need": 3 * 7 * 9 * 8, "limit": 1000}),
+                   "need": (33 + 22 - 1) * (
+                       3 * 7 + 8 + sys.getsizeof((3**14 - 1) ** 2 * 22)),
+                   "limit": 1000}),
 }
 
 

@@ -238,55 +238,87 @@ def _run(argv):
     return args.func(args)
 
 
+# Each case's id is explicit, so that deleting a case renames no other.  The
+# ids are the names pytest gave the cases while it numbered repeated fields
+# itself.
 @pytest.mark.parametrize("call, field", [
     # the CLI parsers
-    (lambda: _run(["arnold", "--matrix", "a,b;c,d", "--ell", "3", "--n", "1"]),
-     "matrix"),
-    (lambda: _run(["arnold", "--matrix", "1,2;3", "--ell", "3", "--n", "1"]),
-     "matrix"),
-    (lambda: arnold_zarelua_check([[1]], 4, 1), "ell"),
-    (lambda: arnold_zarelua_check([[1]], 3, -1), "n"),
-    (lambda: check_square([]), "matrix"),
+    pytest.param(lambda: _run(["arnold", "--matrix", "a,b;c,d",
+                               "--ell", "3", "--n", "1"]),
+                 "matrix", id="<lambda>-matrix0"),
+    pytest.param(lambda: _run(["arnold", "--matrix", "1,2;3",
+                               "--ell", "3", "--n", "1"]),
+                 "matrix", id="<lambda>-matrix1"),
+    pytest.param(lambda: arnold_zarelua_check([[1]], 4, 1), "ell",
+                 id="<lambda>-ell"),
+    pytest.param(lambda: arnold_zarelua_check([[1]], 3, -1), "n",
+                 id="<lambda>-n0"),
+    pytest.param(lambda: check_square([]), "matrix", id="<lambda>-matrix2"),
     # qsum
-    (lambda: qsum_rows(_spec(b=2), [1], [1, 1], 1, 2), "lambda"),
-    (lambda: qsum_rows(_spec(b=2), [1, 1], [1], 1, 2), "v"),
-    (lambda: qsum_rows(_spec(), [1], [1], 0, 2), "n_range"),
-    (lambda: qsum_rows(_spec(), [1], [1], 3, 2), "n_range"),
-    (lambda: qsum_rows(_spec(r=2), [1], [1], 1, 2, emit_products=True),
-     "emit_products"),
+    pytest.param(lambda: qsum_rows(_spec(b=2), [1], [1, 1], 1, 2), "lambda",
+                 id="<lambda>-lambda"),
+    pytest.param(lambda: qsum_rows(_spec(b=2), [1, 1], [1], 1, 2), "v",
+                 id="<lambda>-v0"),
+    pytest.param(lambda: qsum_rows(_spec(), [1], [1], 0, 2), "n_range",
+                 id="<lambda>-n_range0"),
+    pytest.param(lambda: qsum_rows(_spec(), [1], [1], 3, 2), "n_range",
+                 id="<lambda>-n_range1"),
+    pytest.param(lambda: qsum_rows(_spec(r=2), [1], [1], 1, 2,
+                                   emit_products=True),
+                 "emit_products", id="<lambda>-emit_products"),
     # the rings
-    (lambda: CycloRing(3, 0), "level"),
-    (lambda: CycloRing(3, 1, 0), "prec"),
-    (lambda: CycloRing(3, 1).elem([1, 2, 3]), "coeffs"),
-    (lambda: CycloRing(3, 1).one().galois_act(3), "a"),
-    (lambda: BiCycloRing(4, 3, 1), "p"),
-    (lambda: BiCycloRing(3, 3, 1), "p"),
+    pytest.param(lambda: CycloRing(3, 0), "level", id="<lambda>-level0"),
+    pytest.param(lambda: CycloRing(3, 1, 0), "prec", id="<lambda>-prec"),
+    pytest.param(lambda: CycloRing(3, 1).elem([1, 2, 3]), "coeffs",
+                 id="<lambda>-coeffs"),
+    pytest.param(lambda: CycloRing(3, 1).one().galois_act(3), "a",
+                 id="<lambda>-a"),
+    pytest.param(lambda: BiCycloRing(4, 3, 1), "p", id="<lambda>-p0"),
+    pytest.param(lambda: BiCycloRing(3, 3, 1), "p", id="<lambda>-p1"),
     # characters and sums
-    (lambda: gauss_sum(field_build(7, 1), 3, 0, 1), "level"),
-    (lambda: gauss_sum(field_build(7, 1), 3, 2, 1), "level"),
-    (lambda: gauss_sum(field_build(7, 1), 3, 1, 1, sub_q=5), "sub_q"),
-    (lambda: gauss_sum(field_build(2, 4), 3, 1, 1, sub_q=4), "sub_q"),
-    (lambda: jacobi_sum(field_build(7, 1), 3, 1, 1, 1, sub_q=1), "sub_q"),
-    (lambda: s_rho_n(3, 0, 7, 1, 1), "n"),
-    (lambda: s_rho_n(3, 1, 7, 1, 0), "rho"),
-    (lambda: s_rho_n(3, 2, 3, 1, 1), "q"),
-    (lambda: s_rho_n(3, 2, 7, 1, 2), "rho"),
-    (lambda: primitive_char_sum(3, 1, [], []), "shape"),
-    (lambda: primitive_char_sum(3, 1, [1], []), "lam"),
-    (lambda: primitive_char_sum(3, 1, [0, 1], [1, 1]), "shape"),
-    (lambda: primitive_char_sum(3, 2, [1], [1]), "shape"),
-    (lambda: zeta_from_counts(5, -1, []), "genus"),
-    (lambda: zeta_from_counts(5, 1, [6]), "counts"),
-    (lambda: motivating_curve_counts(1), "level"),
-    (lambda: motivating_reference_poly(1), "level"),
-    (lambda: charsums.fermat_enum_count(7, 0), "d"),
+    pytest.param(lambda: gauss_sum(field_build(7, 1), 3, 0, 1), "level",
+                 id="<lambda>-level1"),
+    pytest.param(lambda: gauss_sum(field_build(7, 1), 3, 2, 1), "level",
+                 id="<lambda>-level2"),
+    pytest.param(lambda: gauss_sum(field_build(7, 1), 3, 1, 1, sub_q=5),
+                 "sub_q", id="<lambda>-sub_q0"),
+    pytest.param(lambda: gauss_sum(field_build(2, 4), 3, 1, 1, sub_q=4),
+                 "sub_q", id="<lambda>-sub_q1"),
+    pytest.param(lambda: jacobi_sum(field_build(7, 1), 3, 1, 1, 1, sub_q=1),
+                 "sub_q", id="<lambda>-sub_q2"),
+    pytest.param(lambda: s_rho_n(3, 0, 7, 1, 1), "n", id="<lambda>-n1"),
+    pytest.param(lambda: s_rho_n(3, 1, 7, 1, 0), "rho", id="<lambda>-rho0"),
+    pytest.param(lambda: s_rho_n(3, 2, 3, 1, 1), "q", id="<lambda>-q0"),
+    pytest.param(lambda: s_rho_n(3, 2, 7, 1, 2), "rho", id="<lambda>-rho1"),
+    pytest.param(lambda: primitive_char_sum(3, 1, [], []), "shape",
+                 id="<lambda>-shape0"),
+    pytest.param(lambda: primitive_char_sum(3, 1, [1], []), "lam",
+                 id="<lambda>-lam"),
+    pytest.param(lambda: primitive_char_sum(3, 1, [0, 1], [1, 1]), "shape",
+                 id="<lambda>-shape1"),
+    pytest.param(lambda: primitive_char_sum(3, 2, [1], [1]), "shape",
+                 id="<lambda>-shape2"),
+    pytest.param(lambda: zeta_from_counts(5, -1, []), "genus",
+                 id="<lambda>-genus"),
+    pytest.param(lambda: zeta_from_counts(5, 1, [6]), "counts",
+                 id="<lambda>-counts"),
+    pytest.param(lambda: motivating_curve_counts(1), "level",
+                 id="<lambda>-level3"),
+    pytest.param(lambda: motivating_reference_poly(1), "level",
+                 id="<lambda>-level4"),
+    pytest.param(lambda: charsums.fermat_enum_count(7, 0), "d",
+                 id="<lambda>-d"),
     # Coleman
-    (lambda: coleman_jacobi_check(3, 5, 1, 1), "q"),
-    (lambda: coleman_jacobi_check(3, 7, 3, 1), "v1"),
-    (lambda: coleman_jacobi_check(3, 7, 1, 3), "v2"),
-    (lambda: coleman_jacobi_check(3, 7, 1, 2), "v1+v2"),
-    (lambda: coleman_gauss_check(3, 5), "q"),
-    (lambda: coleman_gauss_check(3, 7, 3), "v"),
+    pytest.param(lambda: coleman_jacobi_check(3, 5, 1, 1), "q",
+                 id="<lambda>-q1"),
+    pytest.param(lambda: coleman_jacobi_check(3, 7, 3, 1), "v1",
+                 id="<lambda>-v1"),
+    pytest.param(lambda: coleman_jacobi_check(3, 7, 1, 3), "v2",
+                 id="<lambda>-v2"),
+    pytest.param(lambda: coleman_jacobi_check(3, 7, 1, 2), "v1+v2",
+                 id="<lambda>-v1+v2"),
+    pytest.param(lambda: coleman_gauss_check(3, 5), "q", id="<lambda>-q2"),
+    pytest.param(lambda: coleman_gauss_check(3, 7, 3), "v", id="<lambda>-v3"),
 ])
 def test_refusals_name_their_field(call, field):
     with pytest.raises(InputError) as exc:
