@@ -42,7 +42,7 @@ from .fields import (
     prime_factors,
 )
 from .matfermat import det_from_traces, traces_from_det
-from .matrices import orbit, orbit_reps
+from .matrices import mat_step, orbit, orbit_reps
 from .padic import check_odd_prime, int_val, min_val, primitive_root
 
 ENUM_CAP = 10**7
@@ -148,7 +148,7 @@ def _powers(q: int, mod: int) -> list[int]:
     """q^0, q^1, ..., q^(k-1) mod `mod`: the orbit of 1 under x -> q*x."""
     if math.gcd(q, mod) != 1:
         raise InputError(f"{q} is not invertible mod {mod}", field="q")
-    return [t for (t,) in orbit([[q]], (1,), mod)]
+    return [t for (t,) in orbit(mat_step([[q]], mod), (1 % mod,), mod)]
 
 
 def mult_order(q: int, mod: int) -> int:

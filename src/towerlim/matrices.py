@@ -5,8 +5,10 @@
   explicit `one`/`zero` ring constants where it cannot infer them, and the
   characteristic polynomial uses the Berkowitz algorithm, which is
   division-free and therefore valid verbatim over these rings.
-* Orbits of (Z/M)^b under an integer matrix: `orbit` is the one orbit
-  walker, and the scan `orbit_reps` keeps which orbit each point fell in.
+* Orbits: `orbit` is the one orbit walker, under any step.  Matrix walks
+  step by `mat_step`; the scan `orbit_reps` of (Z/M)^b under an integer
+  matrix steps through a successor table built in numpy, and keeps which
+  orbit each point fell in.
 """
 
 from __future__ import annotations
@@ -15,9 +17,14 @@ from array import array
 from itertools import product
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import CheckFailed
 
 Matrix = Sequence[Sequence]
+
+# Points a numpy pass of `successor_table` holds at once.
+_SLAB = 1 << 14
 
 
 def mat_identity(r: int, one, zero) -> list[list]:
@@ -114,25 +121,30 @@ def mat_vec_mod(a: Matrix, v: Sequence[int], mod: int) -> tuple[int, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) % mod for row in a)
 
 
-def orbit(step: Matrix, v: Sequence[int], mod: int,
-          **context) -> list[tuple[int, ...]]:
-    """The orbit v, step*v, step^2*v, ... mod `mod`, up to its return to v.
+def mat_step(a: Matrix, mod: int) -> Callable[[Sequence[int]],
+                                               tuple[int, ...]]:
+    """`mat_vec_mod` bound to the matrix a and the modulus `mod`: the step
+    v -> a*v mod `mod` of a matrix walk."""
+    return lambda v: mat_vec_mod(a, v, mod)
 
-    The one orbit walk.  An invertible step closes it within mod^b steps;
-    one still open then is a CheckFailed carrying `rep` and `context`.
+
+def orbit(step: Callable, v, limit: int, **context) -> list:
+    """The orbit v, step(v), step(step(v)), ... up to its return to v.
+
+    The one orbit walk.  A step that permutes a set of `limit` points
+    closes it within `limit` steps; one still open then is a CheckFailed
+    carrying `rep` and `context`.
     """
-    v = tuple(x % mod for x in v)
-    limit = mod ** len(v)
     members = [v]
-    w = mat_vec_mod(step, v, mod)
+    w = step(v)
     while w != v:
         if len(members) >= limit:
             raise CheckFailed(
-                f"orbit of {v} mod {mod} did not close within {limit} steps",
+                f"orbit of {v} did not close within {limit} steps",
                 rep=v, **context,
             )
         members.append(w)
-        w = mat_vec_mod(step, w, mod)
+        w = step(w)
     return members
 
 
@@ -151,15 +163,36 @@ class Orbits(list):
     def orbit_of(self, w: Sequence[int]) -> int:
         """Position in the list of the orbit holding the kept point w,
         entries in [0, mod)."""
-        return self._labels[_point_index(w, self._mod)] - 1
+        idx = 0
+        for x in w:
+            idx = idx * self._mod + x
+        return self._labels[idx] - 1
 
 
-def _point_index(w: Sequence[int], mod: int) -> int:
-    """Position in the lex scan of w, entries in [0, mod)."""
-    idx = 0
-    for x in w:
-        idx = idx * mod + x
-    return idx
+def successor_table(step: Matrix, mod: int, b: int) -> array:
+    """Entry i is the lex-scan index of step*v mod `mod`, v the point of
+    (Z/mod)^b at index i: 4 bytes a point.
+
+    Built in numpy, a slab of _SLAB consecutive indices at a time: each
+    slab's coordinates, then each coordinate of step*v, reduced and
+    weighted by its place value, so nothing but the table grows with
+    mod^b.
+    """
+    total = mod**b
+    if total >= 2**31:
+        raise OverflowError(f"{total} points do not fit 4-byte indices")
+    table = array("i", [0]) * total
+    out = np.frombuffer(table, dtype=np.int32)
+    rows = [[a % mod for a in row] for row in step]  # products fit int64
+    places = [mod ** (b - 1 - j) for j in range(b)]
+    for start in range(0, total, _SLAB):
+        idx = np.arange(start, min(start + _SLAB, total), dtype=np.int64)
+        coords = [idx // place % mod for place in places]
+        succ = np.zeros_like(idx)
+        for row, place in zip(rows, places):
+            succ += sum(a * x for a, x in zip(row, coords)) % mod * place
+        out[start:start + len(idx)] = succ
+    return table
 
 
 def orbit_reps(
@@ -171,19 +204,24 @@ def orbit_reps(
     """Orbits of v -> step*v on (Z/mod)^b: lex-least members with sizes.
 
     Points are scanned in ascending lex order.  Each unseen point passing
-    `keep` starts a walk that labels its whole orbit in a dense array of
+    `keep` starts an `orbit` walk through the `successor_table`, one read
+    a step, that labels its whole orbit by index in a dense array of
     mod^b 4-byte orbit numbers (0 for unseen), so the point is its orbit's
-    lex-least member, and the labels answer `Orbits.orbit_of` later.
-    `step` must be invertible mod `mod` and `keep` invariant under it;
-    callers bound mod^b before calling.
+    lex-least member, and the labels answer `Orbits.orbit_of` later.  The
+    scan holds 8 bytes a point, the table and the labels, besides the
+    member list of the orbit it walks.  `step` must be invertible mod
+    `mod` and `keep` invariant under it; callers bound mod^b before
+    calling.
     """
-    labels = array("i", [0]) * mod**b
+    total = mod**b
+    successor = successor_table(step, mod, b).__getitem__
+    labels = array("i", [0]) * total
     reps = []
     for idx, v in enumerate(product(range(mod), repeat=b)):
         if labels[idx] or not keep(v):
             continue
-        members = orbit(step, v, mod)
+        members = orbit(successor, idx, total, point=v)
         reps.append((v, len(members)))
         for w in members:
-            labels[_point_index(w, mod)] = len(reps)
+            labels[w] = len(reps)
     return Orbits(reps, labels, mod)

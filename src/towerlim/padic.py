@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import InputError
-from .matrices import orbit
+from .matrices import mat_step, orbit
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -56,7 +56,7 @@ def primitive_root(ell: int, m: int) -> int:
     d = ell**m
     phi = d - d // ell
     return next(g for g in range(2, d + 1)
-                if g % ell and len(orbit([[g]], (1,), d)) == phi)
+                if g % ell and len(orbit(mat_step([[g]], d), (1,), d)) == phi)
 
 
 def int_val(ell: int, m: int) -> int:

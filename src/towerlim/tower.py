@@ -39,6 +39,7 @@ from .matrices import (
     det_one_minus_y,
     mat_identity,
     mat_mul,
+    mat_step,
     orbit,
     orbit_reps,
 )
@@ -240,6 +241,14 @@ def primitive_orbit_reps(spec: TowerSpec, n: int) -> Orbits:
                       keep=lambda v: any(x % ell for x in v))
 
 
+def _q_orbit(spec: TowerSpec, n: int, v: Sequence[int]) -> list:
+    """The orbit of v mod l^n under Q: v reduced, Q v, Q^2 v, ...,
+    walked by `orbit`, which names level n and v if it does not close."""
+    mod = spec.ell**n
+    return orbit(mat_step(spec.q_matrix, mod), tuple(x % mod for x in v),
+                 mod**spec.b, level=n)
+
+
 def matrix_log(m: Sequence[Sequence[int]], ell: int,
                work: int) -> list[list[int]]:
     """Residues mod l^work of log m = sum (-1)^(k+1) (m - I)^k / k.
@@ -415,7 +424,7 @@ def frobenius_product(spec: TowerSpec, n: int, v: Sequence[int],
     acc = np.zeros((r, size, r), dtype=dtype)
     for i in range(r):
         acc[i, 0, i] = 1
-    for w in reversed(orbit(spec.q_matrix, v, size, level=n)):
+    for w in reversed(_q_orbit(spec, n, v)):
         new = np.zeros_like(acc)
         for term, m in zip(spec.f_terms, mats):
             d = sum(e * x for e, x in zip(term.exponents, w))
@@ -444,12 +453,23 @@ def p_poly(spec: TowerSpec, n: int,
 class LevelPieces:
     """What a run reads of one level, built once by `level_pieces`: its one
     orbit scan (an `Orbits`), k_n, the unit classes (each a tuple of member
-    reps, its own rep first) and every p_{n,v} by rep."""
+    reps, its own rep first), p_{n,v} by rep as far as computed or read,
+    and each rep's (class rep, unit a): p_{n,u} = sigma_a(p_{n,v})."""
 
     reps: Orbits
     k_n: int
     classes: tuple
     polys: dict
+    units: dict
+
+    def charpoly(self, u: tuple) -> tuple[CycloElem, ...]:
+        """p_{n,u} for the rep u, transported from its class rep's on
+        first read."""
+        p = self.polys.get(u)
+        if p is None:
+            v, a = self.units[u]
+            p = self.polys[u] = _galois(self.polys[v], a)
+        return p
 
     def work(self) -> dict:
         """Reps, classes, and the charpolys computed directly: one per
@@ -477,7 +497,8 @@ def _check_transport(n: int, rep: tuple, member: tuple, unit: int,
 
 def level_pieces(spec: TowerSpec, n: int) -> LevelPieces:
     """The record of level n: its one orbit scan, k_n, the unit classes and
-    every p_{n,v} by Galois transport, with a direct check per class.
+    the p_{n,v} of each class rep, with a direct check per class; every
+    other p_{n,u} is a Galois transport, made when it is first read.
 
     The scan is `primitive_orbit_reps(spec, n)`, never empty (e_1 is
     primitive).  Q = I mod l makes every orbit size a power of l (the
@@ -492,8 +513,8 @@ def level_pieces(spec: TowerSpec, n: int) -> LevelPieces:
     g the least primitive root mod l^n, a class walks g^i v by `orbit` from
     its lex-least rep v and looks each point's orbit up in the scan's
     labels, until g^c v is back in the orbit of v: its c orbits are those
-    of v, g v, ..., g^(c-1) v.  p_{n,v} is computed directly and the other
-    members transported.
+    of v, g v, ..., g^(c-1) v.  p_{n,v} is computed directly and each
+    other member's unit recorded for `LevelPieces.charpoly`.
 
     Two checks per class, always on; a mismatch is a CheckFailed naming
     level, rep, member, unit and coefficient:
@@ -515,31 +536,34 @@ def level_pieces(spec: TowerSpec, n: int) -> LevelPieces:
     g = primitive_root(spec.ell, n)
     g_mat = [[g if i == j else 0 for j in range(spec.b)]
              for i in range(spec.b)]
+    step = mat_step(g_mat, mod)
     polys = {}
+    units = {}  # rep u -> (class rep v, unit a), p_{n,u} = sigma_a(p_{n,v})
     classes = []
     for v, _ in reps:
-        if v in polys:
+        if v in units:
             continue
         members = []  # (orbit rep, unit) of v, g v, ..., g^(c-1) v
         unit = 1
-        for w in orbit(g_mat, v, mod, level=n):
+        for w in orbit(step, v, mod**spec.b, level=n):
             u = reps[reps.orbit_of(w)][0]
             if members and u == v:
                 break
             members.append((u, unit))
             unit = unit * g % mod
-        p = p_poly(spec, n, v)
+        p = polys[v] = p_poly(spec, n, v)
         _check_transport(n, v, v, unit, p, _galois(p, unit),
                          "stabiliser check")
-        polys[v] = p
-        for u, a in members[1:]:
-            polys[u] = _galois(p, a)
+        for u, a in members:
+            units[u] = (v, a)
         if len(members) > 1:
             u = members[1][0]
+            polys[u] = _galois(p, g)
             _check_transport(n, v, u, g, polys[u], p_poly(spec, n, u),
                              "direct check")
         classes.append(tuple(u for u, _ in members))
-    return LevelPieces(reps, min(s for _, s in reps), tuple(classes), polys)
+    return LevelPieces(reps, min(s for _, s in reps), tuple(classes), polys,
+                       units)
 
 
 def _descent_stages(ell: int, c: int) -> list:
@@ -743,8 +767,8 @@ def scalar_congruence_rows(spec: TowerSpec, params: OrbitParams,
             required = int_val(spec.ell, size_hi) if size_hi > 1 else 0
             # both coefficient lists, spread over the ring basis
             measured, sat = poly_diff_val(
-                [x for c in hi.polys[v] for x in c.coeffs],
-                [x for c in lo.polys[v] for x in c.embed_up().coeffs],
+                [x for c in hi.charpoly(v) for x in c.coeffs],
+                [x for c in lo.charpoly(v) for x in c.embed_up().coeffs],
                 spec.ell, spec.prec,
             )
             rows.append(
@@ -833,7 +857,7 @@ def qsum_rows(
     prev_prod = None
     for n in range(n_lo, n_hi + 1):
         ring = CycloRing(spec.ell, n, None)
-        members = orbit(spec.q_matrix, v, spec.ell**n, level=n)
+        members = _q_orbit(spec, n, v)
         k = len(members)
         s = ring.from_exponent_counts(
             (sum(a * x for a, x in zip(lam, w)), 1) for w in members

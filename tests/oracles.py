@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from fractions import Fraction
 from itertools import product
 
@@ -24,7 +25,7 @@ from towerlim.fields import (
     field_build,
     prime_factors,
 )
-from towerlim.matrices import mat_vec_mod
+from towerlim.matrices import Orbits, mat_step, mat_vec_mod, orbit
 from towerlim.padic import min_val
 from towerlim.tower import (
     OrbitParams,
@@ -57,6 +58,26 @@ def mat_pow_mod(a, e, mod):
         if e:
             base = mul(base, base)
     return out
+
+
+def serial_orbit_reps(step, mod, b, keep):
+    """The orbit scan `matrices.orbit_reps` made before its successor
+    table: each unseen kept point, in ascending lex order, walks its orbit
+    one `mat_vec_mod` at a time, and every member is labelled by its
+    position in the lex scan."""
+    labels = array("i", [0]) * mod**b
+    reps = []
+    for idx, v in enumerate(product(range(mod), repeat=b)):
+        if labels[idx] or not keep(v):
+            continue
+        members = orbit(mat_step(step, mod), v, mod**b)
+        reps.append((v, len(members)))
+        for w in members:
+            pos = 0
+            for x in w:
+                pos = pos * mod + x
+            labels[pos] = len(reps)
+    return Orbits(reps, labels, mod)
 
 
 def poly_mul(a, b, zero, stretch=1):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import time
 
+from towerlim import tower
 from towerlim.charsums import (
     artin_schreier_enum_count,
     coleman_gauss_check,
@@ -25,7 +26,6 @@ from towerlim.charsums import (
 )
 from towerlim.errors import InputError
 from towerlim.matfermat import arnold_zarelua_check
-from towerlim.matrices import orbit
 from towerlim.padic import int_val
 from towerlim.tower import (
     general_congruence_rows,
@@ -292,7 +292,7 @@ def test_criterion_8_property_suites():
                 if all(x % 3 == 0 for x in v):
                     continue
                 orders = [
-                    len(orbit(spec.q_matrix, v, 3**n))
+                    len(tower._q_orbit(spec, n, v))
                     for n in range(1, spec.n_max + 1)
                 ]
                 for n in range(1, len(orders)):

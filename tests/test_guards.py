@@ -11,6 +11,7 @@ import math
 import re
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from towerlim.charsums import (
 from towerlim.cli import build_parser, main
 from towerlim.errors import GuardExceeded, InputError
 from towerlim.fields import FIELD_CAP, FqField, field_build
+from towerlim.matrices import _SLAB, successor_table
 from towerlim.matfermat import (
     MAX_POWER_DIGITS,
     MAX_TRACE_DIGITS,
@@ -115,6 +117,44 @@ def test_guard_context_names_limit_size_and_site(monkeypatch, site):
         assert want["f"] * math.log(want["p"]) > math.log(want["limit"])
     else:
         assert want["need"] > want["limit"]
+
+
+def _traced_peak(call):
+    """Peak bytes traced while `call` runs, numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_orbit_cap_refuses_before_the_scan_allocates(monkeypatch):
+    # gen level 4 scans 81^2 points, 8 bytes each (successor table and
+    # labels); one point over the cap is refused before either exists
+    monkeypatch.setattr(tower, "ORBIT_CAP", 3**8 - 1)
+    monkeypatch.setattr(tower, "orbit_reps", None)  # never reached
+
+    def scan():
+        with pytest.raises(GuardExceeded) as err:
+            primitive_orbit_reps(GEN, 4)
+        assert err.value.context == {"level": 4, "need": 3**8,
+                                     "limit": 3**8 - 1}
+
+    assert _traced_peak(scan) < 3**8  # under a byte a point
+
+
+@pytest.mark.parametrize("q, mod", [([[4]], 3**12), ([[4, 0], [3, 4]], 3**6),
+                                    ([[4, 3, 0], [0, 4, 3], [3, 0, 1]], 3**4)])
+def test_successor_table_build_holds_the_table_and_one_slab(q, mod):
+    # 4 bytes a point for the table, and one slab's int64 coordinates and
+    # sums (2b + 3 arrays of _SLAB entries), so nothing of b * mod^b: at
+    # 3^12 points, 32 slabs, under 7 bytes a point, where one int64
+    # coordinate of every point would take 8
+    b, total = len(q), mod ** len(q)
+    assert total == 3**12
+    peak = _traced_peak(lambda: successor_table(q, mod, b))
+    assert peak < 4 * total + 8 * (2 * b + 4) * _SLAB < 7 * total
 
 
 def test_singular_log_q_is_refused_before_any_orbit_is_walked(tmp_path,

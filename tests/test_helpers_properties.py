@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from towerlim import charsums
 from towerlim.charsums import mult_order
 from towerlim.cyclo import CycloRing
 from towerlim.errors import CheckFailed, InputError
 from towerlim.matfermat import poly_diff_val
-from towerlim.matrices import mat_vec_mod, orbit, orbit_reps
+from towerlim.matrices import mat_step, mat_vec_mod, orbit, orbit_reps
 from towerlim.padic import min_val
 
-from oracles import mat_pow_mod, poly_mul
+from oracles import mat_pow_mod, poly_mul, serial_orbit_reps
 
 PROPS = settings(derandomize=True, database=None, max_examples=60,
                  deadline=None)
@@ -86,7 +87,7 @@ def test_orbit_closes_after_the_least_fixing_ell_power(qm, data):
     b = len(q)
     v = tuple(data.draw(st.lists(st.integers(0, mod - 1), min_size=b,
                                  max_size=b)))
-    walk = orbit(q, v, mod)
+    walk = orbit(mat_step(q, mod), v, mod**b)
     k = len(walk)
     assert walk[0] == v and len(set(walk)) == k
     assert mat_vec_mod(q, walk[-1], mod) == v
@@ -121,22 +122,43 @@ def test_mult_order_matches_brute_force(q, mod):
 def test_orbit_that_does_not_close_names_rep_and_context():
     # 1 -> 3 -> 0 -> 0 -> ... mod 9 never returns to 1
     with pytest.raises(CheckFailed) as exc:
-        orbit([[3]], (1,), 9, level=2)
+        orbit(mat_step([[3]], 9), (1,), 9, level=2)
     assert exc.value.context == {"rep": (1,), "level": 2}
 
 
-@PROPS
-@given(st.sampled_from([
-    [[4, 0], [3, 4]], [[4, 3], [0, 7]], [[10, 0], [0, 10]], [[1, 3], [0, 1]],
-]), st.integers(1, 2))
-def test_orbit_walk_partitions_kept_points(q, n):
-    ell, b = 3, 2
-    mod = ell**n
+def assert_scan_matches_the_oracle(got, step, mod, b, keep):
+    """Reps, sizes and the label of every point, kept or not, equal to
+    the matrix-stepping scan's."""
+    want = serial_orbit_reps(step, mod, b, keep)
+    assert list(got) == list(want)
+    points = product(range(mod), repeat=b)
+    assert all(got.orbit_of(w) == want.orbit_of(w) for w in points)
 
-    def keep(v):
+
+@st.composite
+def unipotent_scans(draw):
+    """(l, Q, l^n): Q = I mod l of size b <= 3, and l^(n b) <= 3^7
+    points."""
+    ell = draw(st.sampled_from([3, 5, 7]))
+    b = draw(st.integers(1, 3))
+    top = max(n for n in range(1, 8) if ell ** (n * b) <= 3**7)
+    mod = ell ** draw(st.integers(1, top))
+    q = [[int(i == j) + ell * draw(st.integers(-mod, mod)) for j in range(b)]
+         for i in range(b)]
+    return ell, q, mod
+
+
+@PROPS
+@given(unipotent_scans())
+def test_orbit_walk_partitions_kept_points(case):
+    ell, q, mod = case
+    b = len(q)
+
+    def keep(v):  # the tower's primitive points
         return any(x % ell for x in v)
 
     reps = orbit_reps(q, mod, b, keep)
+    assert_scan_matches_the_oracle(reps, q, mod, b, keep)
     covered = []
     for i, (rep, size) in enumerate(reps):
         walk = [rep]
@@ -147,11 +169,41 @@ def test_orbit_walk_partitions_kept_points(q, n):
             walk.append(nxt)
         assert len(walk) == size
         assert rep == min(walk)
-        assert orbit(q, rep, mod) == walk
+        assert orbit(mat_step(q, mod), rep, mod**b) == walk
         assert {reps.orbit_of(w) for w in walk} == {i}
         covered.extend(walk)
     kept = [v for v in product(range(mod), repeat=b) if keep(v)]
     assert sorted(covered) == kept
+
+
+@PROPS
+@given(st.sampled_from(["fermat", "artin-schreier"]),
+       st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]),
+       st.data())
+def test_fresh_orbit_scans_match_the_oracle(family, level, data):
+    # both predicates of charsums._fresh_orbits, under a unit multiplier
+    ell, m = level
+    d = ell**m
+    mult = data.draw(st.integers(1, d - 1).filter(lambda x: x % ell))
+    scans = []
+
+    def checked(step, mod, b, keep):
+        got = orbit_reps(step, mod, b, keep)
+        assert_scan_matches_the_oracle(got, step, mod, b, keep)
+        scans.append(got)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charsums, "orbit_reps", checked)
+        assert charsums._fresh_orbits(family, ell, m, mult) == scans[0]
+
+
+def test_scan_with_a_step_that_is_not_invertible_fails_not_hangs():
+    # (0, 1) -> (0, 3) -> (0, 0) -> (0, 0) ... mod 9 never returns: its
+    # walk names the point and its index in the scan
+    with pytest.raises(CheckFailed) as exc:
+        orbit_reps([[1, 0], [0, 3]], 9, 2, lambda v: any(x % 3 for x in v))
+    assert exc.value.context == {"rep": 1, "point": (0, 1)}
 
 
 def brute_val(ell, x):

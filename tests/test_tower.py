@@ -48,7 +48,7 @@ def _spec_scalar10(n_max=3):
 
 def orbit_order(spec, n, v):
     """Size of the orbit of v mod l^n under Q, walked by `matrices.orbit`."""
-    return len(matrices.orbit(spec.q_matrix, v, spec.ell**n))
+    return len(tower._q_orbit(spec, n, v))
 
 
 def test_spec_validation():
@@ -271,6 +271,32 @@ def test_orbit_failures_name_level_and_representative(monkeypatch):
     with pytest.raises(CheckFailed) as exc:
         check_orbit_threshold(spec, orbit_params(spec), polys)
     assert exc.value.context == {"level": 1, "n0": 1, "k_n": 3}
+
+
+def test_the_scan_steps_by_table_reads_not_matrix_steps(monkeypatch):
+    # building gen level 4's record: the scan walks its successor table,
+    # while the class walks and twisted products still step by
+    # mat_vec_mod
+    calls = {"scan": 0, "rest": 0}
+    where = ["rest"]
+    real_step, real_scan = matrices.mat_vec_mod, tower.primitive_orbit_reps
+
+    def counting(*args):
+        calls[where[-1]] += 1
+        return real_step(*args)
+
+    def scanning(spec, n):
+        where.append("scan")
+        try:
+            return real_scan(spec, n)
+        finally:
+            where.pop()
+
+    monkeypatch.setattr(matrices, "mat_vec_mod", counting)
+    monkeypatch.setattr(tower, "primitive_orbit_reps", scanning)
+    level = level_pieces(_spec_general(4), 4)
+    assert len(level.reps) == 216
+    assert calls["scan"] == 0 and calls["rest"] > 0
 
 
 def test_p_poly_shape_and_galois_symmetry():
