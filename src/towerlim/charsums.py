@@ -673,10 +673,13 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
     chi^v(a)^-1 S, a in F_q^*; with e the order of chi^v on F_q^* (odd)
     their factors multiply to (1 + S^e y^e)^((q-1)/e), and S^e lies in
     Z[zeta_{l^m}], fixed by Gal(Q(zeta_p)/Q) since F_p^* lies in F_q^*.
-    The fresh-character count, the orbit sizes (k_m for
-    Frobenius, phi(l^m) for the units) and every degree are checked against
-    the genus bookkeeping, else a hard error; a level whose estimated work
-    passes NORM_WORK_CAP is refused before its first product.
+    The fresh-character count, the unit-orbit count, the orbit sizes (k_m
+    for Frobenius, phi(l^m) for the units) and every degree are checked
+    against the genus bookkeeping, else a hard error.  The counts have
+    closed forms (Fermat: (l^m - 2) + (l^(m-1) - 1) unit orbits;
+    Artin-Schreier: one), so a level whose estimated work passes
+    NORM_WORK_CAP is refused before its orbit scans, the first allocation
+    that grows with (l^m)^2.
 
     For levels m >= n1 = v_l(q - 1) the step from m to m + 1 is a
     degree-l field extension, and the per-orbit descent identities are
@@ -709,21 +712,40 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
         phi = d - d // ell
         k_m = mult_order(q, d)
         big = get_field(k_m)
-        orbits = frobenius[m] = _fresh_orbits(family, ell, m, q)
-        g = primitive_root(ell, m)
-        units = _fresh_orbits(family, ell, m, g)
         if family == "fermat":
             twists, e, char_sum = 1, 1, jacobi_sum
             want_fresh = (d - 1) * (d - 2)
             if m > 1:
                 want_fresh -= (d // ell - 1) * (d // ell - 2)
+            # unit orbits of the fresh pairs: (1, w), w != 0, -1, and
+            # (w, 1), l | w != 0
+            gens = (d - 2) + (d // ell - 1)
         else:
             # each unit orbit once per additive twist a
             twists, char_sum = q - 1, gauss_sum
             want_fresh = (q - 1) * phi
             # the order of chi_v, v a unit, on F_q^* = <G^((|big|-1)/(q-1))>
             e = d // math.gcd(d, (big.q - 1) // (q - 1))
-        gens, share = len(units), twists // e
+            gens = 1
+        share = twists // e
+        # c(c+1)/2 multiplies of phi coefficients of c (b + 1) bits per
+        # generator's norm, its roots of size 2^b = q^(e k_m / 2); by that
+        # bound the product f_m of degree D packs D^2 (lg q / 2 + 1) bits.
+        # The counts are the closed forms, so this runs before the scans.
+        c, lg_q = phi // k_m, q.bit_length()
+        deg_f = len(f_poly) - 1 + want_fresh
+        need = (gens * c * (c + 1) // 2 * phi * c * (e * k_m * lg_q // 2 + 1)
+                + deg_f * deg_f * (lg_q // 2 + 1))
+        if need > NORM_WORK_CAP:
+            raise GuardExceeded(
+                f"{family} level {m}: {gens} norms over {c} conjugates and "
+                f"f_{m} of degree {deg_f} need about {need} bits > "
+                f"{NORM_WORK_CAP}",
+                family=family, level=m, need=need, limit=NORM_WORK_CAP,
+            )
+        orbits = frobenius[m] = _fresh_orbits(family, ell, m, q)
+        g = primitive_root(ell, m)
+        units = _fresh_orbits(family, ell, m, g)
         fresh = twists * sum(size for _, size in orbits)
         if fresh != want_fresh:
             raise CheckFailed(
@@ -745,18 +767,10 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
                 family=family, level=m, expected=phi,
                 measured=sorted(unit_sizes),
             )
-        # c(c+1)/2 multiplies of phi coefficients of c (b + 1) bits per
-        # generator's norm, its roots of size 2^b = q^(e k_m / 2); by that
-        # bound the product f_m of degree D packs D^2 (lg q / 2 + 1) bits
-        c, lg_q, deg_f = phi // k_m, q.bit_length(), len(f_poly) - 1 + fresh
-        need = (gens * c * (c + 1) // 2 * phi * c * (e * k_m * lg_q // 2 + 1)
-                + deg_f * deg_f * (lg_q // 2 + 1))
-        if need > NORM_WORK_CAP:
-            raise GuardExceeded(
-                f"{family} level {m}: {gens} norms over {c} conjugates and "
-                f"f_{m} of degree {deg_f} need about {need} bits > "
-                f"{NORM_WORK_CAP}",
-                family=family, level=m, need=need, limit=NORM_WORK_CAP,
+        if len(units) != gens:
+            raise CheckFailed(
+                f"level-{m} unit orbit count {len(units)} != expected {gens}",
+                family=family, level=m, expected=gens, measured=len(units),
             )
         conj = [pow(g, i, d) for i in range(c)]
         norms = [1]

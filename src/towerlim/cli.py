@@ -156,7 +156,8 @@ def cmd_converge(args) -> int:
     report = make_report("converge", body, digest=spec.digest(), timer=timer)
     # the work each level took in this run; a level read from the cache
     # whose charpolys no row needed took none
-    idle = {"reps": 0, "classes": 0, "direct_charpolys": 0}
+    idle = {"reps": 0, "classes": 0, "direct_charpolys": 0,
+            "product_steps": 0}
     report["timings"]["levels"] = [
         {"n": level, **(pieces[level].work() if level in pieces else idle)}
         for level in sorted(polys)

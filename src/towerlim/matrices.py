@@ -8,7 +8,8 @@
 * Orbits: `orbit` is the one orbit walker, under any step.  Matrix walks
   step by `mat_step`; the scan `orbit_reps` of (Z/M)^b under an integer
   matrix steps through a successor table built in numpy, and keeps which
-  orbit each point fell in.
+  orbit each point fell in, and the successor table it walked, so later
+  walks of the same orbits are table reads too.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from .errors import CheckFailed
 
 Matrix = Sequence[Sequence]
 
-# Points a numpy pass of `successor_table` holds at once.
-_SLAB = 1 << 14
+# Points a numpy pass holds at once: a slab of `successor_table`, or the
+# group-ring entries per array of a batch of twisted products.
+SLAB = 1 << 14
 
 
 def mat_identity(r: int, one, zero) -> list[list]:
@@ -151,29 +153,40 @@ def orbit(step: Callable, v, limit: int, **context) -> list:
 class Orbits(list):
     """What `orbit_reps` returns: the (lex-least member, size) pairs of the
     orbits in scan order, plus the scan's record of the orbit each kept
-    point fell in, so `orbit_of` finds a point's orbit without a walk."""
+    point fell in, so `orbit_of` finds a point's orbit without a walk, and
+    its successor table, so `walk` retraces an orbit by table reads."""
 
-    __slots__ = ("_labels", "_mod")
+    __slots__ = ("_labels", "_mod", "_successor")
 
-    def __init__(self, reps, labels, mod: int):
+    def __init__(self, reps, labels, mod: int, successor):
         super().__init__(reps)
         self._labels = labels
         self._mod = mod
+        self._successor = successor
 
-    def orbit_of(self, w: Sequence[int]) -> int:
-        """Position in the list of the orbit holding the kept point w,
-        entries in [0, mod)."""
+    def index(self, w: Sequence[int]) -> int:
+        """Lex-scan index of the point w, entries in [0, mod)."""
         idx = 0
         for x in w:
             idx = idx * self._mod + x
-        return self._labels[idx] - 1
+        return idx
+
+    def orbit_of(self, w: Sequence[int]) -> int:
+        """Position in the list of the orbit holding the kept point w."""
+        return self._labels[self.index(w)] - 1
+
+    def walk(self, v: Sequence[int], **context) -> list[int]:
+        """Lex-scan indices of v, step*v, step^2*v, ...: `orbit` stepping
+        through the successor table, one read a step."""
+        return orbit(self._successor.__getitem__, self.index(v),
+                     len(self._labels), **context)
 
 
 def successor_table(step: Matrix, mod: int, b: int) -> array:
     """Entry i is the lex-scan index of step*v mod `mod`, v the point of
     (Z/mod)^b at index i: 4 bytes a point.
 
-    Built in numpy, a slab of _SLAB consecutive indices at a time: each
+    Built in numpy, a slab of SLAB consecutive indices at a time: each
     slab's coordinates, then each coordinate of step*v, reduced and
     weighted by its place value, so nothing but the table grows with
     mod^b.
@@ -185,8 +198,8 @@ def successor_table(step: Matrix, mod: int, b: int) -> array:
     out = np.frombuffer(table, dtype=np.int32)
     rows = [[a % mod for a in row] for row in step]  # products fit int64
     places = [mod ** (b - 1 - j) for j in range(b)]
-    for start in range(0, total, _SLAB):
-        idx = np.arange(start, min(start + _SLAB, total), dtype=np.int64)
+    for start in range(0, total, SLAB):
+        idx = np.arange(start, min(start + SLAB, total), dtype=np.int64)
         coords = [idx // place % mod for place in places]
         succ = np.zeros_like(idx)
         for row, place in zip(rows, places):
@@ -207,14 +220,15 @@ def orbit_reps(
     `keep` starts an `orbit` walk through the `successor_table`, one read
     a step, that labels its whole orbit by index in a dense array of
     mod^b 4-byte orbit numbers (0 for unseen), so the point is its orbit's
-    lex-least member, and the labels answer `Orbits.orbit_of` later.  The
-    scan holds 8 bytes a point, the table and the labels, besides the
-    member list of the orbit it walks.  `step` must be invertible mod
-    `mod` and `keep` invariant under it; callers bound mod^b before
-    calling.
+    lex-least member, and the labels answer `Orbits.orbit_of` later, the
+    table `Orbits.walk`.  The scan holds 8 bytes a point, the table and the
+    labels, besides the member list of the orbit it walks.  `step` must be
+    invertible mod `mod` and `keep` invariant under it; callers bound
+    mod^b before calling.
     """
     total = mod**b
-    successor = successor_table(step, mod, b).__getitem__
+    table = successor_table(step, mod, b)
+    successor = table.__getitem__
     labels = array("i", [0]) * total
     reps = []
     for idx, v in enumerate(product(range(mod), repeat=b)):
@@ -224,4 +238,4 @@ def orbit_reps(
         reps.append((v, len(members)))
         for w in members:
             labels[w] = len(reps)
-    return Orbits(reps, labels, mod)
+    return Orbits(reps, labels, mod, table)

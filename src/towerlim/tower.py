@@ -35,6 +35,7 @@ from .cyclo import CycloElem, CycloRing, convolve, descend, stretch
 from .errors import CheckFailed, GuardExceeded, InputError
 from .matfermat import poly_diff_val
 from .matrices import (
+    SLAB,
     Orbits,
     det_one_minus_y,
     mat_identity,
@@ -348,7 +349,9 @@ def build_ring(spec: TowerSpec, n: int) -> CycloRing:
 
 # Working-set ceiling for one product: the twisted product's two group-ring
 # arrays plus one temporary, or a class norm's largest `convolve`.  Past it
-# the computation would thrash the host.
+# the computation would thrash the host.  Batches of products are chunked
+# to SLAB entries an array, so a batch never needs more than its largest
+# product or a chunk.
 MAX_PRODUCT_BYTES = 1 << 30
 
 
@@ -387,30 +390,10 @@ def _group_ring_bytes(ring: CycloRing, dtype, entries: int) -> int:
     return 3 * entries * item
 
 
-def _roll_add(out: np.ndarray, src: np.ndarray, t: int) -> None:
-    """out += src rolled by t along axis 1, for 0 <= t < src.shape[1].
-
-    In the group ring that is adding src times the group element z^t.
-    """
-    size = src.shape[1]
-    out[:, t:] += src[:, :size - t]
-    if t:
-        out[:, :t] += src[:, size - t:]
-
-
-def frobenius_product(spec: TowerSpec, n: int, v: Sequence[int],
-                      ring: CycloRing) -> list[list[CycloElem]]:
-    """A_n(v) = F(z^(Q^-1 v)) ... F(z^(Q^-k v)) over the level-n ring.
-
-    k is the orbit size and Q^-i v = Q^(k-i) v: the factors follow the
-    walk `orbit` backwards, taken once the memory guard has passed.
-    The product is formed in the group ring (Z/l^prec)[C_{l^n}]: acc[i, :, j]
-    holds the l^n exponent coefficients of entry (i, j).  A factor
-    F(z^w) = sum_t M_t z^<e_t, w> multiplies in as acc times M_t, rolled
-    by <e_t, w>, per term, summed and reduced mod l^prec.  The entries are
-    folded to the power basis once, at the end.  `ring` is the level-n
-    ring: mod l^prec for p_poly, exact for qsum_rows.
-    """
+def _guarded_dtype(spec: TowerSpec, n: int, v: Sequence[int],
+                   ring: CycloRing):
+    """The product dtype, once one product's working set is known to fit
+    MAX_PRODUCT_BYTES; a GuardExceeded naming level n and rep v if not."""
     dtype = _product_dtype(spec, ring)
     need = _group_ring_bytes(ring, dtype, spec.r**2 * ring.order)
     if need > MAX_PRODUCT_BYTES:
@@ -419,24 +402,73 @@ def frobenius_product(spec: TowerSpec, n: int, v: Sequence[int],
             f"{need} bytes > {MAX_PRODUCT_BYTES}",
             level=n, rep=tuple(v), need=need, limit=MAX_PRODUCT_BYTES,
         )
+    return dtype
+
+
+def _exponents(spec: TowerSpec, size: int, points: np.ndarray) -> np.ndarray:
+    """<e_t, w> mod `size` for every point w of `points`, an int64 array
+    (P, k, b) of P walks of k points each, in one pass: shape (k, T, P),
+    T the number of terms of F."""
+    exps = np.array([t.exponents for t in spec.f_terms], dtype=object)
+    exps = (exps % size).astype(np.int64)  # products below b * size^2
+    return (points @ exps.T % size).transpose(1, 2, 0)
+
+
+def _twisted_products(spec: TowerSpec, ring: CycloRing, dtype,
+                      dots: np.ndarray) -> list[list[list[CycloElem]]]:
+    """The P twisted products whose walks have the exponents `dots`
+    (`_exponents`), stepped together.
+
+    A_n(v) = F(z^(Q^-1 v)) ... F(z^(Q^-k v)), and Q^-i v = Q^(k-i) v: the
+    factors follow each walk backwards.  The products are formed side by
+    side in the group ring (Z/l^prec)[C_{l^n}]: acc[i, p l^n + j, c] holds
+    the coefficient of z^j in entry (i, c) of product p.  A step
+    multiplies in F(z^w) = sum_t M_t z^<e_t, w> as one matmul acc @ M_t
+    per term, each rolled, product p by its own d_(p,t) = <e_t, w>, by one
+    flat `np.take` at index p l^n + (j - d_(p,t)) mod l^n; the terms are
+    summed and reduced mod l^prec.  The indices are read off a table of
+    p l^n + (x mod l^n), x < 2 l^n, so a step divides nothing but the
+    reduction.  The entries are folded to the power basis once, at the
+    end.  `ring` is the level-n ring: mod l^prec for the charpolys, exact
+    for qsum_rows.
+    """
     r, size, q = spec.r, ring.order, ring.qmod
+    count = dots.shape[2]
     mats = [np.array(t.matrix, dtype=dtype) for t in spec.f_terms]
-    acc = np.zeros((r, size, r), dtype=dtype)
+    acc = np.zeros((r, count * size, r), dtype=dtype)
     for i in range(r):
-        acc[i, 0, i] = 1
-    for w in reversed(_q_orbit(spec, n, v)):
-        new = np.zeros_like(acc)
-        for term, m in zip(spec.f_terms, mats):
-            d = sum(e * x for e, x in zip(term.exponents, w))
-            _roll_add(new, acc @ m, d % size)
+        acc[i, ::size, i] = 1
+    # product p rolled by d reads table[start_p - d + j] at its entry j
+    table = (np.arange(count)[:, None] * size
+             + np.arange(2 * size) % size).ravel()
+    start = np.arange(size, 2 * count * size, 2 * size)
+    j = np.arange(size)
+    for step in dots[::-1]:
+        new = None
+        for m, d in zip(mats, step):
+            idx = table.take((start - d)[:, None] + j).ravel()
+            rolled = np.take(acc @ m, idx, axis=1)
+            if new is None:
+                new = rolled
+            else:
+                new += rolled
         if q is not None:
             new %= q
         acc = new
-    return [
-        [CycloElem(ring, tuple(ring._fold_top(acc[i, :, j].tolist())))
-         for j in range(r)]
-        for i in range(r)
-    ]
+    flat = acc.reshape(r, count, size, r).transpose(1, 0, 3, 2).tolist()
+    return [[[CycloElem(ring, tuple(ring._fold_top(x))) for x in row]
+             for row in prod] for prod in flat]
+
+
+def frobenius_product(spec: TowerSpec, n: int, v: Sequence[int],
+                      ring: CycloRing) -> list[list[CycloElem]]:
+    """A_n(v) = F(z^(Q^-1 v)) ... F(z^(Q^-k v)) over the level-n ring, k
+    the orbit size: the batch of one of `_twisted_products`, on the walk
+    of v that `_q_orbit` takes once the memory guard has passed."""
+    dtype = _guarded_dtype(spec, n, v, ring)
+    walk = np.array([_q_orbit(spec, n, v)], dtype=np.int64)
+    return _twisted_products(spec, ring, dtype,
+                             _exponents(spec, ring.order, walk))[0]
 
 
 def p_poly(spec: TowerSpec, n: int,
@@ -449,18 +481,56 @@ def p_poly(spec: TowerSpec, n: int,
     return tuple(det_one_minus_y(a, ring.one(), ring.zero()))
 
 
+def p_polys(spec: TowerSpec, n: int, reps: Orbits,
+            vs: Sequence[tuple]) -> tuple[dict, int]:
+    """p_{n,v} for each orbit rep v in `vs` of the level-n scan `reps`,
+    and the numpy steps their products took.
+
+    Products of one orbit size k step together in `_twisted_products`, in
+    chunks of at most SLAB group-ring entries an array and at least one
+    product; each chunk takes k steps.  Each walk is `Orbits.walk`, read
+    from the scan's successor table, and a chunk's exponents come from its
+    walked indices in one pass.  The memory guard, the same for every
+    product of the level, names vs[0].
+    """
+    ring = build_ring(spec, n)
+    dtype = _guarded_dtype(spec, n, vs[0], ring)
+    size, b = ring.order, spec.b
+    places = np.array([size ** (b - 1 - j) for j in range(b)], dtype=np.int64)
+    per_chunk = max(1, SLAB // (spec.r**2 * size))
+    sizes = dict(reps)
+    by_size: dict = {}
+    for v in vs:
+        by_size.setdefault(sizes[v], []).append(v)
+    polys, steps = {}, 0
+    for k, group in by_size.items():
+        for start in range(0, len(group), per_chunk):
+            chunk = group[start:start + per_chunk]
+            walks = np.array([reps.walk(v, level=n) for v in chunk],
+                             dtype=np.int64)
+            points = walks[:, :, None] // places % size
+            products = _twisted_products(spec, ring, dtype,
+                                         _exponents(spec, size, points))
+            for v, a in zip(chunk, products):
+                polys[v] = tuple(det_one_minus_y(a, ring.one(), ring.zero()))
+            steps += k
+    return polys, steps
+
+
 @dataclass(frozen=True)
 class LevelPieces:
     """What a run reads of one level, built once by `level_pieces`: its one
     orbit scan (an `Orbits`), k_n, the unit classes (each a tuple of member
     reps, its own rep first), p_{n,v} by rep as far as computed or read,
-    and each rep's (class rep, unit a): p_{n,u} = sigma_a(p_{n,v})."""
+    each rep's (class rep, unit a): p_{n,u} = sigma_a(p_{n,v}), and the
+    numpy steps its twisted products took (`p_polys`)."""
 
     reps: Orbits
     k_n: int
     classes: tuple
     polys: dict
     units: dict
+    product_steps: int
 
     def charpoly(self, u: tuple) -> tuple[CycloElem, ...]:
         """p_{n,u} for the rep u, transported from its class rep's on
@@ -472,11 +542,13 @@ class LevelPieces:
         return p
 
     def work(self) -> dict:
-        """Reps, classes, and the charpolys computed directly: one per
-        class, one more per class of two or more orbits."""
+        """Reps, classes, the charpolys computed directly (one per class,
+        one more per class of two or more orbits) and the numpy steps
+        their products took."""
         return {"reps": len(self.reps), "classes": len(self.classes),
                 "direct_charpolys": sum(1 + (len(c) > 1)
-                                        for c in self.classes)}
+                                        for c in self.classes),
+                "product_steps": self.product_steps}
 
 
 def _galois(p: tuple[CycloElem, ...], a: int) -> tuple[CycloElem, ...]:
@@ -510,14 +582,18 @@ def level_pieces(spec: TowerSpec, n: int) -> LevelPieces:
     has integer coefficients: the orbit of a v is a times the orbit of v,
     and a cyclic rotation of the product leaves its charpoly unchanged.  So
     p_{n,u} = sigma_a(p_{n,v}) exactly whenever u's orbit is a v's.  With
-    g the least primitive root mod l^n, a class walks g^i v by `orbit` from
-    its lex-least rep v and looks each point's orbit up in the scan's
-    labels, until g^c v is back in the orbit of v: its c orbits are those
-    of v, g v, ..., g^(c-1) v.  p_{n,v} is computed directly and each
-    other member's unit recorded for `LevelPieces.charpoly`.
+    g the least primitive root mod l^n, a class is walked by `orbit` on
+    orbit positions, o -> the orbit of g rep(o), from the orbit of its
+    lex-least rep v: rep(o) lies in the orbit of g^i v, so g rep(o) lies in
+    that of g^(i+1) v (g is a scalar and commutes with Q).  The walk closes
+    after the class's c orbits, those of v, g v, ..., g^(c-1) v, and g^c
+    stabilises the orbit of v.
 
-    Two checks per class, always on; a mismatch is a CheckFailed naming
-    level, rep, member, unit and coefficient:
+    Then p_{n,v} of every class rep, and of each direct check's member, is
+    computed by `p_polys`, batched by orbit size; each other member's unit
+    is recorded for `LevelPieces.charpoly`.  Two checks per class, always
+    on; a mismatch is a CheckFailed naming level, rep, member, unit and
+    coefficient:
 
     * stabiliser: g^c v lies in the orbit of v, so sigma_(g^c)(p_{n,v})
       must equal p_{n,v} (no twisted product; it is also what puts the
@@ -534,36 +610,36 @@ def level_pieces(spec: TowerSpec, n: int) -> LevelPieces:
             )
     mod = spec.ell**n
     g = primitive_root(spec.ell, n)
-    g_mat = [[g if i == j else 0 for j in range(spec.b)]
-             for i in range(spec.b)]
-    step = mat_step(g_mat, mod)
-    polys = {}
+
+    def times_g(o: int) -> int:
+        return reps.orbit_of(tuple(g * x % mod for x in reps[o][0]))
+
     units = {}  # rep u -> (class rep v, unit a), p_{n,u} = sigma_a(p_{n,v})
     classes = []
-    for v, _ in reps:
+    for o, (v, _) in enumerate(reps):
         if v in units:
             continue
-        members = []  # (orbit rep, unit) of v, g v, ..., g^(c-1) v
-        unit = 1
-        for w in orbit(step, v, mod**spec.b, level=n):
-            u = reps[reps.orbit_of(w)][0]
-            if members and u == v:
-                break
-            members.append((u, unit))
-            unit = unit * g % mod
-        p = polys[v] = p_poly(spec, n, v)
-        _check_transport(n, v, v, unit, p, _galois(p, unit),
+        members = tuple(reps[i][0] for i in orbit(times_g, o, len(reps),
+                                                  level=n, point=v))
+        for i, u in enumerate(members):
+            units[u] = (v, pow(g, i, mod))
+        classes.append(members)
+    direct = [c[0] for c in classes] + [c[1] for c in classes if len(c) > 1]
+    computed, steps = p_polys(spec, n, reps, direct)
+    polys = {}
+    for members in classes:
+        v = members[0]
+        p = polys[v] = computed[v]
+        stab = pow(g, len(members), mod)
+        _check_transport(n, v, v, stab, p, _galois(p, stab),
                          "stabiliser check")
-        for u, a in members:
-            units[u] = (v, a)
         if len(members) > 1:
-            u = members[1][0]
+            u = members[1]
             polys[u] = _galois(p, g)
-            _check_transport(n, v, u, g, polys[u], p_poly(spec, n, u),
+            _check_transport(n, v, u, g, polys[u], computed[u],
                              "direct check")
-        classes.append(tuple(u for u, _ in members))
     return LevelPieces(reps, min(s for _, s in reps), tuple(classes), polys,
-                       units)
+                       units, steps)
 
 
 def _descent_stages(ell: int, c: int) -> list:

@@ -30,7 +30,8 @@ from towerlim.padic import min_val
 from towerlim.tower import (
     OrbitParams,
     _group_ring_dtype,
-    _roll_add,
+    _product_dtype,
+    _q_orbit,
     build_ring,
     matrix_log,
     r_poly,
@@ -64,7 +65,8 @@ def serial_orbit_reps(step, mod, b, keep):
     """The orbit scan `matrices.orbit_reps` made before its successor
     table: each unseen kept point, in ascending lex order, walks its orbit
     one `mat_vec_mod` at a time, and every member is labelled by its
-    position in the lex scan."""
+    position in the lex scan.  It keeps no successor table, so its
+    `Orbits.walk` is not to be read."""
     labels = array("i", [0]) * mod**b
     reps = []
     for idx, v in enumerate(product(range(mod), repeat=b)):
@@ -77,7 +79,7 @@ def serial_orbit_reps(step, mod, b, keep):
             for x in w:
                 pos = pos * mod + x
             labels[pos] = len(reps)
-    return Orbits(reps, labels, mod)
+    return Orbits(reps, labels, mod, None)
 
 
 def poly_mul(a, b, zero, stretch=1):
@@ -382,6 +384,46 @@ def table_as_count(q, m, d, chunk=1 << 16):
         images = big.digits(powers[start : start + chunk]) @ trace % p
         zeros += len(images) - int(np.count_nonzero(images.any(axis=1)))
     return q * (1 + g * zeros) + 1
+
+
+def _roll_add(out, src, t):
+    """out += src rolled by t along axis 1, for 0 <= t < src.shape[1].
+
+    In the group ring that is adding src times the group element z^t.
+    """
+    size = src.shape[1]
+    out[:, t:] += src[:, :size - t]
+    if t:
+        out[:, :t] += src[:, size - t:]
+
+
+def serial_frobenius_product(spec, n, v, ring):
+    """A_n(v) one product at a time: the route `tower.frobenius_product`
+    took before products were batched.  The factors follow the walk of v
+    backwards, in the group ring (Z/l^prec)[C_{l^n}]: acc[i, :, j] holds
+    the l^n exponent coefficients of entry (i, j), and a factor
+    F(z^w) = sum_t M_t z^<e_t, w> multiplies in as acc times M_t, rolled
+    by <e_t, w> with `_roll_add`, per term, summed and reduced mod
+    l^prec.  The entries fold to the power basis at the end."""
+    dtype = _product_dtype(spec, ring)
+    r, size, q = spec.r, ring.order, ring.qmod
+    mats = [np.array(t.matrix, dtype=dtype) for t in spec.f_terms]
+    acc = np.zeros((r, size, r), dtype=dtype)
+    for i in range(r):
+        acc[i, 0, i] = 1
+    for w in reversed(_q_orbit(spec, n, v)):
+        new = np.zeros_like(acc)
+        for term, m in zip(spec.f_terms, mats):
+            d = sum(e * x for e, x in zip(term.exponents, w))
+            _roll_add(new, acc @ m, d % size)
+        if q is not None:
+            new %= q
+        acc = new
+    return [
+        [CycloElem(ring, tuple(ring._fold_top(acc[i, :, j].tolist())))
+         for j in range(r)]
+        for i in range(r)
+    ]
 
 
 def aggregates(spec):

@@ -150,16 +150,21 @@ def test_transported_memo_matches_p_poly_at_every_rep(case):
 
 def test_one_direct_charpoly_per_class_and_one_per_check(monkeypatch):
     calls = []
-    real = tower.p_poly
-    monkeypatch.setattr(tower, "p_poly",
-                        lambda spec, n, v: calls.append(n) or real(spec, n, v))
+    real = tower.p_polys
+
+    def counting(spec, n, reps, vs):
+        calls.extend([n] * len(vs))
+        return real(spec, n, reps, vs)
+
+    monkeypatch.setattr(tower, "p_polys", counting)
     pieces = {}
     for n in (1, 2, 3, 4):
         r_poly(GEN, n, pieces)
     # every class of GEN has two or more orbits, so each gets its check
     assert [pieces[n].work() for n in (1, 2, 3, 4)] == [
-        {"reps": r, "classes": c, "direct_charpolys": 2 * c}
-        for r, c in ((8, 4), (24, 6), (72, 12), (216, 18))]
+        {"reps": r, "classes": c, "direct_charpolys": 2 * c,
+         "product_steps": k}
+        for r, c, k in ((8, 4, 1), (24, 6, 3), (72, 12, 9), (216, 18, 27))]
     assert [calls.count(n) for n in (1, 2, 3, 4)] == [8, 12, 24, 36]
 
 
@@ -210,7 +215,7 @@ def test_zero_f_keeps_the_modulus_in_range(prec, dtype, tmp_path, capsys,
 def test_aggregate_does_no_ring_multiplies(monkeypatch):
     inside_p = []
     outside = []
-    real_p = tower.p_poly
+    real_p = tower.p_polys
     real_mul = CycloElem.__mul__
 
     def counting_p(*args, **kwargs):
@@ -225,7 +230,7 @@ def test_aggregate_does_no_ring_multiplies(monkeypatch):
             outside.append(b)
         return real_mul(a, b)
 
-    monkeypatch.setattr(tower, "p_poly", counting_p)
+    monkeypatch.setattr(tower, "p_polys", counting_p)
     monkeypatch.setattr(CycloElem, "__mul__", counting_mul)
     monkeypatch.setattr(CycloElem, "__rmul__", counting_mul)
     poly, meta = r_poly(GEN, 4, {})
@@ -305,14 +310,16 @@ def _skewed(p):
 
 
 def _skew_one_rep(monkeypatch, level, target):
-    """p_poly returning zeta * p at rep `target` of `level`."""
-    real = tower.p_poly
+    """p_polys returning zeta * p at rep `target` of `level`."""
+    real = tower.p_polys
 
-    def skewed(spec, n, v):
-        p = real(spec, n, v)
-        return _skewed(p) if n == level and tuple(v) == target else p
+    def skewed(spec, n, reps, vs):
+        polys, steps = real(spec, n, reps, vs)
+        if n == level and target in polys:
+            polys[target] = _skewed(polys[target])
+        return polys, steps
 
-    monkeypatch.setattr(tower, "p_poly", skewed)
+    monkeypatch.setattr(tower, "p_polys", skewed)
 
 
 def _skew_the_memo(monkeypatch, level):

@@ -318,11 +318,15 @@ def test_converge_warm_cache_is_byte_identical(tmp_path, capsys, monkeypatch):
     assert cold == warm
 
 
+# (reps, classes, direct charpolys, product steps) a level; each level's
+# products share one orbit size k_n and fit one batch, so they take k_n
+# steps together
 @pytest.mark.parametrize("mode, config, work, warm_work", [
-    ("general", GENERAL_CONFIG, [(8, 4, 8), (24, 6, 12), (72, 12, 24)],
-     [(0, 0, 0)] * 3),
+    ("general", GENERAL_CONFIG,
+     [(8, 4, 8, 1), (24, 6, 12, 3), (72, 12, 24, 9)], [(0, 0, 0, 0)] * 3),
     # the scalar rows need every p_{n,v}, which the cache does not hold
-    ("scalar", SCALAR_CONFIG, [(4, 1, 2)] * 3, [(4, 1, 2)] * 3),
+    ("scalar", SCALAR_CONFIG, [(4, 1, 2, k) for k in (1, 5, 25)],
+     [(4, 1, 2, k) for k in (1, 5, 25)]),
 ])
 def test_converge_timings_count_each_levels_work(
         tmp_path, capsys, monkeypatch, mode, config, work, warm_work):
@@ -333,8 +337,9 @@ def test_converge_timings_count_each_levels_work(
         assert main(argv) == 0
         levels = json.loads(capsys.readouterr().out)["timings"]["levels"]
         assert levels == [
-            {"n": n, "reps": r, "classes": c, "direct_charpolys": d}
-            for n, (r, c, d) in enumerate(want, start=1)]
+            {"n": n, "reps": r, "classes": c, "direct_charpolys": d,
+             "product_steps": k}
+            for n, (r, c, d, k) in enumerate(want, start=1)]
 
 
 # the benchmark's scalar-l7-wide config at seed 0
@@ -431,7 +436,7 @@ def test_rows_only_compare_the_levels_converge_passes(
     def refuse(*args):
         raise AssertionError("a row function computed level data")
 
-    for name in ("r_poly", "p_poly", "orbit_params"):
+    for name in ("r_poly", "p_poly", "p_polys", "orbit_params"):
         monkeypatch.setattr(tower, name, refuse)
     if mode == "scalar":
         rows = tower.scalar_congruence_rows(spec, params, pieces)

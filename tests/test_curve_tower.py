@@ -297,6 +297,11 @@ def test_bookkeeping_failures_name_family_level_and_values(monkeypatch):
                    lambda real, g, d: real(g, d) * (2 if g == 7 else 1))
         assert _bookkeeping_failure("fermat", 7, 1) == {
             "family": "fermat", "level": 1, "expected": 2, "measured": [1]}
+    with monkeypatch.context() as mp:  # the unit scan loses its one orbit
+        _lie_about(mp, "_fresh_orbits",
+                   lambda real, *a: real(*a)[:-1] if a[3] == 2 else real(*a))
+        assert _bookkeeping_failure("fermat", 7, 1) == {
+            "family": "fermat", "level": 1, "expected": 1, "measured": 0}
     with monkeypatch.context() as mp:  # 1 taken for a primitive root
         _lie_about(mp, "primitive_root", lambda real, *a: 1)
         assert _bookkeeping_failure("artin-schreier", 7, 1) == {

@@ -29,7 +29,7 @@ from towerlim.charsums import (
 from towerlim.cli import build_parser, main
 from towerlim.errors import GuardExceeded, InputError
 from towerlim.fields import FIELD_CAP, FqField, field_build
-from towerlim.matrices import _SLAB, successor_table
+from towerlim.matrices import SLAB, successor_table
 from towerlim.matfermat import (
     MAX_POWER_DIGITS,
     MAX_TRACE_DIGITS,
@@ -148,13 +148,13 @@ def test_orbit_cap_refuses_before_the_scan_allocates(monkeypatch):
                                     ([[4, 3, 0], [0, 4, 3], [3, 0, 1]], 3**4)])
 def test_successor_table_build_holds_the_table_and_one_slab(q, mod):
     # 4 bytes a point for the table, and one slab's int64 coordinates and
-    # sums (2b + 3 arrays of _SLAB entries), so nothing of b * mod^b: at
+    # sums (2b + 3 arrays of SLAB entries), so nothing of b * mod^b: at
     # 3^12 points, 32 slabs, under 7 bytes a point, where one int64
     # coordinate of every point would take 8
     b, total = len(q), mod ** len(q)
     assert total == 3**12
     peak = _traced_peak(lambda: successor_table(q, mod, b))
-    assert peak < 4 * total + 8 * (2 * b + 4) * _SLAB < 7 * total
+    assert peak < 4 * total + 8 * (2 * b + 4) * SLAB < 7 * total
 
 
 def test_singular_log_q_is_refused_before_any_orbit_is_walked(tmp_path,
@@ -237,6 +237,20 @@ def test_norm_guard_trips_before_the_first_product(monkeypatch, capsys,
     assert set(levels) == {1}
     out, err = capsys.readouterr()
     assert out == "" and "level 2" in err
+
+
+@pytest.mark.parametrize("ell, q", [(46337, 648719), (46349, 92699)])
+def test_norm_guard_trips_before_the_jacobi_pair_scan(monkeypatch, capsys,
+                                                      ell, q):
+    # level 1 would scan ell^2 > 2^31 pairs: about 17 GB of table and
+    # labels, or past the scan's int32 indices; the closed-form counts
+    # refuse it first
+    monkeypatch.setattr(charsums, "_fresh_orbits", None)  # never reached
+    assert main(["zeta", "fermat", "--ell", str(ell), "--q", str(q),
+                 "--n", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert f"fermat level 1: {ell - 2} norms over {ell - 1} conjugates" in err
 
 
 def test_fermat_487_runs_to_level_3():

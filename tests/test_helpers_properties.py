@@ -128,11 +128,15 @@ def test_orbit_that_does_not_close_names_rep_and_context():
 
 def assert_scan_matches_the_oracle(got, step, mod, b, keep):
     """Reps, sizes and the label of every point, kept or not, equal to
-    the matrix-stepping scan's."""
+    the matrix-stepping scan's, and each rep's walk through the table
+    equal to its matrix walk, point by point."""
     want = serial_orbit_reps(step, mod, b, keep)
     assert list(got) == list(want)
     points = product(range(mod), repeat=b)
     assert all(got.orbit_of(w) == want.orbit_of(w) for w in points)
+    for v, _ in got:
+        walk = orbit(mat_step(step, mod), v, mod**b)
+        assert got.walk(v) == [got.index(w) for w in walk]
 
 
 @st.composite

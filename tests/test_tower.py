@@ -253,7 +253,7 @@ def test_orbit_failures_name_level_and_representative(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(matrices, "orbit",
                    lambda step, v, mod, **ctx: real_orbit(step, v, mod)[:2])
-        mp.setattr(tower, "p_poly", None)
+        mp.setattr(tower, "p_polys", None)
         with pytest.raises(CheckFailed) as exc:
             level_pieces(spec, 2)
     assert exc.value.context == {"level": 2, "rep": (1,), "size": 2}
@@ -274,29 +274,27 @@ def test_orbit_failures_name_level_and_representative(monkeypatch):
 
 
 def test_the_scan_steps_by_table_reads_not_matrix_steps(monkeypatch):
-    # building gen level 4's record: the scan walks its successor table,
-    # while the class walks and twisted products still step by
-    # mat_vec_mod
-    calls = {"scan": 0, "rest": 0}
-    where = ["rest"]
-    real_step, real_scan = matrices.mat_vec_mod, tower.primitive_orbit_reps
-
-    def counting(*args):
-        calls[where[-1]] += 1
-        return real_step(*args)
-
-    def scanning(spec, n):
-        where.append("scan")
-        try:
-            return real_scan(spec, n)
-        finally:
-            where.pop()
-
-    monkeypatch.setattr(matrices, "mat_vec_mod", counting)
-    monkeypatch.setattr(tower, "primitive_orbit_reps", scanning)
+    # building gen level 4's record: the scan and the twisted products
+    # walk the successor table, the class walks step on orbit positions
+    calls = []
+    real_step = matrices.mat_vec_mod
+    monkeypatch.setattr(matrices, "mat_vec_mod",
+                        lambda *args: calls.append(1) or real_step(*args))
     level = level_pieces(_spec_general(4), 4)
     assert len(level.reps) == 216
-    assert calls["scan"] == 0 and calls["rest"] > 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_class_walks_take_one_step_an_orbit(monkeypatch, n):
+    # a class of c orbits is c steps o -> the orbit of g rep(o), each one
+    # `orbit_of` lookup, so a level's class walks take one step a rep
+    lookups = []
+    real = matrices.Orbits.orbit_of
+    monkeypatch.setattr(matrices.Orbits, "orbit_of",
+                        lambda self, w: lookups.append(w) or real(self, w))
+    level = level_pieces(_spec_general(4), n)
+    assert len(lookups) == len(level.reps) == sum(map(len, level.classes))
 
 
 def test_p_poly_shape_and_galois_symmetry():

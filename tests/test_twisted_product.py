@@ -1,6 +1,6 @@
 """The group-ring twisted product against the ring-element oracle, the
-int64/object choice at its bound, the working-set guard, and the per-run
-p_{n,v} memo."""
+batched products against the serial one, the int64/object choice at its
+bound, the working-set guard, and the per-run p_{n,v} memo."""
 
 from __future__ import annotations
 
@@ -15,17 +15,19 @@ from towerlim import tower
 from towerlim.cli import main
 from towerlim.cyclo import CycloRing
 from towerlim.errors import GuardExceeded
-from towerlim.matrices import mat_identity, mat_mul, mat_vec_mod
+from towerlim.matrices import SLAB, mat_identity, mat_mul, mat_vec_mod
 from towerlim.tower import (
     build_ring,
     frobenius_product,
     make_tower_spec,
     orbit_params,
+    p_polys,
+    primitive_orbit_reps,
     r_poly,
     scalar_congruence_rows,
 )
 
-from oracles import mat_pow_mod
+from oracles import mat_pow_mod, serial_frobenius_product
 
 PROPS = settings(derandomize=True, database=None, max_examples=200,
                  deadline=None)
@@ -101,6 +103,83 @@ def test_group_ring_product_matches_oracle(case):
     assert_matches_oracle(spec, n, v, ring)
 
 
+def assert_batches_match_serial(spec, n, slab=SLAB):
+    """Every rep's product in `p_polys`' batches, chunked at `slab`
+    group-ring entries, equals the serial product, and the batches take
+    k steps a chunk; returns the orbit sizes and the chunk count."""
+    reps = primitive_orbit_reps(spec, n)
+    ring = build_ring(spec, n)
+    products = []
+    real = tower.det_one_minus_y
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tower, "SLAB", slab)
+        mp.setattr(tower, "det_one_minus_y",
+                   lambda a, one, zero: products.append(a)
+                   or real(a, one, zero))
+        polys, steps = p_polys(spec, n, reps, [v for v, _ in reps])
+    assert len(products) == len(polys) == len(reps)
+    for v, a in zip(polys, products):
+        assert coeffs(a) == coeffs(serial_frobenius_product(spec, n, v, ring))
+    per_chunk = max(1, slab // (spec.r**2 * ring.order))
+    sizes = [s for _, s in reps]
+    chunks = {k: -(-sizes.count(k) // per_chunk) for k in set(sizes)}
+    assert steps == sum(k * c for k, c in chunks.items())
+    return set(sizes), sum(chunks.values())
+
+
+@st.composite
+def batched_towers(draw):
+    """A tower, a level and a chunk size: Q = I + l S with S a rank-one
+    shift u w^T (a line of slower vectors, so mixed orbit sizes) or a full
+    one; r in {1, 2}; precision 40 takes the object dtype; the chunk holds
+    1 to 3 products, or SLAB entries."""
+    ell = draw(st.sampled_from([3, 5]))
+    b = draw(st.integers(1, 2))
+    r = draw(st.integers(1, 2))
+    pair = st.tuples(*[st.integers(-1, 1)] * b)
+    if draw(st.booleans()):
+        u, w = draw(pair), draw(pair)
+        shift = [[u[i] * w[j] for j in range(b)] for i in range(b)]
+    else:
+        shift = [list(draw(pair)) for _ in range(b)]
+    if not any(map(any, shift)):
+        shift[0][-1] = 1  # Q must differ from the identity
+    q = [[int(i == j) + ell * shift[i][j] for j in range(b)]
+         for i in range(b)]
+    deepest = {(3, 1): 4, (3, 2): 2, (5, 1): 3, (5, 2): 1}[(ell, b)]
+    n = draw(st.integers(1, deepest))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 40)] * b),
+                         min_size=1, max_size=3, unique=True))
+    mats = [[[draw(st.integers(-9, 9)) for _ in range(r)] for _ in range(r)]
+            for _ in exps]
+    prec = draw(st.sampled_from([None, 40]))
+    spec = make_tower_spec(ell, b, r, q, list(zip(exps, mats)), n, prec)
+    per_chunk = draw(st.sampled_from([None, 1, 2, 3]))
+    slab = SLAB if per_chunk is None else per_chunk * r * r * ell**n
+    return spec, n, slab
+
+
+@PROPS
+@given(batched_towers())
+def test_batched_products_match_the_serial_product(case):
+    assert_batches_match_serial(*case)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("prec, dtype", [(None, np.int64), (40, object)])
+def test_batches_split_at_the_slab_boundary(r, prec, dtype):
+    # Q = 1 + 3^5 has orbits of size 3 at level 6: 162 products of 729 r^2
+    # group-ring entries, 22 a chunk at r = 1 and 5 at r = 2
+    mats = [[[(i + 2 * j + t) % 5 - 2 for j in range(r)] for i in range(r)]
+            for t in range(3)]
+    spec = make_tower_spec(3, 1, r, [[244]], list(zip(
+        [(0,), (1,), (5,)], mats)), 6, prec)
+    assert tower._product_dtype(spec, build_ring(spec, 6)) is dtype
+    per_chunk = {1: 22, 2: 5}[r]
+    assert per_chunk * r * r * 729 <= SLAB < (per_chunk + 1) * r * r * 729
+    assert assert_batches_match_serial(spec, 6) == ({3}, -(-162 // per_chunk))
+
+
 # l = 3, precision 2: (l^prec - 1) * 2^60 is exactly 2^63
 BOUND_COLUMNS = [
     ([[2**59]], [[2**59 - 1]], np.int64),    # 8 * (2^60 - 1) < 2^63
@@ -151,6 +230,21 @@ def test_memory_guard_names_level_rep_and_estimate():
     assert frobenius_product(spec, 1, (1,), ring)[0][0] == ring.elem([1, 1])
 
 
+def test_batch_guard_names_the_first_class_rep_before_any_walk(monkeypatch):
+    # each product of level 2 needs three int64 arrays of 9 entries, 216
+    # bytes, however many a batch holds; one byte less refuses the level
+    # at the first class rep, before any product walks its orbit
+    spec = make_tower_spec(3, 2, 1, [[4, 0], [3, 4]],
+                           [((0, 0), [[1]]), ((3, 1), [[1]])], 2)
+    v = primitive_orbit_reps(spec, 2)[0][0]
+    monkeypatch.setattr(tower, "MAX_PRODUCT_BYTES", 3 * 9 * 8 - 1)
+    monkeypatch.setattr(tower.Orbits, "walk", None)
+    with pytest.raises(GuardExceeded) as err:
+        tower.level_pieces(spec, 2)
+    assert err.value.context == {"level": 2, "rep": v, "need": 3 * 9 * 8,
+                                 "limit": 3 * 9 * 8 - 1}
+
+
 # -- one charpoly per unit class and one per class check --------------------
 
 SCALAR_R2 = make_tower_spec(5, 1, 2, [[6]], [
@@ -160,22 +254,23 @@ SCALAR_R2 = make_tower_spec(5, 1, 2, [[6]], [
 ], 3)
 
 
-def _count_p_poly(monkeypatch):
+def _count_charpolys(monkeypatch):
+    """The (level, rep) of every charpoly the batches compute."""
     calls = []
-    real = tower.p_poly
+    real = tower.p_polys
 
-    def counting(spec, n, v):
-        calls.append((n, tuple(v)))
-        return real(spec, n, v)
+    def counting(spec, n, reps, vs):
+        calls.extend((n, tuple(v)) for v in vs)
+        return real(spec, n, reps, vs)
 
-    monkeypatch.setattr(tower, "p_poly", counting)
+    monkeypatch.setattr(tower, "p_polys", counting)
     return calls
 
 
 def test_scalar_rows_compute_each_charpoly_once(monkeypatch):
     params = orbit_params(SCALAR_R2)
     want = scalar_congruence_rows(SCALAR_R2, params, {})
-    calls = _count_p_poly(monkeypatch)
+    calls = _count_charpolys(monkeypatch)
     assert scalar_congruence_rows(SCALAR_R2, params, {}) == want
     # 4 reps a level, one unit class of 4 orbits: its rep and its check
     assert len(calls) == len(set(calls)) == 6
@@ -188,7 +283,7 @@ def test_converge_shares_charpolys_between_aggregates_and_rows(
     for n in (1, 2, 3):
         r_poly(SCALAR_R2, n, pieces)
     assert sum(len(pieces[n].units) for n in (1, 2, 3)) == 12
-    calls = _count_p_poly(monkeypatch)
+    calls = _count_charpolys(monkeypatch)
     assert scalar_congruence_rows(SCALAR_R2, orbit_params(SCALAR_R2), pieces)
     assert calls == []
     cfg = tmp_path / "cfg.json"
