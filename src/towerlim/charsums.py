@@ -625,6 +625,18 @@ def _fresh_orbits(family: str, ell: int, m: int,
     return orbit_reps([[mult]], d, 1, lambda v: v[0] % ell)
 
 
+def _power(x, e: int):
+    """x^e for a ring element x and e >= 1, by square-and-multiply."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else out * x
+        e >>= 1
+        if not e:
+            return out
+        x = x * x
+
+
 def _generator_norm(family: str, m: int, gen: tuple, s, e: int,
                     conj: Sequence[int]) -> list[int]:
     """prod over u in `conj` of (1 + sigma_u(s^e) y), in integers, one
@@ -635,9 +647,7 @@ def _generator_norm(family: str, m: int, gen: tuple, s, e: int,
     family, the level, the generator `gen` and the coefficient.
     """
     what = f"{family} level-{m} h"
-    x = s
-    for _ in range(e - 1):
-        x = x * s
+    x = _power(s, e)
     if isinstance(x, BiCycloElem):  # the zeta_p rows 1..p-2 must vanish
         x = CycloElem(x.ring.cyclo, tuple(demote(
             zip(*x.mat), what, family=family, level=m, generator=gen)))

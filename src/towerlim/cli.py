@@ -316,18 +316,29 @@ def cmd_qsum(args) -> int:
 
 
 # -- parser ---------------------------------------------------------------
+#
+# Each subcommand (and each family of zeta and coleman) has one `_add_*`
+# function, which adds the parser `name` to `sub` and is given the rest of
+# argv after that name.  `_add_chosen` builds only the entry argv names, or
+# all of them when argv names none (no argument, -h, or an unknown name),
+# so a command pays for its own parsers alone, while help and usage errors
+# read as those of the full tree.
 
 
 def _add_out(p) -> None:
     p.add_argument("--out", help="also write the JSON report to this file")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="towerlim", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="cmd", required=True)
+def _add_chosen(sub, table: dict, argv: Sequence[str]) -> None:
+    if argv and argv[0] in table:
+        table[argv[0]](sub, argv[0], argv[1:])
+    else:
+        for name, add in table.items():
+            add(sub, name, ())
 
-    p = sub.add_parser("converge", help="tower congruence report")
+
+def _add_converge(sub, name, argv) -> None:
+    p = sub.add_parser(name, help="tower congruence report")
     p.add_argument("--config", required=True, help="experiment config (JSON)")
     p.add_argument("--mode", required=True, choices=["scalar", "general"])
     p.add_argument("--n-max", type=int, default=None,
@@ -336,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=cmd_converge)
 
-    p = sub.add_parser("arnold", help="matrix trace/charpoly congruence")
+
+def _add_arnold(sub, name, argv) -> None:
+    p = sub.add_parser(name, help="matrix trace/charpoly congruence")
     p.add_argument("--matrix", required=True,
                    help='integer matrix, e.g. "1,1;1,0"')
     p.add_argument("--ell", type=int, required=True)
@@ -344,43 +357,69 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=cmd_arnold)
 
-    p = sub.add_parser("zeta", help="curve point counts and Weil polynomials")
-    zs = p.add_subparsers(dest="family", required=True)
-    for fam in ("fermat", "as"):
-        pf = zs.add_parser(fam)
-        pf.add_argument("--ell", type=int, required=True)
-        pf.add_argument("--n", type=int, required=True,
-                        help="tower level (curve exponent is ell^n)")
-        pf.add_argument("--q", type=int, required=True,
-                        help="base field size (prime power, 1 mod ell)")
-        pf.add_argument("--m-max", type=int, default=None,
-                        help="check counts over extensions up to this degree")
-        _add_out(pf)
-        pf.set_defaults(func=cmd_zeta, family=fam)
-    pm = zs.add_parser("motivating")
+
+def _add_tower_family(zs, name, argv) -> None:
+    pf = zs.add_parser(name)
+    pf.add_argument("--ell", type=int, required=True)
+    pf.add_argument("--n", type=int, required=True,
+                    help="tower level (curve exponent is ell^n)")
+    pf.add_argument("--q", type=int, required=True,
+                    help="base field size (prime power, 1 mod ell)")
+    pf.add_argument("--m-max", type=int, default=None,
+                    help="check counts over extensions up to this degree")
+    _add_out(pf)
+    pf.set_defaults(func=cmd_zeta, family=name)
+
+
+def _add_motivating(zs, name, argv) -> None:
+    pm = zs.add_parser(name)
     pm.add_argument("--level", type=int, default=3,
                     help="tower level t of y^2 = x^(2^t) + 1 over F_5")
     _add_out(pm)
-    pm.set_defaults(func=cmd_zeta, family="motivating")
+    pm.set_defaults(func=cmd_zeta, family=name)
 
-    p = sub.add_parser("coleman", help="degree-l descent identity checks")
-    cs = p.add_subparsers(dest="kind", required=True)
-    pj = cs.add_parser("jacobi")
+
+ZETA_FAMILIES = {"fermat": _add_tower_family, "as": _add_tower_family,
+                 "motivating": _add_motivating}
+
+
+def _add_zeta(sub, name, argv) -> None:
+    p = sub.add_parser(name, help="curve point counts and Weil polynomials")
+    _add_chosen(p.add_subparsers(dest="family", required=True),
+                ZETA_FAMILIES, argv)
+
+
+def _add_jacobi(cs, name, argv) -> None:
+    pj = cs.add_parser(name)
     pj.add_argument("--ell", type=int, required=True)
     pj.add_argument("--q", type=int, required=True)
     pj.add_argument("--v1", type=int, required=True)
     pj.add_argument("--v2", type=int, required=True)
     _add_out(pj)
-    pj.set_defaults(func=cmd_coleman, kind="jacobi")
-    pg = cs.add_parser("gauss")
+    pj.set_defaults(func=cmd_coleman, kind=name)
+
+
+def _add_gauss(cs, name, argv) -> None:
+    pg = cs.add_parser(name)
     pg.add_argument("--ell", type=int, required=True)
     pg.add_argument("--q", type=int, required=True)
     pg.add_argument("--v", type=int, default=None,
                     help="single character parameter (default: all units)")
     _add_out(pg)
-    pg.set_defaults(func=cmd_coleman, kind="gauss")
+    pg.set_defaults(func=cmd_coleman, kind=name)
 
-    p = sub.add_parser("qsum", help="exact orbit character sums")
+
+COLEMAN_KINDS = {"jacobi": _add_jacobi, "gauss": _add_gauss}
+
+
+def _add_coleman(sub, name, argv) -> None:
+    p = sub.add_parser(name, help="degree-l descent identity checks")
+    _add_chosen(p.add_subparsers(dest="kind", required=True),
+                COLEMAN_KINDS, argv)
+
+
+def _add_qsum(sub, name, argv) -> None:
+    p = sub.add_parser(name, help="exact orbit character sums")
     p.add_argument("--config", required=True)
     p.add_argument("--lambda", dest="lam", required=True,
                    help='character weights, e.g. "3,1"')
@@ -391,11 +430,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=cmd_qsum)
 
+
+COMMANDS = {"converge": _add_converge, "arnold": _add_arnold,
+            "zeta": _add_zeta, "coleman": _add_coleman, "qsum": _add_qsum}
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The command-line parser: the full tree, or with `argv` only the
+    parsers on the path it names (`_add_chosen`)."""
+    parser = _Parser(prog="towerlim", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    _add_chosen(parser.add_subparsers(dest="cmd", required=True), COMMANDS,
+                argv)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -175,15 +175,17 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(mod_poly: list[int], p: int) -> bool:
-    """Rabin test: x^(p^f) = x mod m, and gcd(x^(p^(f/d)) - x, m) constant
-    for every prime d | f."""
+    """Ben-Or's test: a monic m of degree f is irreducible iff
+    gcd(x^(p^i) - x, m) = 1 for every i <= f/2, since x^(p^i) - x is the
+    product of the monic irreducibles of degree dividing i, and a reducible
+    m has a factor of degree at most f/2.  It stops at the first nontrivial
+    gcd, which for most reducible m comes at a small i."""
     f = len(mod_poly) - 1
     x = [0, 1] + [0] * (f - 2)
-    if _poly_pow_mod(x, p**f, mod_poly, p) != x:
-        return False
-    for d in prime_factors(f):
-        sub = _poly_pow_mod(x, p ** (f // d), mod_poly, p)
-        diff = [(a - b) % p for a, b in zip(sub, x)]
+    frob = x  # x^(p^i) mod m
+    for _ in range(f // 2):
+        frob = _poly_pow_mod(frob, p, mod_poly, p)
+        diff = [(a - b) % p for a, b in zip(frob, x)]
         if _poly_deg(_poly_gcd(diff, list(mod_poly), p)) != 0:
             return False
     return True
@@ -197,7 +199,7 @@ def _find_modulus(p: int, f: int) -> tuple[int, ...]:
     is c_i.  Returned constant-term first, with the leading 1 appended.
 
     A candidate of degree f >= 2 with a root in F_p has a linear factor, so
-    the search skips it before the Rabin test; a constant term of zero is
+    the search skips it before `_is_irreducible`; a constant term of zero is
     the root 0.  Only reducible candidates are skipped, so the result is the
     first irreducible still.
     """

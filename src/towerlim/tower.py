@@ -661,10 +661,12 @@ def _norm_bytes(stages: list, ell: int, r: int, q: int) -> int:
     the degree r of p alone.  A stage's j-th product multiplies j
     conjugates' product, of degree j D, by one more of degree D, every row
     padded to stride 2 phi_k - 1; each stage multiplies D by its number of
-    units.  A convolve of m1 >= m2 entries in [0, q) holds, per output
-    slot, w bytes in each of three packed integers (the operands together,
-    their product, its bytes) and one Python int of up to w bytes with its
-    list pointer, w the slot width `convolve` takes."""
+    units.  A convolve of m1 >= m2 entries in [0, q), w the slot width it
+    takes, holds per output slot when it unpacks: the sign mask, the
+    product with its slots offset and that product's bytes, w bytes each
+    (the two integers at 4 bytes a 30-bit digit: 4w in all); the word
+    layout's int64 array; a list pointer; and one Python int of up to w
+    bytes.  The bytes layout needs no word array and is counted alike."""
     need, deg = 0, r
     for k, units in stages:
         stride = 2 * (ell - 1) * ell ** (k - 1) - 1
@@ -672,7 +674,7 @@ def _norm_bytes(stages: list, ell: int, r: int, q: int) -> int:
             m1, m2 = (j * deg + 1) * stride, (deg + 1) * stride
             bound = (q - 1) ** 2 * m2
             w = (bound.bit_length() + 8) // 8
-            need = max(need, (m1 + m2 - 1) * (3 * w + 8
+            need = max(need, (m1 + m2 - 1) * (4 * w + 16
                                               + sys.getsizeof(bound)))
         deg *= len(units)
     return need

@@ -19,7 +19,8 @@ from towerlim.charsums import (
 from towerlim.cyclo import BiCycloRing, CycloElem, CycloRing, demote
 from towerlim.errors import CheckFailed, GuardExceeded, InputError
 from towerlim.fields import (
-    _is_irreducible,
+    _poly_deg,
+    _poly_gcd,
     _poly_mul_mod,
     _poly_pow_mod,
     field_build,
@@ -281,6 +282,21 @@ def fq_mul_poly(field, a, b):
 # modulus, generator and tables are checked against.
 
 
+def rabin_irreducible(mod_poly, p):
+    """Rabin's test: x^(p^f) = x mod m, and gcd(x^(p^(f/d)) - x, m) = 1 for
+    every prime d | f."""
+    f = len(mod_poly) - 1
+    x = [0, 1] + [0] * (f - 2)
+    if _poly_pow_mod(x, p**f, mod_poly, p) != x:
+        return False
+    for d in prime_factors(f):
+        sub = _poly_pow_mod(x, p ** (f // d), mod_poly, p)
+        diff = [(a - b) % p for a, b in zip(sub, x)]
+        if _poly_deg(_poly_gcd(diff, list(mod_poly), p)) != 0:
+            return False
+    return True
+
+
 def unsieved_modulus(p, f):
     """The lexicographically first monic irreducible of degree f, by the
     Rabin test on every candidate in ascending packed order; constant term
@@ -294,7 +310,7 @@ def unsieved_modulus(p, f):
             digits.append(t % p)
             t //= p
         poly = digits + [1]
-        if _is_irreducible(poly, p):
+        if rabin_irreducible(poly, p):
             return tuple(poly)
     raise AssertionError(f"no irreducible polynomial for p={p}, f={f}")
 

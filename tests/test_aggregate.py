@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from towerlim import tower
+from towerlim import cyclo, tower
 from towerlim.cli import main
 from towerlim.cyclo import CycloElem, CycloRing
 from towerlim.errors import CheckFailed, GuardExceeded
@@ -240,11 +241,11 @@ def test_aggregate_does_no_ring_multiplies(monkeypatch):
 
 def convolve_bytes(m1, m2, q):
     """The guard's estimate of one convolve of m1 and m2 entries below q,
-    written out: per output slot, three w-byte packed slots, a list
-    pointer and one Python int."""
+    written out: per output slot, 4w bytes for the sign mask, the product
+    and its bytes, an 8-byte word, a list pointer and one Python int."""
     bound = (q - 1) ** 2 * min(m1, m2)
     w = (bound.bit_length() + 8) // 8
-    return (m1 + m2 - 1) * (3 * w + 8 + sys.getsizeof(bound))
+    return (m1 + m2 - 1) * (4 * w + 16 + sys.getsizeof(bound))
 
 
 def test_aggregate_memory_guard_names_level_degree_and_estimate(monkeypatch):
@@ -265,6 +266,37 @@ def test_aggregate_memory_guard_names_level_degree_and_estimate(monkeypatch):
                                  "need": need, "limit": need - 1}
     msg = str(err.value)
     assert "level 3" in msg and "degree 18" in msg and str(need) in msg
+
+
+def test_guard_estimate_bounds_the_traced_convolve(monkeypatch):
+    # the largest convolve of level 3's 18-orbit class, as the descent
+    # makes it: the estimate covers what tracemalloc sees it allocate, and
+    # by no more than 2x
+    pieces = {3: level_pieces(GEN, 3)}
+    members = max(pieces[3].classes, key=len)
+    calls = []
+    real = cyclo.convolve
+
+    def spy(a, b):
+        calls.append((list(a), list(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(cyclo, "convolve", spy)
+    stages = tower._descent_stages(3, len(members))
+    tower._class_norm(GEN, 3, members[0], pieces[3].polys[members[0]],
+                      stages)
+    monkeypatch.undo()
+    a, b = max(calls, key=lambda ab: len(ab[0]) + len(ab[1]))
+    assert (len(a), len(b)) == (3 * 35, 2 * 35)
+    tracemalloc.start()
+    try:
+        real(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = tower._norm_bytes(stages, 3, 1, 3**14)
+    assert need == convolve_bytes(3 * 35, 2 * 35, 3**14)
+    assert peak <= need <= 2 * peak
 
 
 def _write_gen(tmp_path):

@@ -93,6 +93,17 @@ def test_gauss_sum_has_norm_q():
         gauss_norm_check(field, ell, level, 1)
 
 
+def test_power_matches_the_sequential_product():
+    # a Jacobi sum in Z[zeta_9] and a Gauss sum in Z[zeta_19, zeta_9], as
+    # `_generator_norm` raises them
+    field = field_build(19, 1)
+    for s in (jacobi_sum(field, 3, 2, 1, 2), gauss_sum(field, 3, 2, 1)):
+        seq = s
+        for e in range(1, 11):
+            assert charsums._power(s, e) == seq, e
+            seq = seq * s
+
+
 def test_jacobi_gauss_bridge():
     # g(v1) g(v2) = J(v1, v2) g(v1 + v2) whenever all three are nondegenerate.
     for ell, level, q in CHAR_GRID:

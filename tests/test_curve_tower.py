@@ -118,9 +118,10 @@ def test_artin_schreier_work_counts(monkeypatch):
     monkeypatch.setattr(charsums, "gauss_sum", counting_gauss)
     rec = h_poly_tower("artin-schreier", 3, 19, 2)
     assert [len(lv["h"]) - 1 for lv in rec["levels"]] == [36, 108]
-    # one generator per level, S^e with e = 3, 9: e - 1 = 2 + 8 bicyclotomic
-    # multiplies; its norm over c = 2, 6 conjugates: c (c + 1) / 2 = 3 + 21
-    assert counts == {"mul": 24, "bimul": 10, "gauss": 2}
+    # one generator per level, S^e with e = 3, 9 by square-and-multiply:
+    # 2 + 4 bicyclotomic multiplies (S^2 S; S^2, S^4, S^8, S^8 S); its norm
+    # over c = 2, 6 conjugates: c (c + 1) / 2 = 3 + 21
+    assert counts == {"mul": 24, "bimul": 6, "gauss": 2}
 
 
 def test_artin_schreier_takes_one_gauss_sum_per_unit_orbit(monkeypatch):

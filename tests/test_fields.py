@@ -16,6 +16,7 @@ from towerlim.fields import (
     FqField,
     _find_modulus,
     _float_mod,
+    _is_irreducible,
     field_build,
 )
 from towerlim.padic import is_prime
@@ -31,6 +32,7 @@ from oracles import (
     fq_tr_abs,
     int64_field_tables,
     packed_pow,
+    rabin_irreducible,
     unsieved_modulus,
 )
 
@@ -207,12 +209,14 @@ def test_norm_is_the_power_it_replaces(field_and_element):
         assert norm == pow(a, f, p)
 
 
-# _poly_pow_mod calls per build: the Rabin tests of the modulus search (2,
-# 20 and 0), then the primes of q - 1 the norm cannot decide (29 and 4733
-# at 7^7, 5 and 181 at 19^4, none at 65537) for each candidate that passes
-# the norm, and once more in the re-test.  The search that exponentiated
-# for every prime, with the trace basis built in __init__, made 42, 54 and 5.
-@pytest.mark.parametrize("p, f, most", [(7, 7, 8), (19, 4, 24),
+# _poly_pow_mod calls per build: the modulus search's Ben-Or steps, each a
+# p-th power (3, 20 and 0; the Rabin tests before them made 2, 20 and 0,
+# powers up to p^f), then the primes of q - 1 the norm cannot decide (29
+# and 4733 at 7^7, 5 and 181 at 19^4, none at 65537) for each candidate
+# that passes the norm, and once more in the re-test.  The search that
+# exponentiated for every prime, with the trace basis built in __init__,
+# made 42, 54 and 5.
+@pytest.mark.parametrize("p, f, most", [(7, 7, 9), (19, 4, 24),
                                         (65537, 1, 0)])
 def test_a_build_exponentiates_only_where_the_norm_cannot_decide(
         monkeypatch, p, f, most):
@@ -228,10 +232,21 @@ def test_a_build_exponentiates_only_where_the_norm_cannot_decide(
 
 
 def test_root_sieve_keeps_the_first_irreducible():
-    cases = [(p, f) for p in (2, 3, 5, 7, 11, 13) for f in range(2, 9)
-             if p**f <= 10**6] + [(2, 20), (997, 2), (3137, 2), (211, 3)]
+    # the sieved Ben-Or search against the unsieved Rabin one
+    cases = [(p, f) for p in (2, 3, 5, 7, 19) for f in range(1, 9)] + [
+        (p, f) for p in (11, 13) for f in range(2, 9) if p**f <= 10**6] + [
+        (2, 20), (997, 2), (3137, 2), (211, 3)]
     for p, f in cases:
         assert _find_modulus(p, f) == unsieved_modulus(p, f), (p, f)
+
+
+@pytest.mark.parametrize("p, f", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+                                  (3, 3), (3, 4), (5, 3)])
+def test_ben_or_agrees_with_rabin_on_every_monic(p, f):
+    # every monic of degree f, roots and repeated factors included
+    for code in range(p**f):
+        poly = [code // p**i % p for i in range(f)] + [1]
+        assert _is_irreducible(poly, p) == rabin_irreducible(poly, p), poly
 
 
 def test_float_steps_are_exact_for_every_field_under_the_cap():

@@ -98,11 +98,12 @@ CASES = {
     # the class of (1, 0) at level 2 has six orbits: its norm has degree 6,
     # and its largest convolve multiplies two conjugates in K_2 (3 rows at
     # stride 11) by a third (2 rows), entries below 3^14: 54 output slots
-    # of 7 bytes, since (3^14 - 1)^2 * 22 < 2^49 leaves a sign bit in 56
+    # of 7 bytes, since (3^14 - 1)^2 * 22 < 2^49 leaves a sign bit in 56,
+    # each counted with an 8-byte word, a list pointer and one int
     "aggregate": (_aggregate_at_1000_bytes,
                   {"level": 2, "rep": (1, 0), "degree": 6,
                    "need": (33 + 22 - 1) * (
-                       3 * 7 + 8 + sys.getsizeof((3**14 - 1) ** 2 * 22)),
+                       4 * 7 + 16 + sys.getsizeof((3**14 - 1) ** 2 * 22)),
                    "limit": 1000}),
 }
 

@@ -6,14 +6,21 @@ and in Z[zeta_p, zeta_{l^n}] goes through Kronecker substitution.  The
 oracles are the schoolbook coefficient loop that `CycloRing._mul_coeffs`
 ran outside the old numpy window, and the quadruple loop of
 `BiCycloElem.__mul__`.  Operands cover signed coefficients of up to 300
-bits, all-zero operands and operands filled with q - 1.
+bits, all-zero operands and operands filled with q - 1.  `convolve` packs
+and unpacks its slots in one of two layouts, numpy words or per-slot
+bytes; a spy on the unpacking names the layout each input took, on both
+sides of the length crossover, of the 8-byte slot and of int64.
 """
 
 from __future__ import annotations
 
+from math import isqrt
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from towerlim import cyclo
 from towerlim.cyclo import BiCycloElem, BiCycloRing, CycloRing, convolve
 
 PROPS = settings(derandomize=True, database=None, max_examples=80,
@@ -131,6 +138,78 @@ def test_convolve_slot_edges():
             assert convolve(a, b) == schoolbook(a, b)
     assert convolve([0, 0], [5, -7, 1 << 80]) == [0, 0, 0, 0]
     assert convolve([3], [-4]) == [-12]
+
+
+@PROPS
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 28),
+       st.data())
+def test_convolve_matches_schoolbook_in_words(len_a, len_b, bits, data):
+    # coefficients below 2^28 keep every slot within one 8-byte word
+    a = data.draw(coefficients(len_a, -((1 << bits) - 1)))
+    b = data.draw(coefficients(len_b, (1 << bits) - 1))
+    assert convolve(a, b) == schoolbook(a, b)
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """The (layout, slot width) of each `convolve` call, in order."""
+    seen = []
+    for layout in ("words", "bytes"):
+        real = getattr(cyclo, f"_unpack_{layout}")
+
+        def spy(x, n, width, real=real, layout=layout):
+            seen.append((layout, width))
+            return real(x, n, width)
+
+        monkeypatch.setattr(cyclo, f"_unpack_{layout}", spy)
+    return seen
+
+
+def layout_of(layouts, a, b):
+    """The layout and slot width `convolve(a, b)` took, once its product
+    has matched the schoolbook one."""
+    layouts.clear()
+    assert convolve(a, b) == schoolbook(a, b)
+    (taken,) = layouts
+    return taken
+
+
+@pytest.mark.parametrize("len_a, len_b, layout", [
+    (1, 1, "bytes"), (8, 8, "bytes"), (11, 12, "bytes"), (1, 22, "bytes"),
+    (12, 12, "words"), (1, 23, "words"), (23, 1, "words"),
+    (40, 40, "words"),
+])
+def test_layout_follows_the_length_crossover(layouts, len_a, len_b, layout):
+    a = [(-1) ** i * (i + 1) for i in range(len_a)]
+    b = [3 - i for i in range(len_b)]
+    assert layout_of(layouts, a, b)[0] == layout
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_layout_follows_the_slot_width(layouts, width):
+    # 12 x 12 slots with max|a| max|b| 12 just below 2^(8 width - 1): the
+    # middle slot of a constant product sits at +-(2^(8 width - 1) - e),
+    # e < 24, one step inside the sign bit of its width
+    edge = (1 << 8 * width - 1) - 1
+    t = isqrt(edge // 12)
+    s = edge // (12 * t)
+    assert (12 * t * s).bit_length() == 8 * width - 1
+    layout = "words" if width <= 8 else "bytes"
+    for a, b in [([t] * 12, [s] * 12), ([-t] * 12, [s] * 12),
+                 ([t, -t] * 6, [-s, s] * 6), ([t] * 12, [-s] + [0] * 11)]:
+        assert layout_of(layouts, a, b) == (layout, width)
+
+
+def test_layout_follows_int64(layouts):
+    top = (1 << 63) - 1
+    pad = [0] * 22
+    # operands at the ends of int64 still fit 8-byte slots
+    assert layout_of(layouts, [top, -top] + pad[1:], [1]) == ("words", 8)
+    assert layout_of(layouts, [-top] + pad, [-1]) == ("words", 8)
+    # one past either end does not
+    assert layout_of(layouts, [top + 1] + pad, [1]) == ("bytes", 9)
+    assert layout_of(layouts, [-top - 1] + pad, [-1]) == ("bytes", 9)
+    assert layout_of(layouts, [top] + pad, [1, 1]) == ("bytes", 9)
 
 
 @PROPS
