@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cyclo import (BiCycloElem, BiCycloRing, CycloElem, CycloRing, convolve,
-                    demote, stretch)
+                    demote, norm, stretch)
 from .errors import CheckFailed, GuardExceeded, InputError
 from .fields import (
     FIELD_CAP,
@@ -638,26 +638,20 @@ def _power(x, e: int):
 
 
 def _generator_norm(family: str, m: int, gen: tuple, s, e: int,
-                    conj: Sequence[int]) -> list[int]:
-    """prod over u in `conj` of (1 + sigma_u(s^e) y), in integers, one
-    linear factor at a time: new[j] = old[j] + sigma_u(s^e) old[j - 1].
-
-    s is a Jacobi (e = 1) or Gauss sum at level m.  An s^e off
-    Z[zeta_{l^m}] or a norm coefficient off Z is a CheckFailed naming the
-    family, the level, the generator `gen` and the coefficient.
-    """
+                    c: int) -> list[int]:
+    """The integer norm of 1 + s^e y over the c conjugates of s^e, s a
+    Jacobi (e = 1) or Gauss sum at level m.  An s^e off Z[zeta_{l^m}] or a
+    coefficient off the subfield a step of `cyclo.norm` expects is a
+    CheckFailed naming the family, the level, the generator `gen` and the
+    coefficient."""
     what = f"{family} level-{m} h"
     x = _power(s, e)
     if isinstance(x, BiCycloElem):  # the zeta_p rows 1..p-2 must vanish
         x = CycloElem(x.ring.cyclo, tuple(demote(
             zip(*x.mat), what, family=family, level=m, generator=gen)))
-    acc = [x.ring.one()]
-    for u in conj:
-        t = x.galois_act(u)
-        acc = [acc[0]] + [a + t * b for a, b in zip(acc[1:], acc)] \
-            + [t * acc[-1]]
-    return demote((a.coeffs for a in acc), what,
-                  family=family, level=m, generator=gen)
+    ring = x.ring
+    return norm([ring.one().coeffs, x.coeffs], ring.ell, m, c, None, what,
+                family=family, level=m, generator=gen)
 
 
 def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
@@ -677,12 +671,13 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
     unit of index c = phi(l^m)/k_m, so the Frobenius orbits in the unit
     orbit of v are those of g^i v, i < c (g = primitive_root(l, m)), and
     sigma_u maps J(chi^v1, chi^v2) to J(chi^(u v1), chi^(u v2)): each unit
-    orbit gives the integer norm prod_(i<c) (1 + sigma_(g^i)(S) y) of the
-    Jacobi sum S at its representative (`_generator_norm`).  A Gauss sum
-    S = g(psi, chi^v) (one per unit orbit) has the twists g(psi_a, chi^v) =
-    chi^v(a)^-1 S, a in F_q^*; with e the order of chi^v on F_q^* (odd)
-    their factors multiply to (1 + S^e y^e)^((q-1)/e), and S^e lies in
-    Z[zeta_{l^m}], fixed by Gal(Q(zeta_p)/Q) since F_p^* lies in F_q^*.
+    orbit gives the norm of 1 + S y from the fixed field of sigma_q, by
+    `cyclo.norm` (`_generator_norm`), S the Jacobi sum at its
+    representative.  A Gauss sum S = g(psi, chi^v) (one per unit orbit)
+    has the twists g(psi_a, chi^v) = chi^v(a)^-1 S, a in F_q^*; with e the
+    order of chi^v on F_q^* (odd) their factors multiply to
+    (1 + S^e y^e)^((q-1)/e), and S^e lies in Z[zeta_{l^m}], fixed by
+    Gal(Q(zeta_p)/Q) since F_p^* lies in F_q^*, and by sigma_q.
     The fresh-character count, the unit-orbit count, the orbit sizes (k_m
     for Frobenius, phi(l^m) for the units) and every degree are checked
     against the genus bookkeeping, else a hard error.  The counts have
@@ -738,10 +733,10 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
             e = d // math.gcd(d, (big.q - 1) // (q - 1))
             gens = 1
         share = twists // e
-        # c(c+1)/2 multiplies of phi coefficients of c (b + 1) bits per
-        # generator's norm, its roots of size 2^b = q^(e k_m / 2); by that
-        # bound the product f_m of degree D packs D^2 (lg q / 2 + 1) bits.
-        # The counts are the closed forms, so this runs before the scans.
+        # Bits of a norm's c linear factors multiplied out one at a time
+        # (`cyclo.norm` does less): c(c+1)/2 products of phi coefficients of
+        # c (b + 1) bits, roots 2^b = q^(e k_m / 2); f_m of degree D packs
+        # D^2 (lg q / 2 + 1) bits.  Closed-form counts, so before the scans.
         c, lg_q = phi // k_m, q.bit_length()
         deg_f = len(f_poly) - 1 + want_fresh
         need = (gens * c * (c + 1) // 2 * phi * c * (e * k_m * lg_q // 2 + 1)
@@ -782,11 +777,10 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
                 f"level-{m} unit orbit count {len(units)} != expected {gens}",
                 family=family, level=m, expected=gens, measured=len(units),
             )
-        conj = [pow(g, i, d) for i in range(c)]
         norms = [1]
         for v, _ in units:
             norms = convolve(norms, _generator_norm(
-                family, m, v, char_sum(big, ell, m, *v), e, conj))
+                family, m, v, char_sum(big, ell, m, *v), e, c))
         h_int = [1]
         while share:  # h_m(y^(1/e)) = norms^share, by squaring
             if share & 1:

@@ -15,19 +15,20 @@ substitution packs each operand into a single Python integer, so the
 coefficient product is one big-integer multiply whatever the modulus or
 degree, and the result is then wrapped mod l^n and folded as above.
 The integer polynomials of the package (zeta numerators, aggregate
-powers) are multiplied by the same :func:`convolve`, and every norm that
-Galois stability puts in a subfield comes down to it through
-:func:`descend` (to integers: :func:`demote`).
+powers) are multiplied by the same :func:`convolve`; :func:`norm` takes the
+class norms of r_n and the generator norms of the zeta numerators down the
+tower Q(zeta_(l^k)) to the integers.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CheckFailed, InputError
-from .padic import check_odd_prime, is_prime
+from .padic import check_odd_prime, int_val, is_prime, primitive_root
 
 
 # Operands of at least this many coefficients together take the word
@@ -140,6 +141,78 @@ def demote(rows: Iterable[Sequence[int]], what: str, **context) -> list[int]:
     """row[0] of each row of basis coefficients, which Galois stability
     puts in the base ring (`descend` with step None)."""
     return [row[0] for row in descend(rows, None, what, **context)]
+
+
+def _descent_stages(ell: int, c: int) -> list:
+    """The (k, units) stages of `norm` over c conjugates, top first."""
+    a = int_val(ell, c)
+    g = primitive_root(ell, 1)
+    return ([(k, [1 + j * ell ** (k - 1) for j in range(ell)])
+             for k in range(a + 1, 1, -1)]
+            + [(1, [g**i % ell for i in range(c // ell**a)])])
+
+
+def norm(rows: Sequence[Sequence[int]], ell: int, top: int, c: int,
+         prec: int | None, what: str, **context) -> list[int]:
+    """prod over u in (Z/l^top)^*/H of sigma_u(p), in integers: the norm
+    to Q of p(y), given by its ascending basis-coefficient rows over
+    K_top = Q(zeta_(l^top)) (exactly, prec None, or mod l^prec) and fixed
+    by the subgroup H of index c.  Norms are transitive (Washington,
+    Introduction to Cyclotomic Fields, ch. 2), so with c = d l^a,
+    d | l - 1, it is formed by descent down K_k = Q(zeta_(l^k)):
+
+    * H's fixed field lies in K_(a+1), so p's coefficients live on every
+      l^(top-1-a)-th power-basis vector of K_top;
+    * for k = a+1 down to 2, p becomes the product of its l conjugates
+      sigma_u, u = 1 + j l^(k-1), over K_(k-1), on every l-th basis
+      vector of K_k;
+    * in K_1, the d conjugates sigma_(g^i), i < d, g the least primitive
+      root mod l (one unit from each coset of the stabiliser in (Z/l)^*),
+      multiply to the norm, on the basis vector 1: integers.
+
+    Each product is one `convolve` (`CycloRing.poly_mul`), each step down
+    one `descend`: a coefficient off the subfield it expects is a
+    CheckFailed naming `what`, the coefficient and `context`.
+    """
+    stages = _descent_stages(ell, c)
+    x = descend(rows, ell ** (top - stages[0][0]), what, **context)
+    for k, units in stages:  # K_k down to K_(k-1); K_0 = Q
+        ring = CycloRing(ell, k, prec)
+        acc = x
+        for u in units[1:]:
+            acc = ring.poly_mul(acc, [CycloElem(ring, tuple(row))
+                                      .galois_act(u).coeffs for row in x])
+        x = descend(acc, ell, what, **context)
+    return [row[0] for row in x]
+
+
+def norm_bytes(ell: int, c: int, r: int, q: int) -> int:
+    """Peak bytes of the largest `convolve` in the `norm` over c
+    conjugates of a degree-r polynomial with entries in [0, q).  A stage's
+    j-th product multiplies j conjugates' product, of degree j D, by one
+    more of degree D, every row padded to stride 2 phi_k - 1; each stage
+    multiplies D by its number of units.  A convolve of m1 >= m2 entries,
+    w the slot width it takes, holds per output slot when it unpacks: the
+    sign mask, the product with its slots offset and that product's bytes,
+    w bytes each (the two integers at 4 bytes a 30-bit digit: 4w in all);
+    the word layout's int64 array; a list pointer; and one Python int of
+    up to w bytes.  Slots over 8 bytes take the bytes layout, whose pack
+    holds a bytes object and a list pointer per operand slot, counted per
+    output slot too; smaller slots take it only under WORD_LAYOUT_MIN
+    coefficients, a few kB, and are counted as the word layout."""
+    need, deg = 0, r
+    for k, units in _descent_stages(ell, c):
+        stride = 2 * (ell - 1) * ell ** (k - 1) - 1
+        for j in range(1, len(units)):
+            m1, m2 = (j * deg + 1) * stride, (deg + 1) * stride
+            bound = (q - 1) ** 2 * m2
+            w = (bound.bit_length() + 8) // 8
+            slot = 4 * w + 16 + sys.getsizeof(bound)
+            if w > 8:
+                slot += sys.getsizeof(bytes(w)) + 8
+            need = max(need, (m1 + m2 - 1) * slot)
+        deg *= len(units)
+    return need
 
 
 class CycloRing:

@@ -31,7 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cyclo import CycloElem, CycloRing, convolve, descend, stretch
+from .cyclo import (CycloElem, CycloRing, convolve, norm, norm_bytes,
+                    stretch)
 from .errors import CheckFailed, GuardExceeded, InputError
 from .matfermat import poly_diff_val
 from .matrices import (
@@ -642,62 +643,6 @@ def level_pieces(spec: TowerSpec, n: int) -> LevelPieces:
                        units, steps)
 
 
-def _descent_stages(ell: int, c: int) -> list:
-    """The norm of a class of c orbits, down the tower
-    K_k = Q(zeta_(l^k)), as (k, units) stages, top first: c = d l^a with
-    d | l - 1, each stage k = a+1, ..., 2 multiplies the l conjugates
-    sigma_u, u = 1 + j l^(k-1), of Gal(K_k/K_(k-1)), and the last, in K_1,
-    the d conjugates sigma_(g^i), i < d, g the least primitive root mod l:
-    the g^i are one unit from each coset of the stabiliser in (Z/l)^*."""
-    a = int_val(ell, c)
-    g = primitive_root(ell, 1)
-    return ([(k, [1 + j * ell ** (k - 1) for j in range(ell)])
-             for k in range(a + 1, 1, -1)]
-            + [(1, [g**i % ell for i in range(c // ell**a)])])
-
-
-def _norm_bytes(stages: list, ell: int, r: int, q: int) -> int:
-    """Peak bytes of a class norm's largest `convolve`, from its stages and
-    the degree r of p alone.  A stage's j-th product multiplies j
-    conjugates' product, of degree j D, by one more of degree D, every row
-    padded to stride 2 phi_k - 1; each stage multiplies D by its number of
-    units.  A convolve of m1 >= m2 entries in [0, q), w the slot width it
-    takes, holds per output slot when it unpacks: the sign mask, the
-    product with its slots offset and that product's bytes, w bytes each
-    (the two integers at 4 bytes a 30-bit digit: 4w in all); the word
-    layout's int64 array; a list pointer; and one Python int of up to w
-    bytes.  The bytes layout needs no word array and is counted alike."""
-    need, deg = 0, r
-    for k, units in stages:
-        stride = 2 * (ell - 1) * ell ** (k - 1) - 1
-        for j in range(1, len(units)):
-            m1, m2 = (j * deg + 1) * stride, (deg + 1) * stride
-            bound = (q - 1) ** 2 * m2
-            w = (bound.bit_length() + 8) // 8
-            need = max(need, (m1 + m2 - 1) * (4 * w + 16
-                                              + sys.getsizeof(bound)))
-        deg *= len(units)
-    return need
-
-
-def _class_norm(spec: TowerSpec, n: int, v: tuple, p: tuple,
-                stages: list) -> list[int]:
-    """N_C from the class rep v's p = p_{n,v} alone, by the descent
-    `_descent_stages` lays out (see `r_poly`)."""
-    ell = spec.ell
-    what = f"class norm of rep {v} at level {n}"
-    x = descend([c.coeffs for c in p], ell ** (n - stages[0][0]), what,
-                level=n, rep=v)
-    for k, units in stages:  # K_k down to K_(k-1); K_0 = Q
-        ring = CycloRing(ell, k, spec.prec)
-        acc = x
-        for u in units[1:]:
-            acc = ring.poly_mul(acc, [CycloElem(ring, tuple(row))
-                                      .galois_act(u).coeffs for row in x])
-        x = descend(acc, ell, what, level=n, rep=v)
-    return [row[0] for row in x]
-
-
 def r_poly(spec: TowerSpec, n: int,
            pieces: dict) -> tuple[tuple[int, ...], dict]:
     """The aggregate r_n(y) = prod over primitive orbit reps v of
@@ -705,31 +650,16 @@ def r_poly(spec: TowerSpec, n: int,
 
     The c members of the unit class C of v share v's orbit size, so C
     contributes N_C(y^s), s = k_n(v)/k_n, where N_C, the product of the
-    members' p_{n,u}, is prod_(i<c) sigma_(g^i)(p_{n,v}), the norm of
-    p = p_{n,v} from the fixed field L of sigma_(g^c), which the
-    stabiliser check puts it in, down to Q.  Norms are transitive
-    (Washington, Introduction to Cyclotomic Fields, ch. 2), so N_C is
-    formed from p alone by descent down K_k = Q(zeta_(l^k)), with
-    c = d l^a, d | l - 1:
-
-    * L lies in K_(a+1), so p's coefficients live on every
-      l^(n-1-a)-th power-basis vector of K_n;
-    * for k = a+1 down to 2, p is replaced by the product of its l
-      conjugates over K_(k-1), which lies on every l-th basis vector of
-      K_k (`_descent_stages`);
-    * in K_1, the d conjugates sigma_(g^i), i < d, multiply to N_C, which
-      lies on the basis vector 1: integers.
-
-    Each product of polynomials over (Z/l^prec)[zeta_(l^k)] is one
-    `convolve` (`CycloRing.poly_mul`), and each step down is `descend`:
-    a coefficient off the subfield it expects, the base ring at the end, is
-    a CheckFailed naming level, the class rep and the coefficient, whatever
-    the class checks passed.  A class whose largest `convolve` would pass
-    MAX_PRODUCT_BYTES (`_norm_bytes`) is a GuardExceeded naming level, rep,
-    degree c*r, need and limit, before the level's first product.
-    N_C(y^s) then multiplies into r_n by `convolve` mod l^prec.  Only each
-    class rep's p is read: `level_pieces` proves the other members'
-    transports.
+    members' p_{n,u}, is prod_(i<c) sigma_(g^i)(p_{n,v}): the norm of
+    p_{n,v}, which the stabiliser check puts in the fixed field of
+    sigma_(g^c), down to Q, formed from p_{n,v} alone by `cyclo.norm` mod
+    l^prec, whose CheckFailed names level, the class rep and the
+    coefficient, whatever the class checks passed.  A class whose largest
+    `convolve` would pass MAX_PRODUCT_BYTES (`cyclo.norm_bytes`) is a
+    GuardExceeded naming level, rep, degree c*r, need and limit, before
+    the level's first product.  N_C(y^s) then multiplies into r_n by
+    `convolve` mod l^prec.  Only each class rep's p is read:
+    `level_pieces` proves the other members' transports.
 
     Returns (coefficients, meta), meta recording k_n, the rep count and the
     orbit sizes.  `pieces` is the run's memo of `LevelPieces` by level: a
@@ -739,25 +669,26 @@ def r_poly(spec: TowerSpec, n: int,
         pieces[n] = level_pieces(spec, n)
     level = pieces[n]
     ell, q = spec.ell, spec.ell**spec.prec
-    plans = []
     for members in level.classes:
-        v, stages = members[0], _descent_stages(ell, len(members))
-        need = _norm_bytes(stages, ell, spec.r, q)
+        need = norm_bytes(ell, len(members), spec.r, q)
         if need > MAX_PRODUCT_BYTES:
-            degree = len(members) * spec.r
+            v, degree = members[0], len(members) * spec.r
             raise GuardExceeded(
                 f"class norm of rep {v} at level {n} has degree {degree} "
                 f"and needs about {need} bytes > {MAX_PRODUCT_BYTES}",
                 level=n, rep=v, degree=degree, need=need,
                 limit=MAX_PRODUCT_BYTES,
             )
-        plans.append((v, stages))
     sizes = dict(level.reps)
     r_n = [1]
-    for v, stages in plans:
-        norm = _class_norm(spec, n, v, level.polys[v], stages)
+    for members in level.classes:
+        v = members[0]
+        class_norm = norm([c.coeffs for c in level.polys[v]], ell, n,
+                          len(members), spec.prec,
+                          f"class norm of rep {v} at level {n}",
+                          level=n, rep=v)
         r_n = [c % q for c in
-               convolve(r_n, stretch(norm, sizes[v] // level.k_n))]
+               convolve(r_n, stretch(class_norm, sizes[v] // level.k_n))]
     meta = {
         "level": n,
         "k_n": level.k_n,

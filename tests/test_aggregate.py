@@ -112,9 +112,9 @@ def assert_norms_match_serial(spec, n):
     level = level_pieces(spec, n)
     for members in level.classes:
         v = members[0]
-        stages = tower._descent_stages(spec.ell, len(members))
         polys = {u: level.charpoly(u) for u in members}
-        assert (tower._class_norm(spec, n, v, level.polys[v], stages)
+        assert (cyclo.norm([c.coeffs for c in level.polys[v]], spec.ell, n,
+                           len(members), spec.prec, "class norm")
                 == serial_class_norm(spec, n, polys, members))
     return {len(c) for c in level.classes}
 
@@ -242,10 +242,15 @@ def test_aggregate_does_no_ring_multiplies(monkeypatch):
 def convolve_bytes(m1, m2, q):
     """The guard's estimate of one convolve of m1 and m2 entries below q,
     written out: per output slot, 4w bytes for the sign mask, the product
-    and its bytes, an 8-byte word, a list pointer and one Python int."""
+    and its bytes, an 8-byte word, a list pointer and one Python int; with
+    slots wider than 8 bytes, one bytes object of w bytes and one more
+    list pointer."""
     bound = (q - 1) ** 2 * min(m1, m2)
     w = (bound.bit_length() + 8) // 8
-    return (m1 + m2 - 1) * (4 * w + 16 + sys.getsizeof(bound))
+    slot = 4 * w + 16 + sys.getsizeof(bound)
+    if w > 8:
+        slot += sys.getsizeof(bytes(w)) + 8
+    return (m1 + m2 - 1) * slot
 
 
 def test_aggregate_memory_guard_names_level_degree_and_estimate(monkeypatch):
@@ -270,10 +275,9 @@ def test_aggregate_memory_guard_names_level_degree_and_estimate(monkeypatch):
 
 def test_guard_estimate_bounds_the_traced_convolve(monkeypatch):
     # the largest convolve of level 3's 18-orbit class, as the descent
-    # makes it: the estimate covers what tracemalloc sees it allocate, and
-    # by no more than 2x
-    pieces = {3: level_pieces(GEN, 3)}
-    members = max(pieces[3].classes, key=len)
+    # makes it, at precision 14 (7-byte slots, the word layout) and 20
+    # (9-byte slots, the bytes layout): the estimate covers what
+    # tracemalloc sees it allocate, and by no more than 2x
     calls = []
     real = cyclo.convolve
 
@@ -281,22 +285,26 @@ def test_guard_estimate_bounds_the_traced_convolve(monkeypatch):
         calls.append((list(a), list(b)))
         return real(a, b)
 
-    monkeypatch.setattr(cyclo, "convolve", spy)
-    stages = tower._descent_stages(3, len(members))
-    tower._class_norm(GEN, 3, members[0], pieces[3].polys[members[0]],
-                      stages)
-    monkeypatch.undo()
-    a, b = max(calls, key=lambda ab: len(ab[0]) + len(ab[1]))
-    assert (len(a), len(b)) == (3 * 35, 2 * 35)
-    tracemalloc.start()
-    try:
-        real(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    need = tower._norm_bytes(stages, 3, 1, 3**14)
-    assert need == convolve_bytes(3 * 35, 2 * 35, 3**14)
-    assert peak <= need <= 2 * peak
+    for spec in (GEN, GEN_P20):
+        q = 3**spec.prec
+        pieces = {3: level_pieces(spec, 3)}
+        members = max(pieces[3].classes, key=len)
+        calls.clear()
+        monkeypatch.setattr(cyclo, "convolve", spy)
+        cyclo.norm([c.coeffs for c in pieces[3].polys[members[0]]], 3, 3,
+                   len(members), spec.prec, "class norm")
+        monkeypatch.undo()
+        a, b = max(calls, key=lambda ab: len(ab[0]) + len(ab[1]))
+        assert (len(a), len(b)) == (3 * 35, 2 * 35)
+        tracemalloc.start()
+        try:
+            real(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need = cyclo.norm_bytes(3, len(members), 1, q)
+        assert need == convolve_bytes(3 * 35, 2 * 35, q)
+        assert peak <= need <= 2 * peak, spec.prec
 
 
 def _write_gen(tmp_path):

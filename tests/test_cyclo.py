@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from towerlim.cyclo import BiCycloRing, CycloRing
+from towerlim.cyclo import BiCycloRing, CycloRing, norm
 from towerlim.errors import CheckFailed, InputError
-from towerlim.padic import min_val
+from towerlim.padic import min_val, primitive_root
 
 from oracles import complex_value, conjugate, rational_int
 
@@ -229,3 +229,70 @@ def test_invalid_ring_parameters():
         CycloRing(3, 0)
     with pytest.raises(InputError):
         CycloRing(3, 1, prec=0)
+
+
+def _linear_product(ring, conjugates):
+    """prod (1 + t y) over the ring elements t, one linear factor at a time:
+    new[j] = old[j] + t old[j - 1]."""
+    acc = [ring.one()]
+    for t in conjugates:
+        acc = [acc[0]] + [a + t * b for a, b in zip(acc[1:], acc)] \
+            + [t * acc[-1]]
+    return acc
+
+
+def _subgroup(ell, n, c):
+    """The units mod l^n of the subgroup of index c in (Z/l^n)^*."""
+    g = primitive_root(ell, n)
+    return [pow(g, c * i, ell**n) for i in range((ell - 1) * ell ** (n - 1)
+                                                 // c)]
+
+
+NORM_RINGS = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (7, 1),
+              (7, 2)]
+
+
+@pytest.mark.parametrize("prec", [None, 6])
+@pytest.mark.parametrize("ell, n", NORM_RINGS)
+def test_norm_is_the_serial_product_of_all_conjugates(ell, n, prec):
+    # p(y) = prod over h in H of (1 + sigma_h(x) y), H of index c, is fixed
+    # by H; its norm to Q is the product over all phi(l^n) conjugates of
+    # 1 + x y, whatever c
+    ring = CycloRing(ell, n, prec)
+    rng = random.Random(ell * 100 + n)
+    x = ring.elem([rng.randrange(-2, 3) for _ in range(ring.phi)])
+    want = None
+    for c in range(1, ring.phi + 1):
+        if ring.phi % c:
+            continue
+        p = _linear_product(ring, [x.galois_act(h)
+                                   for h in _subgroup(ell, n, c)])
+        if c == 1:  # H is the whole group: p is the serial product itself
+            assert not any(any(t.coeffs[1:]) for t in p)
+            want = [t.coeffs[0] for t in p]
+        assert norm([t.coeffs for t in p], ell, n, c, prec, "norm") \
+            == want, c
+
+
+@pytest.mark.parametrize("ell, n", [(3, 2), (3, 3), (5, 2), (7, 2)])
+def test_norm_refuses_a_polynomial_its_subgroup_does_not_fix(ell, n):
+    # p fixed by the subgroup of index c only, normed as if the larger
+    # subgroup of index c' | c, c' < c, fixed it
+    ring = CycloRing(ell, n, None)
+    rng = random.Random(ell * 100 + n)
+    x = ring.elem([rng.randrange(-2, 3) for _ in range(ring.phi)])
+    for c in range(2, ring.phi + 1):
+        if ring.phi % c:
+            continue
+        p = _linear_product(ring, [x.galois_act(h)
+                                   for h in _subgroup(ell, n, c)])
+        for smaller in range(1, c):
+            if c % smaller:
+                continue
+            with pytest.raises(CheckFailed) as exc:
+                norm([t.coeffs for t in p], ell, n, smaller, None,
+                     "test norm", level=n)
+            i = exc.value.context["coefficient"]
+            assert exc.value.context == {"level": n, "coefficient": i}
+            assert 0 < i < len(p)
+            assert str(exc.value).startswith(f"test norm: coefficient {i} ")
