@@ -25,6 +25,7 @@ count on which they disagree as a `fail` row (exit 2).
 from __future__ import annotations
 
 import math
+import operator
 from itertools import product as _iproduct
 from typing import Optional, Sequence
 
@@ -42,7 +43,7 @@ from .fields import (
     prime_factors,
 )
 from .matfermat import det_from_traces, traces_from_det
-from .matrices import mat_step, orbit, orbit_reps
+from .matrices import Orbits, mat_step, orbit, orbit_reps, power
 from .padic import check_odd_prime, int_val, min_val, primitive_root
 
 ENUM_CAP = 10**7
@@ -604,8 +605,7 @@ def coleman_gauss_check(ell: int, q: int, v: Optional[int] = None) -> dict:
 # -- zeta numerators level by level up a tower of curves ------------------
 
 
-def _fresh_orbits(family: str, ell: int, m: int,
-                  mult: int) -> list[tuple[tuple[int, ...], int]]:
+def _fresh_orbits(family: str, ell: int, m: int, mult: int) -> Orbits:
     """Orbits of v -> mult * v on the fresh characters of level m, with sizes.
 
     Fermat: Jacobi pairs (v1, v2) mod l^m that are valid (both components
@@ -613,7 +613,8 @@ def _fresh_orbits(family: str, ell: int, m: int,
     divisible by l; the others are lifts of lower-level pairs, counted
     there).  Artin-Schreier: the units v mod l^m, as 1-tuples.  With
     mult = q these are the Frobenius orbits; with a primitive root mod l^m
-    they are the orbits of the Galois group of Q(zeta_{l^m}).
+    they are the orbits of the Galois group of Q(zeta_{l^m}), which
+    `h_poly_tower` reads as the Frobenius scan's `Orbits.classes` instead.
     """
     d = ell**m
     if family == "fermat":
@@ -625,18 +626,6 @@ def _fresh_orbits(family: str, ell: int, m: int,
     return orbit_reps([[mult]], d, 1, lambda v: v[0] % ell)
 
 
-def _power(x, e: int):
-    """x^e for a ring element x and e >= 1, by square-and-multiply."""
-    out = None
-    while True:
-        if e & 1:
-            out = x if out is None else out * x
-        e >>= 1
-        if not e:
-            return out
-        x = x * x
-
-
 def _generator_norm(family: str, m: int, gen: tuple, s, e: int,
                     c: int) -> list[int]:
     """The integer norm of 1 + s^e y over the c conjugates of s^e, s a
@@ -645,7 +634,7 @@ def _generator_norm(family: str, m: int, gen: tuple, s, e: int,
     CheckFailed naming the family, the level, the generator `gen` and the
     coefficient."""
     what = f"{family} level-{m} h"
-    x = _power(s, e)
+    x = power(s, e, operator.mul)
     if isinstance(x, BiCycloElem):  # the zeta_p rows 1..p-2 must vanish
         x = CycloElem(x.ring.cyclo, tuple(demote(
             zip(*x.mat), what, family=family, level=m, generator=gen)))
@@ -669,7 +658,8 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
 
     The product over all orbits is never formed.  Frobenius (x q) is a
     unit of index c = phi(l^m)/k_m, so the Frobenius orbits in the unit
-    orbit of v are those of g^i v, i < c (g = primitive_root(l, m)), and
+    orbit of v are those of g^i v, i < c (g = primitive_root(l, m)): the
+    Frobenius scan's `Orbits.classes` under g, no second scan.  And
     sigma_u maps J(chi^v1, chi^v2) to J(chi^(u v1), chi^(u v2)): each unit
     orbit gives the norm of 1 + S y from the fixed field of sigma_q, by
     `cyclo.norm` (`_generator_norm`), S the Jacobi sum at its
@@ -683,7 +673,7 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
     against the genus bookkeeping, else a hard error.  The counts have
     closed forms (Fermat: (l^m - 2) + (l^(m-1) - 1) unit orbits;
     Artin-Schreier: one), so a level whose estimated work passes
-    NORM_WORK_CAP is refused before its orbit scans, the first allocation
+    NORM_WORK_CAP is refused before its orbit scan, the first allocation
     that grows with (l^m)^2.
 
     For levels m >= n1 = v_l(q - 1) the step from m to m + 1 is a
@@ -732,11 +722,10 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
             # the order of chi_v, v a unit, on F_q^* = <G^((|big|-1)/(q-1))>
             e = d // math.gcd(d, (big.q - 1) // (q - 1))
             gens = 1
-        share = twists // e
         # Bits of a norm's c linear factors multiplied out one at a time
         # (`cyclo.norm` does less): c(c+1)/2 products of phi coefficients of
         # c (b + 1) bits, roots 2^b = q^(e k_m / 2); f_m of degree D packs
-        # D^2 (lg q / 2 + 1) bits.  Closed-form counts, so before the scans.
+        # D^2 (lg q / 2 + 1) bits.  Closed-form counts, so before the scan.
         c, lg_q = phi // k_m, q.bit_length()
         deg_f = len(f_poly) - 1 + want_fresh
         need = (gens * c * (c + 1) // 2 * phi * c * (e * k_m * lg_q // 2 + 1)
@@ -749,8 +738,6 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
                 family=family, level=m, need=need, limit=NORM_WORK_CAP,
             )
         orbits = frobenius[m] = _fresh_orbits(family, ell, m, q)
-        g = primitive_root(ell, m)
-        units = _fresh_orbits(family, ell, m, g)
         fresh = twists * sum(size for _, size in orbits)
         if fresh != want_fresh:
             raise CheckFailed(
@@ -764,7 +751,9 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
                 f"multiplicative order {k_m}",
                 family=family, level=m, expected=k_m, measured=sorted(sizes),
             )
-        unit_sizes = {size for _, size in units}
+        units = orbits.classes(primitive_root(ell, m), family=family,
+                               level=m)
+        unit_sizes = {len(members) * k_m for members in units}
         if unit_sizes and unit_sizes != {phi}:
             raise CheckFailed(
                 f"level-{m} unit orbit sizes {sorted(unit_sizes)} differ "
@@ -778,17 +767,12 @@ def h_poly_tower(family: str, ell: int, q: int, n: int) -> dict:
                 family=family, level=m, expected=gens, measured=len(units),
             )
         norms = [1]
-        for v, _ in units:
+        for members in units:
+            v = members[0]
             norms = convolve(norms, _generator_norm(
                 family, m, v, char_sum(big, ell, m, *v), e, c))
-        h_int = [1]
-        while share:  # h_m(y^(1/e)) = norms^share, by squaring
-            if share & 1:
-                h_int = convolve(h_int, norms)
-            share >>= 1
-            if share:
-                norms = convolve(norms, norms)
-        h_int = stretch(h_int, e)
+        # h_m(y^(1/e)) = norms^((q - 1)/e) for Gauss sums, norms for Jacobi
+        h_int = stretch(power(norms, twists // e, convolve), e)
         if (len(h_int) - 1) * k_m != fresh:
             raise CheckFailed(
                 f"level-{m} degree bookkeeping failed",

@@ -4,7 +4,7 @@ Elements are packed integers sum a_i p^i for the coefficient vector
 (a_0, ..., a_{f-1}) over a deterministic modulus: the lexicographically
 first monic irreducible of degree f (comparing coefficient tuples from the
 x^(f-1) coefficient down).  The search skips a candidate with a root in F_p
-(a constant term of zero is the root 0) before it runs the Rabin test.
+(a constant term of zero is the root 0) before it runs Ben-Or's test.
 The multiplicative group is tabulated against the smallest generator (by
 packed encoding), so powers of the generator and discrete logs are O(1)
 lookups.  A candidate g is a generator iff g^((q - 1) / d) != 1 for every
@@ -42,6 +42,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CheckFailed, GuardExceeded, InputError
+from .matrices import power
 from .padic import is_prime
 
 FIELD_CAP = 10**7
@@ -118,15 +119,7 @@ def _poly_mul_mod(a: list[int], b: list[int], mod_poly: list[int], p: int) -> li
 
 
 def _poly_pow_mod(a: list[int], e: int, mod_poly: list[int], p: int) -> list[int]:
-    out = [1] + [0] * (len(mod_poly) - 2)
-    base = list(a)
-    while e:
-        if e & 1:
-            out = _poly_mul_mod(out, base, mod_poly, p)
-        e >>= 1
-        if e:
-            base = _poly_mul_mod(base, base, mod_poly, p)
-    return out
+    return power(a, e, lambda x, y: _poly_mul_mod(x, y, mod_poly, p))
 
 
 def _det_mod(rows: list[list[int]], p: int) -> int:
@@ -372,10 +365,10 @@ class FqField:
         h = self._pow_poly(p % self.q, q)  # p encodes x (0 when f = 1)
         frob = np.hstack([b.astype(np.int64) for b in self.power_blocks(h, f)])
         trace = np.eye(f, dtype=np.int64)
-        power = trace
+        frob_i = trace
         for _ in range(m - 1):
-            power = frob @ power % p
-            trace = trace + power
+            frob_i = frob @ frob_i % p
+            trace = trace + frob_i
         trace %= p
         if np.any((trace @ trace - m * trace) % p):
             raise CheckFailed(

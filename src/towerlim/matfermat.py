@@ -21,7 +21,7 @@ from itertools import zip_longest
 from typing import Optional, Sequence
 
 from .errors import CheckFailed, GuardExceeded, InputError
-from .matrices import det_one_minus_y, mat_pow, mat_trace
+from .matrices import det_one_minus_y, mat_mul, mat_trace, power
 from .padic import is_prime, min_val
 
 IntMatrix = Sequence[Sequence[int]]
@@ -104,7 +104,7 @@ def arnold_zarelua_check(a: IntMatrix, ell: int, n: int) -> TracePowerReport:
                                 f"may reach 10^{digits:.0f}",
                                 n=n, step=i, digits=round(digits),
                                 limit=MAX_POWER_DIGITS)
-        lo, hi = hi, mat_pow(hi, ell, 1, 0)
+        lo, hi = hi, power(hi, ell, mat_mul)
     t_lo, t_hi = mat_trace(lo), mat_trace(hi)
     big = max(abs(t_lo), abs(t_hi))
     if big >= 10**MAX_TRACE_DIGITS:

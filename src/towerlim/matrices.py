@@ -5,11 +5,13 @@
   explicit `one`/`zero` ring constants where it cannot infer them, and the
   characteristic polynomial uses the Berkowitz algorithm, which is
   division-free and therefore valid verbatim over these rings.
+* `power` is the one square-and-multiply, under any product.
 * Orbits: `orbit` is the one orbit walker, under any step.  Matrix walks
   step by `mat_step`; the scan `orbit_reps` of (Z/M)^b under an integer
   matrix steps through a successor table built in numpy, and keeps which
   orbit each point fell in, and the successor table it walked, so later
-  walks of the same orbits are table reads too.
+  walks of the same orbits are table reads too.  `Orbits.classes` is the
+  one grouping of a scan's orbits into classes under a scalar unit.
 """
 
 from __future__ import annotations
@@ -58,15 +60,18 @@ def mat_vec(a: Matrix, v: Sequence) -> list:
     return out
 
 
-def mat_pow(a: Matrix, e: int, one, zero) -> list[list]:
-    out = mat_identity(len(a), one, zero)
-    base = [list(r) for r in a]
-    while e:
-        if e & 1:
-            out = mat_mul(out, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
+def power(x, e: int, mul: Callable):
+    """x^e for e >= 1 under the associative product `mul`: the one
+    square-and-multiply, read from e's top bit down (Knuth, TAOCP vol. 2,
+    4.6.3).  It makes e.bit_length() - 1 squarings and one multiply by x
+    for each other set bit of e, so x^1 is x itself, with no product."""
+    out = x
+    bit = 1 << (e.bit_length() - 1)
+    while bit > 1:
+        bit >>= 1
+        out = mul(out, out)
+        if e & bit:
+            out = mul(out, x)
     return out
 
 
@@ -180,6 +185,30 @@ class Orbits(list):
         through the successor table, one read a step."""
         return orbit(self._successor.__getitem__, self.index(v),
                      len(self._labels), **context)
+
+    def classes(self, g: int, **context) -> tuple[tuple, ...]:
+        """The orbits grouped into classes under the scalar unit g, each
+        the tuple of its orbits' reps, in scan order: the orbits of v,
+        g v, ..., g^(c-1) v, v the class's lex-least point.
+
+        g commutes with the step and keeps `keep`, so it permutes the
+        orbits; `orbit` walks o -> the orbit of g rep(o) from the first
+        orbit not yet in a class until g^c v is back in the orbit of v.  A
+        walk that does not close is a CheckFailed carrying the position as
+        `rep`, v as `point`, and `context`.
+        """
+        mod = self._mod
+
+        def times_g(o: int) -> int:
+            return self.orbit_of(tuple(g * x % mod for x in self[o][0]))
+
+        placed, out = set(), []
+        for o, (v, _) in enumerate(self):
+            if o not in placed:
+                walk = orbit(times_g, o, len(self), point=v, **context)
+                placed.update(walk)
+                out.append(tuple(self[i][0] for i in walk))
+        return tuple(out)
 
 
 def successor_table(step: Matrix, mod: int, b: int) -> array:

@@ -44,6 +44,7 @@ from .matrices import (
     mat_step,
     orbit,
     orbit_reps,
+    power,
 )
 from .padic import check_odd_prime, int_val, min_val, primitive_root
 
@@ -264,15 +265,15 @@ def matrix_log(m: Sequence[Sequence[int]], ell: int,
     mod = ell**work
     bmat = [[m[i][j] - (i == j) for j in range(b)] for i in range(b)]
     log_m = [[0] * b for _ in range(b)]
-    power = mat_identity(b, 1, 0)
+    bpow = mat_identity(b, 1, 0)
     k = 1
     while k < work or ell ** (k - work) < k:
-        power = [[x % (mod * ell**work) for x in row]
-                 for row in mat_mul(power, bmat)]
+        bpow = [[x % (mod * ell**work) for x in row]
+                for row in mat_mul(bpow, bmat)]
         lk = ell ** int_val(ell, k)  # divides every entry of (m - I)^k
         coef = (-1) ** (k + 1) * pow(k // lk, -1, mod)
         log_m = [[(y + x // lk * coef) % mod for x, y in zip(prow, lrow)]
-                 for prow, lrow in zip(power, log_m)]
+                 for prow, lrow in zip(bpow, log_m)]
         k += 1
     return log_m
 
@@ -583,12 +584,10 @@ def level_pieces(spec: TowerSpec, n: int) -> LevelPieces:
     has integer coefficients: the orbit of a v is a times the orbit of v,
     and a cyclic rotation of the product leaves its charpoly unchanged.  So
     p_{n,u} = sigma_a(p_{n,v}) exactly whenever u's orbit is a v's.  With
-    g the least primitive root mod l^n, a class is walked by `orbit` on
-    orbit positions, o -> the orbit of g rep(o), from the orbit of its
-    lex-least rep v: rep(o) lies in the orbit of g^i v, so g rep(o) lies in
-    that of g^(i+1) v (g is a scalar and commutes with Q).  The walk closes
-    after the class's c orbits, those of v, g v, ..., g^(c-1) v, and g^c
-    stabilises the orbit of v.
+    g the least primitive root mod l^n, the classes are the scan's
+    `Orbits.classes` under g (a scalar, so it commutes with Q): the class
+    of its lex-least rep v holds the orbits of v, g v, ..., g^(c-1) v, and
+    g^c stabilises the orbit of v.
 
     Then p_{n,v} of every class rep, and of each direct check's member, is
     computed by `p_polys`, batched by orbit size; each other member's unit
@@ -611,20 +610,10 @@ def level_pieces(spec: TowerSpec, n: int) -> LevelPieces:
             )
     mod = spec.ell**n
     g = primitive_root(spec.ell, n)
-
-    def times_g(o: int) -> int:
-        return reps.orbit_of(tuple(g * x % mod for x in reps[o][0]))
-
-    units = {}  # rep u -> (class rep v, unit a), p_{n,u} = sigma_a(p_{n,v})
-    classes = []
-    for o, (v, _) in enumerate(reps):
-        if v in units:
-            continue
-        members = tuple(reps[i][0] for i in orbit(times_g, o, len(reps),
-                                                  level=n, point=v))
-        for i, u in enumerate(members):
-            units[u] = (v, pow(g, i, mod))
-        classes.append(members)
+    classes = reps.classes(g, level=n)
+    # rep u -> (class rep v, unit a), p_{n,u} = sigma_a(p_{n,v})
+    units = {u: (members[0], pow(g, i, mod))
+             for members in classes for i, u in enumerate(members)}
     direct = [c[0] for c in classes] + [c[1] for c in classes if len(c) > 1]
     computed, steps = p_polys(spec, n, reps, direct)
     polys = {}
@@ -639,8 +628,8 @@ def level_pieces(spec: TowerSpec, n: int) -> LevelPieces:
             polys[u] = _galois(p, g)
             _check_transport(n, v, u, g, polys[u], computed[u],
                              "direct check")
-    return LevelPieces(reps, min(s for _, s in reps), tuple(classes), polys,
-                       units, steps)
+    return LevelPieces(reps, min(s for _, s in reps), classes, polys, units,
+                       steps)
 
 
 def r_poly(spec: TowerSpec, n: int,
@@ -804,12 +793,9 @@ def general_congruence_rows(spec: TowerSpec, params: OrbitParams,
     rows = []
     for n in range(1, spec.n_max):
         (r_lo, meta_lo), (r_hi, meta_hi) = polys[n], polys[n + 1]
-        power = r_lo
-        for _ in range(spec.b - 1):  # power = r_lo^(l^(b-1)) mod l^prec
-            base = power
-            for _ in range(spec.ell - 1):
-                power = [x % mod for x in convolve(power, base)]
-        measured, sat = poly_diff_val(r_hi, power, spec.ell, spec.prec)
+        r_pow = power(r_lo, spec.ell ** (spec.b - 1),
+                      lambda a, b: [x % mod for x in convolve(a, b)])
+        measured, sat = poly_diff_val(r_hi, r_pow, spec.ell, spec.prec)
         required = n * spec.b if scalar else n
         rows.append(
             CongruenceRow(

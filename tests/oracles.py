@@ -83,6 +83,31 @@ def serial_orbit_reps(step, mod, b, keep):
     return Orbits(reps, labels, mod, None)
 
 
+def unit_classes(scan, g_scan, points):
+    """The classes of `scan`'s orbits under a scalar unit g, from the
+    direct scan `g_scan` of the same points under g: two orbits share a
+    class when one g-orbit meets both, joined by union-find over `points`.
+    Each class as (its least rep, the set of its reps), by that rep; what
+    `Orbits.classes` is checked against."""
+    parent = list(range(len(scan)))
+
+    def find(o):
+        while parent[o] != o:
+            o = parent[o]
+        return o
+
+    met = {}  # g-orbit -> a scan orbit it meets
+    for w in points:
+        o = scan.orbit_of(w)
+        if o >= 0:
+            parent[find(o)] = find(met.setdefault(g_scan.orbit_of(w), o))
+    groups = {}
+    for o, (v, _) in enumerate(scan):
+        groups.setdefault(find(o), []).append(v)
+    return sorted(((min(vs), set(vs)) for vs in groups.values()),
+                  key=lambda c: c[0])
+
+
 def poly_mul(a, b, zero, stretch=1):
     """a(y) * b(y^stretch) over any ring, ascending coefficients: every
     term of `a` times every nonzero term of `b`.  The serial route the

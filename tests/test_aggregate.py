@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import sys
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from towerlim import cyclo, tower
 from towerlim.cli import main
 from towerlim.cyclo import CycloElem, CycloRing
 from towerlim.errors import CheckFailed, GuardExceeded
+from towerlim.matrices import orbit_reps
+from towerlim.padic import primitive_root
 from towerlim.tower import (
     build_ring,
     level_pieces,
@@ -28,7 +31,7 @@ from towerlim.tower import (
     r_poly,
 )
 
-from oracles import poly_mul, serial_class_norm
+from oracles import poly_mul, serial_class_norm, unit_classes
 
 PROPS = settings(derandomize=True, database=None, max_examples=100,
                  deadline=None)
@@ -127,6 +130,30 @@ def assert_norms_match_serial(spec, n):
         "l5obj-2"])
 def test_descent_matches_the_serial_class_norm(spec, n, sizes):
     assert assert_norms_match_serial(spec, n) == sizes
+
+
+@pytest.mark.parametrize("spec, n", [
+    (GEN, 1), (GEN, 2), (GEN, 3), (GEN, 4), (L5OBJ, 1), (L5OBJ, 2),
+    (L5OBJ, 3),
+], ids=["gen-1", "gen-2", "gen-3", "gen-4", "l5obj-1", "l5obj-2",
+        "l5obj-3"])
+def test_unit_classes_match_a_scan_under_the_primitive_root(spec, n):
+    # each class is the <Q, g>-orbit of its first rep v, the orbits of
+    # v, g v, ..., g^(c-1) v in that order: a union of whole orbits of
+    # g I on the primitive vectors, v its least point
+    ell, mod = spec.ell, spec.ell**n
+    g = primitive_root(ell, n)
+    scan = primitive_orbit_reps(spec, n)
+    g_scan = orbit_reps([[g * (i == j) for j in range(spec.b)]
+                         for i in range(spec.b)], mod, spec.b,
+                        lambda v: any(x % ell for x in v))
+    classes = scan.classes(g, level=n)
+    assert [(c[0], set(c)) for c in classes] == unit_classes(
+        scan, g_scan, product(range(mod), repeat=spec.b))
+    for members in classes:
+        for i, u in enumerate(members):
+            gv = tuple(pow(g, i, mod) * x % mod for x in members[0])
+            assert scan.orbit_of(gv) == scan.orbit_of(u)
 
 
 @PROPS

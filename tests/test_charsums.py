@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 
 import pytest
@@ -25,9 +26,10 @@ from towerlim.charsums import (
     s_rho_n,
     zeta_from_counts,
 )
-from towerlim.cyclo import BiCycloRing
+from towerlim.cyclo import BiCycloRing, convolve
 from towerlim.errors import CheckFailed, InputError
-from towerlim.fields import field_build
+from towerlim.fields import _poly_mul_mod, field_build
+from towerlim.matrices import mat_mul, power
 
 from oracles import (
     artin_schreier_count,
@@ -94,14 +96,25 @@ def test_gauss_sum_has_norm_q():
 
 
 def test_power_matches_the_sequential_product():
-    # a Jacobi sum in Z[zeta_9] and a Gauss sum in Z[zeta_19, zeta_9], as
-    # `_generator_norm` raises them
-    field = field_build(19, 1)
-    for s in (jacobi_sum(field, 3, 2, 1, 2), gauss_sum(field, 3, 2, 1)):
-        seq = s
-        for e in range(1, 11):
-            assert charsums._power(s, e) == seq, e
-            seq = seq * s
+    # every product `matrices.power` serves: integers, integer matrices
+    # (matrix Fermat), integer polynomials (h_m, the general rows), F_7[x]
+    # mod the modulus of F_{7^3} (the field builds), a Jacobi sum in
+    # Z[zeta_9] and a Gauss sum in Z[zeta_19, zeta_9] (`_generator_norm`)
+    field, big = field_build(19, 1), field_build(7, 3)
+    modulus = list(big.modulus)
+    cases = [
+        (-3, operator.mul),
+        ([[2, 1], [1, -1]], mat_mul),
+        ([2, -1, 0, 3], convolve),
+        ([3, 5, 1], lambda a, b: _poly_mul_mod(a, b, modulus, 7)),
+        (jacobi_sum(field, 3, 2, 1, 2), operator.mul),
+        (gauss_sum(field, 3, 2, 1), operator.mul),
+    ]
+    for x, mul in cases:
+        seq = x
+        for e in range(1, 21):
+            assert power(x, e, mul) == seq, (x, e)
+            seq = mul(seq, x)
 
 
 def test_jacobi_gauss_bridge():

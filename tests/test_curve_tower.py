@@ -33,6 +33,8 @@ from towerlim.cli import build_parser, main
 from towerlim.cyclo import BiCycloElem, BiCycloRing, CycloElem, CycloRing
 from towerlim.errors import CheckFailed, GuardExceeded, InputError
 from towerlim.fields import field_build
+from towerlim.matrices import Orbits, orbit_reps
+from towerlim.padic import primitive_root
 from towerlim.report import Timer
 
 from oracles import poly_mul, rational_int, twisted_gauss_sum
@@ -165,6 +167,55 @@ def test_one_frobenius_scan_per_level(monkeypatch):
     assert sorted(m for m, mult in calls if mult == 19) == [1, 2, 3]
 
 
+@pytest.mark.parametrize("family, ell, q, n", [("fermat", 3, 19, 3),
+                                               ("artin-schreier", 3, 19, 2),
+                                               ("fermat", 5, 11, 2)])
+def test_one_orbit_scan_per_level(monkeypatch, family, ell, q, n):
+    # the unit classes are the Frobenius scan's `Orbits.classes`: no
+    # second scan under a primitive root
+    sizes = []
+    real = charsums.orbit_reps
+
+    def counting(step, mod, b, keep):
+        sizes.append(mod)
+        return real(step, mod, b, keep)
+
+    monkeypatch.setattr(charsums, "orbit_reps", counting)
+    h_poly_tower(family, ell, q, n)
+    assert sizes == [ell**m for m in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("family", ["fermat", "artin-schreier"])
+@pytest.mark.parametrize("ell, m", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
+                                    (7, 1), (7, 2)])
+def test_unit_classes_are_the_orbits_of_a_primitive_root(family, ell, m):
+    # q ranges over the least unit of each order k_m: each class of the
+    # Frobenius orbits is one whole orbit of the direct scan under g, its
+    # first rep that scan's rep, in the same order
+    d = ell**m
+    g = primitive_root(ell, m)
+    units = charsums._fresh_orbits(family, ell, m, g)
+    least = {}
+    for q in range(d - 1, 0, -1):
+        if q % ell:
+            least[mult_order(q, d)] = q
+    for k, q in sorted(least.items()):
+        scan = charsums._fresh_orbits(family, ell, m, q)
+        classes = scan.classes(g, family=family, level=m)
+        assert [(c[0], set(c)) for c in classes] == [
+            (v, {w for w, _ in scan if units.orbit_of(w) == i})
+            for i, (v, _) in enumerate(units)], (q, k)
+        assert {len(c) * k for c in classes} == {size for _, size in units}
+
+
+def test_a_class_walk_that_does_not_close_names_where():
+    # 3 is no unit mod 9: it sends the orbit of (1,) off the scan
+    scan = orbit_reps([[1]], 9, 1, lambda v: v[0] % 3)
+    with pytest.raises(CheckFailed) as exc:
+        scan.classes(3, level=2)
+    assert exc.value.context == {"rep": 0, "point": (1,), "level": 2}
+
+
 def test_norm_route_failures_name_where_they_broke():
     ring = CycloRing(3, 2, None)
     # over all six conjugates of zeta_9: prod (1 + eta y) = 1 - y^3 + y^6
@@ -288,6 +339,12 @@ def _lie_about(monkeypatch, name, lie):
     monkeypatch.setattr(charsums, name, lambda *args: lie(real, *args))
 
 
+def _without_last(orbits):
+    """The scan `orbits` less its last orbit, still an `Orbits`."""
+    return Orbits(orbits[:-1], orbits._labels, orbits._mod,
+                  orbits._successor)
+
+
 def _bookkeeping_failure(family, q, n):
     with pytest.raises(CheckFailed) as exc:
         h_poly_tower(family, 3, q, n)
@@ -296,7 +353,8 @@ def _bookkeeping_failure(family, q, n):
 
 def test_bookkeeping_failures_name_family_level_and_values(monkeypatch):
     with monkeypatch.context() as mp:  # one Frobenius orbit lost
-        _lie_about(mp, "_fresh_orbits", lambda real, *a: real(*a)[:-1])
+        _lie_about(mp, "_fresh_orbits",
+                   lambda real, *a: _without_last(real(*a)))
         assert _bookkeeping_failure("fermat", 7, 1) == {
             "family": "fermat", "level": 1, "expected": 2, "measured": 1}
     with monkeypatch.context() as mp:  # Frobenius order over F_7 doubled
@@ -304,9 +362,13 @@ def test_bookkeeping_failures_name_family_level_and_values(monkeypatch):
                    lambda real, g, d: real(g, d) * (2 if g == 7 else 1))
         assert _bookkeeping_failure("fermat", 7, 1) == {
             "family": "fermat", "level": 1, "expected": 2, "measured": [1]}
-    with monkeypatch.context() as mp:  # the unit scan loses its one orbit
-        _lie_about(mp, "_fresh_orbits",
-                   lambda real, *a: real(*a)[:-1] if a[3] == 2 else real(*a))
+    real_classes = Orbits.classes
+
+    def one_class_short(orbits, g, **context):
+        return real_classes(orbits, g, **context)[:-1]
+
+    with monkeypatch.context() as mp:  # the unit classes lose their one
+        mp.setattr(Orbits, "classes", one_class_short)
         assert _bookkeeping_failure("fermat", 7, 1) == {
             "family": "fermat", "level": 1, "expected": 1, "measured": 0}
     with monkeypatch.context() as mp:  # 1 taken for a primitive root
@@ -320,9 +382,10 @@ def test_bookkeeping_failures_name_family_level_and_values(monkeypatch):
             "family": "fermat", "level": 1, "expected": 2, "measured": 3}
     with monkeypatch.context() as mp:  # every product one degree too high
         _lie_about(mp, "convolve", lambda real, *a: real(*a) + [0])
-        # h_1 takes two: the norms' product and its power (p - 1)/e = 1
+        # h_1 takes one, the norms' product; its power (p - 1)/e = 1 is
+        # the product itself, with no convolve
         assert _bookkeeping_failure("fermat", 7, 2) == {
-            "family": "fermat", "level": 1, "expected": 2, "measured": 4}
+            "family": "fermat", "level": 1, "expected": 2, "measured": 3}
     with monkeypatch.context() as mp:  # h_2(y^3) one degree too high in f_2
         _lie_about(mp, "stretch",
                    lambda real, poly, s: real(poly, s) + [0] * (s > 1))

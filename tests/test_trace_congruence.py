@@ -17,7 +17,7 @@ from towerlim.matfermat import (
     poly_diff_val,
     traces_from_det,
 )
-from towerlim.matrices import det_one_minus_y, mat_pow, mat_trace
+from towerlim.matrices import det_one_minus_y, mat_mul, mat_trace, power
 
 from oracles import rational_det_from_traces
 
@@ -28,7 +28,7 @@ PROPS = settings(derandomize=True, database=None, max_examples=80,
 
 def trace_power(a, e):
     """tr(A^e), exact, through the matrix-power route."""
-    return mat_trace(mat_pow(a, e, 1, 0))
+    return mat_trace(power(a, e, mat_mul))
 
 
 def closed_walk_count(a, length):
